@@ -11,6 +11,29 @@ comparisons below), a measure-zero convention that keeps classification
 deterministic.  The splitting of the complement into Farey cells uses the
 best-approximation cell of each point, i.e. the convergent minimising
 |q*alpha - a|, with ties again resolved toward smaller q.
+
+Classification runs on whole arrays and is exact.  The best approximation
+with denominator at most q_max is the last continued-fraction convergent
+with q <= q_max, so it is fixed by the Euclid walk on alpha taken as an exact
+rational.  A float alpha in [0, 1] is the binary rational num / 2**e with
+num < 2**53; for alpha >= 2**-10 (and alpha = 0) the exponent is e <= 62, so
+``dirichlet_approx_many`` runs the walk on int64 arrays:
+
+* it carries the convergents p/q and the residual r = q*num - p*den, which
+  obeys the recurrence of p and q, r_next = a_i*r + r_prev.  The |r| are the
+  Euclid remainders of (den, num), alternate in sign and shrink, so they
+  never exceed den <= 2**62;
+* a partial quotient a_i can be as large as den when a remainder reaches 1,
+  so the stop rule q_next > q_max is tested as a_i > (q_max - q_prev) // q
+  before a_i*q + q_prev is formed; an accepted step has q_next <= q_max,
+  and p_next <= q_next because alpha <= 1;
+* err = |r| / den in float64 equals float(|q*alpha - p|) bit for bit, since
+  den is a power of two: the one rounding is that of |r| to 53 bits.
+
+Points 0 < alpha < 2**-10 have binary denominators above 2**62; they, and
+exact ``Fraction`` arguments, take the scalar ``Fraction`` walk
+``dirichlet_approx``, which is also the test oracle of the int64 walk.  The
+scalar ``Dissection`` methods are one-element wrappers of the array methods.
 """
 
 from __future__ import annotations
@@ -18,12 +41,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import Optional, Union
 
 import numpy as np
 
 Real = Union[float, Fraction]
+Points = Union[Real, np.ndarray]  # one point or a 1-D array of them
+
+#: Smallest positive float whose binary denominator fits the int64 walk.
+_INT64_WALK_MIN = 2.0**-10
 
 
 @dataclass(frozen=True)
@@ -64,6 +90,70 @@ def dirichlet_approx(alpha: Real, q_max: int) -> RationalApprox:
     return RationalApprox(a=int(p_cur), q=int(q_cur), err=float(err))
 
 
+def _points(alphas: Points) -> np.ndarray:
+    """A scalar or sequence of points as a 1-D array: float64, or object
+    when it holds exact ``Fraction`` values."""
+    x = np.atleast_1d(np.asarray(alphas))
+    if x.ndim != 1:
+        raise ValueError("alphas must be a scalar or a 1-D array")
+    return x if x.dtype == object else x.astype(float, copy=False)
+
+
+def dirichlet_approx_many(
+    alphas: Points, q_max: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``dirichlet_approx`` over an array: int64 arrays a and q and float64
+    err, equal point by point to the scalar walk (see the module docstring)."""
+    if q_max < 1:
+        raise ValueError("q_max must be at least 1")
+    x = _points(alphas)
+    if x.dtype == object:
+        a, q, err = np.empty(len(x), np.int64), np.empty(len(x), np.int64), np.empty(len(x))
+        slow = range(len(x))
+    else:
+        bad = ~((x >= 0.0) & (x <= 1.0))
+        if bad.any():
+            raise ValueError(f"alpha must lie in [0, 1], got {x[bad][0]}")
+        small = (x < _INT64_WALK_MIN) & (x != 0.0)
+        # no denominator here exceeds 2**62, so a larger cap changes nothing
+        a, q, err = _int64_walk(np.where(small, 0.0, x), min(q_max, 2**62))
+        slow = np.flatnonzero(small)
+    for i in slow:
+        b = dirichlet_approx(x[i], q_max)
+        a[i], q[i], err[i] = b.a, b.q, b.err
+    return a, q, err
+
+
+def _int64_walk(x: np.ndarray, q_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The convergent walk for floats 0 or in [2**-10, 1]."""
+    mant, ex = np.frexp(x)
+    num = (mant * 2.0**53).astype(np.int64)
+    den = np.left_shift(np.int64(1), (53 - ex).astype(np.int64))
+    a, q, err = np.empty(len(x), np.int64), np.empty(len(x), np.int64), np.empty(len(x))
+
+    # lane state: convergents p0/q0 (previous), p1/q1 (current), residuals
+    # |r0| = u and |r1| = v; live holds each lane's position in the output
+    p1 = num // den
+    p0, q0, q1 = np.ones_like(p1), np.zeros_like(p1), np.ones_like(p1)
+    u, v = den, num - p1 * den
+    live = np.arange(len(x))
+    while live.size:
+        go = v != 0
+        a_i = u // np.where(go, v, 1)
+        go &= a_i <= (q_max - q0) // q1
+        if not go.all():
+            end = ~go
+            at = live[end]
+            a[at], q[at], err[at] = p1[end], q1[end], v[end] / den[end]
+            p0, p1, q0, q1, u, v, den, a_i, live = (
+                arr[go] for arr in (p0, p1, q0, q1, u, v, den, a_i, live)
+            )
+        p0, p1 = p1, a_i * p1 + p0
+        q0, q1 = q1, a_i * q1 + q0
+        u, v = v, u - a_i * v
+    return a, q, err
+
+
 @dataclass(frozen=True)
 class ArcLabel:
     in_major: bool
@@ -73,7 +163,11 @@ class ArcLabel:
 
 @dataclass(frozen=True)
 class Dissection:
-    """Arc families of the order-2*sqrt(n) dissection for one fixed n."""
+    """Arc families of the order-2*sqrt(n) dissection for one fixed n.
+
+    The ``*_many`` methods classify a 1-D array of points at once; the scalar
+    methods are their one-element wrappers.
+    """
 
     n: int
 
@@ -90,35 +184,49 @@ class Dissection:
     def full_height(self) -> int:
         return math.isqrt(4 * self.n)  # floor(2*sqrt(n))
 
+    def assign_many(self, alphas: Points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Farey cells (a, q, err) of the points: the containing low-height
+        arc if there is one, otherwise the best order-2*sqrt(n) approximation."""
+        x = _points(alphas)
+        a, q, err = dirichlet_approx_many(x, self.half_height)
+        far = np.flatnonzero(~(err <= 0.5 / math.sqrt(self.n)))
+        if far.size:
+            a[far], q[far], err[far] = dirichlet_approx_many(x[far], self.full_height)
+        return a, q, err
+
     def assign(self, alpha: Real) -> RationalApprox:
-        """Farey cell of alpha: the containing low-height arc if there is
-        one, otherwise the best order-2*sqrt(n) approximation."""
-        thresh = 0.5 / math.sqrt(self.n)
-        best = dirichlet_approx(alpha, self.half_height)
-        if best.err <= thresh:
-            return best
-        return dirichlet_approx(alpha, self.full_height)
+        a, q, err = self.assign_many(alpha)
+        return RationalApprox(a=int(a[0]), q=int(q[0]), err=float(err[0]))
 
     def upsilon(self, alpha: Real) -> float:
         b = self.assign(alpha)
         return 1.0 / (b.q + self.n * b.err)
 
-    def in_major(self, alpha: Real, Q: float) -> bool:
+    def in_major_many(self, alphas: Points, Q: float) -> np.ndarray:
+        """Boolean mask of the points lying in M(Q)."""
         if not 1 <= Q <= 2 * math.sqrt(self.n) + 1e-9:
             raise ValueError(f"Q={Q} outside [1, 2*sqrt(n)]")
         if Q <= 0.5 * math.sqrt(self.n):
-            best = dirichlet_approx(alpha, int(math.floor(Q)))
-            return best.err <= Q / self.n
-        best = self.assign(alpha)
-        if best.q <= self.half_height:
-            return best.err <= 0.5 / math.sqrt(self.n)
-        return best.q <= Q
+            _, _, err = dirichlet_approx_many(alphas, int(math.floor(Q)))
+            return err <= Q / self.n
+        _, q, err = self.assign_many(alphas)
+        return np.where(q <= self.half_height, err <= 0.5 / math.sqrt(self.n), q <= Q)
+
+    def in_major(self, alpha: Real, Q: float) -> bool:
+        return bool(self.in_major_many(alpha, Q)[0])
+
+    def in_slice_many(self, alphas: Points, Q: float) -> np.ndarray:
+        """Boolean mask of the points lying in N(Q) = M(Q) minus M(Q/4)."""
+        x = _points(alphas)
+        inside = self.in_major_many(x, Q)
+        if Q / 4 >= 1:
+            hit = np.flatnonzero(inside)
+            inside[hit] = ~self.in_major_many(x[hit], Q / 4)
+        return inside
 
     def in_slice(self, alpha: Real, Q: float) -> bool:
         """Membership in N(Q) = M(Q) minus M(Q/4)."""
-        if not self.in_major(alpha, Q):
-            return False
-        return Q / 4 < 1 or not self.in_major(alpha, Q / 4)
+        return bool(self.in_slice_many(alpha, Q)[0])
 
     def in_core(self, alpha: Real) -> bool:
         B = self.L ** (1.0 / 15.0)
@@ -153,6 +261,12 @@ def arc_classify(alpha: Real, n: int, Q: float) -> ArcLabel:
     return ArcLabel(in_major=in_major, slice_q=slice_q, core=d.in_core(alpha))
 
 
+def _coprime_residues(q: int, rng: np.random.Generator, size: int = 4) -> np.ndarray:
+    """The a in [0, q] coprime to q, thinned to ``size`` random ones."""
+    a = np.flatnonzero(np.gcd(np.arange(q + 1), q) == 1)
+    return rng.choice(a, size=size, replace=False) if len(a) > size else a
+
+
 def sample_slice_alphas(
     n: int,
     Q: float,
@@ -169,28 +283,18 @@ def sample_slice_alphas(
     d = Dissection(n)
     qlo = int(math.floor(Q / 4))
     qhi = max(1, int(math.floor(min(Q, d.full_height))))
-    out: list[float] = []
 
+    # centre stratum; below the half height membership in M(Q) is automatic
     qs = np.arange(qlo + 1, qhi + 1)
     if len(qs) > 80:
         qs = np.unique(rng.choice(qs, size=80, replace=False))
     offsets = np.array([0.0, 0.25, -0.25, 0.625, -0.625, 0.875, -0.875])
+    pieces, test_top = [np.empty(0)], [np.zeros(0, dtype=bool)]
     for q in qs:
         q = int(q)
-        coprime = [a for a in range(0, q + 1) if gcd(a, q) == 1]
-        if len(coprime) > 4:
-            coprime = list(rng.choice(coprime, size=4, replace=False))
-        hw = d.arc_halfwidth(q, Q)
-        low_witness = q <= d.half_height  # then membership in M(Q) is automatic
-        for a in coprime:
-            center = a / q
-            for delta in offsets * hw * 0.999:
-                alpha = center + delta
-                if not 0.0 <= alpha <= 1.0:
-                    continue
-                in_top = d.in_major(alpha, Q) if not low_witness else True
-                if in_top and (Q / 4 < 1 or not d.in_major(alpha, Q / 4)):
-                    out.append(alpha)
+        deltas = offsets * d.arc_halfwidth(q, Q) * 0.999
+        pieces.append(((_coprime_residues(q, rng) / q)[:, None] + deltas).ravel())
+        test_top.append(np.full(len(pieces[-1]), q > d.half_height))
 
     # rim stratum: the annulus of the lower arcs q <= Q/4 that N(Q) keeps
     vlo = min(Q / 4, 0.5 * math.sqrt(n))
@@ -202,28 +306,32 @@ def sample_slice_alphas(
                 np.concatenate([rim_qs[:8], rng.choice(rim_qs, size=32, replace=False)])
             )
         rim_vs = np.geomspace(vlo * 1.02, vhi * 0.999, 4)
+        steps = np.multiply.outer(rim_vs, (1.0, -1.0)).ravel()
         for q in rim_qs:
             q = int(q)
-            coprime = [a for a in range(0, q + 1) if gcd(a, q) == 1]
-            if len(coprime) > 4:
-                coprime = list(rng.choice(coprime, size=4, replace=False))
-            for a in coprime:
-                for v in rim_vs:
-                    for sign in (1.0, -1.0):
-                        alpha = a / q + sign * v / (q * n)
-                        if 0.0 <= alpha <= 1.0 and not d.in_major(alpha, Q / 4):
-                            out.append(alpha)
+            pieces.append(((_coprime_residues(q, rng) / q)[:, None] + steps / (q * n)).ravel())
+            test_top.append(np.zeros(len(pieces[-1]), dtype=bool))
 
-    n_uniform = max(8, int(count * uniform_share))
-    for alpha in rng.random(n_uniform * 4):
-        if len(out) >= count * 4:
-            break
-        if d.in_slice(alpha, Q):
-            out.append(float(alpha))
+    # both strata leave M(Q/4); centres above the half height must be in M(Q)
+    cand = np.concatenate(pieces)
+    keep = (0.0 <= cand) & (cand <= 1.0)
+    top = np.flatnonzero(keep & np.concatenate(test_top))
+    if top.size:
+        keep[top] = d.in_major_many(cand[top], Q)
+    low = np.flatnonzero(keep)
+    if Q / 4 >= 1 and low.size:
+        keep[low] = ~d.in_major_many(cand[low], Q / 4)
+    out = cand[keep]
 
-    if not out:
+    # uniform stratum: the first accepted draws, up to count*4 points in all
+    draws = rng.random(max(8, int(count * uniform_share)) * 4)
+    need = count * 4 - len(out)
+    if need > 0:
+        out = np.concatenate([out, draws[d.in_slice_many(draws, Q)][:need]])
+
+    if not len(out):
         return np.empty(0)
-    arr = np.sort(np.array(out))
+    arr = np.sort(out)
     if len(arr) > count:
         # even-spaced thinning preserves every stratum, unlike a random draw
         idx = np.unique(np.round(np.linspace(0, len(arr) - 1, count)).astype(int))

@@ -30,6 +30,18 @@ class SieveTables:
     primes: np.ndarray
 
 
+def iroot(n: int, k: int) -> int:
+    """Largest r >= 0 with r**k <= n."""
+    if n < 0 or k < 1:
+        raise ValueError
+    r = round(n ** (1.0 / k))
+    while r > 0 and r**k > n:
+        r -= 1
+    while (r + 1) ** k <= n:
+        r += 1
+    return r
+
+
 def sieve_tables(N: int, max_limit: int = DEFAULT_MAX_LIMIT) -> SieveTables:
     if N < 2:
         raise ValueError("N must be at least 2")
@@ -48,12 +60,17 @@ def sieve_tables(N: int, max_limit: int = DEFAULT_MAX_LIMIT) -> SieveTables:
 
     primes = idx[2:][lpf[2:] == idx[2:]]
 
+    # every m <= N has at most one prime factor above sqrt(N): flip the sign
+    # once per small prime factor, then once more where the cofactor left
+    # after dividing out each small prime once is a large prime
     mobius = np.ones(N + 1, dtype=np.int64)
     mobius[0] = 0
-    for p in primes:
-        mobius[p::p] *= -1
+    cofactor = idx
     for p in primes[primes * primes <= N]:
+        mobius[p::p] *= -1
         mobius[p * p :: p * p] = 0
+        cofactor[p::p] //= p
+    np.negative(mobius, out=mobius, where=cofactor > 1)
 
     return SieveTables(limit=N, least_prime_factor=lpf, mobius=mobius, primes=primes)
 

@@ -86,7 +86,6 @@ def _bool_cast(text: str) -> bool:
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=FORMATS, default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--workers", type=int, default=None)
     p.add_argument("--tolerance", type=float, default=None)
     p.add_argument("--config", default=None, help="key=value config file")
 
@@ -159,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 _KNOWN_KEYS = {
-    "format", "seed", "workers", "tolerance", "k", "s", "phi", "limit", "Q", "t",
+    "format", "seed", "tolerance", "k", "s", "phi", "limit", "Q", "t",
     "r", "eta", "kind", "h", "m", "q-cut", "n", "region", "grid-points", "slices",
     "samples", "zero-set", "x-kind", "natural", "integral", "mean-value", "delta-source",
 }
@@ -419,9 +418,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 2
     try:
         opts = Options(args, _KNOWN_KEYS)
-        workers = opts.get("workers", int, 1)
-        if workers is not None and workers < 1:
-            raise ConfigError("workers must be at least 1")
         report = _COMMANDS[args.command](opts)
         fmt = opts.get("format", str, "pretty")
         if fmt not in FORMATS:

@@ -17,25 +17,13 @@ from typing import Optional, Union
 import numpy as np
 
 from partitio.arcs import Dissection
-from partitio.arith import SmoothSet, sieve_tables, smooth_set
+from partitio.arith import SmoothSet, iroot, sieve_tables, smooth_set
 from partitio.expsums import exp_sum_many
 from partitio.weights import Weight
 
 _INT64_GUARD = 2**62
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
-
-
-def iroot(n: int, k: int) -> int:
-    """Largest r >= 0 with r**k <= n."""
-    if n < 0 or k < 1:
-        raise ValueError
-    r = round(n ** (1.0 / k))
-    while r > 0 and r**k > n:
-        r -= 1
-    while (r + 1) ** k <= n:
-        r += 1
-    return r
 
 
 @dataclass(frozen=True)
@@ -268,9 +256,9 @@ def _grid_integral(w: Weight, t: int, G: int, region: str, Q: Optional[float], n
             raise ValueError(f"region {region!r} needs Q")
         d = Dissection(n)
         if region == "major":
-            mask = np.fromiter((d.in_major(a, Q) for a in alphas), dtype=bool, count=G)
+            mask = d.in_major_many(alphas, Q)
         elif region == "slice":
-            mask = np.fromiter((d.in_slice(a, Q) for a in alphas), dtype=bool, count=G)
+            mask = d.in_slice_many(alphas, Q)
         else:
             raise ValueError(f"unknown region {region!r}")
     # periodic integrand, uniform grid: the mean is the trapezoid value

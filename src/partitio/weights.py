@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from partitio.arith import SmoothSet, sieve_tables, smooth_set
+from partitio.arith import SmoothSet, iroot, sieve_tables, smooth_set
 
 KINDS = (
     "squares",
@@ -26,18 +26,6 @@ KINDS = (
     "smooth_kth_powers",
     "e2",
 )
-
-
-def _iroot(n: int, k: int) -> int:
-    """Largest r with r**k <= n."""
-    if n < 0 or k < 1:
-        raise ValueError
-    r = round(n ** (1.0 / k))
-    while r > 0 and r**k > n:
-        r -= 1
-    while (r + 1) ** k <= n:
-        r += 1
-    return r
 
 
 @dataclass(frozen=True)
@@ -107,7 +95,7 @@ def make_weight(
         if h is None or h < 2:
             raise ValueError("hth_powers needs h >= 2")
         params["h"] = h
-        xs = np.arange(1, _iroot(n, h) + 1, dtype=np.int64)
+        xs = np.arange(1, iroot(n, h) + 1, dtype=np.int64)
         support = xs**h
         values = np.ones(len(support))
     elif kind == "smooth_kth_powers":
@@ -125,7 +113,7 @@ def make_weight(
         if j not in (1, 2):
             raise ValueError("phase multiplier j must be 1 or 2")
         params["j"] = j
-        m1, m2 = _iroot(n, 6), _iroot(n, 3)
+        m1, m2 = iroot(n, 6), iroot(n, 3)
         primes = sieve_tables(max(m2, 2)).primes
         p1 = primes[(primes <= m1) & (primes % 3 == 1)]
         p2 = primes[(primes <= m2) & (primes % 3 == 1)]

@@ -8,8 +8,10 @@ from hypothesis import given, strategies as st
 
 from partitio.arcs import (
     Dissection,
+    RationalApprox,
     arc_classify,
     dirichlet_approx,
+    dirichlet_approx_many,
     sample_slice_alphas,
     size_slices,
     upsilon,
@@ -62,6 +64,104 @@ def test_dirichlet_matches_brute_force(alpha, q_max):
     b = dirichlet_approx(alpha, q_max)
     ref = _best_approx_brute(x, q_max)
     assert abs(b.q * x - b.a) == pytest.approx(ref[2], abs=1e-15)
+
+
+def _near_rational(a_q, step):
+    a, q = a_q
+    return min(max(math.nextafter(a / q, step), 0.0), 1.0)
+
+
+_alphas = st.one_of(
+    st.sampled_from([0.0, 1.0, 2.0**-10, math.nextafter(1.0, 0.0), 5e-324]),
+    st.floats(min_value=0.0, max_value=2.0**-9),  # the small-alpha fallback
+    st.floats(min_value=2.0**-12, max_value=2.0**-8),  # and its edge
+    st.builds(lambda m, k: k / 2**m, st.integers(1, 62), st.integers(0, 2**62))
+    .filter(lambda x: x <= 1.0),  # dyadic k/2**m
+    st.builds(
+        _near_rational,
+        st.integers(1, 10**7).flatmap(lambda q: st.tuples(st.integers(0, q), st.just(q))),
+        st.sampled_from([-math.inf, 0.0, math.inf]),
+    ),  # floats of a/q and their neighbours
+    st.floats(min_value=0.0, max_value=1e-9).map(lambda e: 1.0 - e),  # near 1
+    st.floats(min_value=0.0, max_value=1.0),
+)
+
+
+@given(
+    st.lists(_alphas, min_size=1, max_size=12),
+    st.one_of(st.integers(1, 100), st.integers(1, math.isqrt(4 * 10**12))),
+)
+def test_array_walk_matches_fraction_walk(alphas, q_max):
+    a, q, err = dirichlet_approx_many(np.array(alphas), q_max)
+    assert a.dtype == q.dtype == np.int64 and err.dtype == np.float64
+    for i, alpha in enumerate(alphas):
+        b = dirichlet_approx(alpha, q_max)
+        assert (int(a[i]), int(q[i]), float(err[i]).hex()) == (b.a, b.q, b.err.hex())
+
+
+def test_array_walk_matches_fraction_walk_sweep():
+    # seeded points at every binary magnitude from 2**-60 to 1
+    rng = np.random.default_rng(2)
+    alphas = rng.random(1500) * 2.0 ** -rng.integers(0, 61, size=1500)
+    for q_max in (7, 1000, 10**6, math.isqrt(4 * 10**12)):
+        a, q, err = dirichlet_approx_many(alphas, q_max)
+        for i, alpha in enumerate(alphas):
+            b = dirichlet_approx(float(alpha), q_max)
+            assert (int(a[i]), int(q[i]), float(err[i]).hex()) == (b.a, b.q, b.err.hex())
+
+
+def test_array_walk_exact_inputs_and_errors():
+    # Fractions take the exact scalar walk: err of 2/7 + 1e-9 is 7e-9 exactly
+    exact = [Fraction(1, 3), Fraction(2, 7) + Fraction(1, 10**9), 0.25]
+    a, q, err = dirichlet_approx_many(exact, 10)
+    assert (list(a), list(q), list(err)) == ([1, 2, 1], [3, 7, 4], [0.0, 7e-9, 0.0])
+    assert len(dirichlet_approx_many(np.empty(0), 5)[0]) == 0
+    with pytest.raises(ValueError):
+        dirichlet_approx_many([0.5, 1.5], 5)
+    with pytest.raises(ValueError):
+        dirichlet_approx_many([0.5, float("nan")], 5)
+    with pytest.raises(ValueError):
+        dirichlet_approx_many([0.5], 0)
+
+
+def _assign_oracle(d, alpha):
+    best = dirichlet_approx(alpha, d.half_height)
+    if best.err <= 0.5 / math.sqrt(d.n):
+        return best
+    return dirichlet_approx(alpha, d.full_height)
+
+
+def _in_major_oracle(d, alpha, Q):
+    # the scalar definition of M(Q), on the Fraction walk
+    if Q <= 0.5 * math.sqrt(d.n):
+        return dirichlet_approx(alpha, int(math.floor(Q))).err <= Q / d.n
+    best = _assign_oracle(d, alpha)
+    if best.q <= d.half_height:
+        return best.err <= 0.5 / math.sqrt(d.n)
+    return best.q <= Q
+
+
+@pytest.mark.parametrize("n", [10**4, 10**7 + 3])
+def test_array_classifiers_match_scalar(n):
+    d = Dissection(n)
+    rng = np.random.default_rng(n)
+    pts = np.concatenate([rng.random(150), np.arange(160) / 160, rng.random(40) * 2.0**-9])
+    half = 0.5 * math.sqrt(n)
+    for Q in (1.0, 4.0, half * 0.9, half, half * 1.1, 2 * math.sqrt(n)):
+        major, slice_ = d.in_major_many(pts, Q), d.in_slice_many(pts, Q)
+        assert major.dtype == slice_.dtype == bool
+        want = [_in_major_oracle(d, float(x), Q) for x in pts]
+        if Q / 4 >= 1:
+            below = [_in_major_oracle(d, float(x), Q / 4) for x in pts]
+            want_slice = [m and not b for m, b in zip(want, below)]
+        else:
+            want_slice = want
+        assert list(major) == want == [d.in_major(float(x), Q) for x in pts]
+        assert list(slice_) == want_slice == [d.in_slice(float(x), Q) for x in pts]
+    a, q, err = d.assign_many(pts)
+    for i, x in enumerate(pts):
+        got = RationalApprox(int(a[i]), int(q[i]), float(err[i]))
+        assert got == d.assign(float(x)) == _assign_oracle(d, float(x))
 
 
 def test_upsilon_values():
@@ -134,7 +234,7 @@ def test_major_measure_against_formula(rng):
         for q in range(1, int(Q) + 1)
     )
     samples = 200_000
-    hits = sum(1 for alpha in rng.random(samples) if d.in_major(float(alpha), Q))
+    hits = int(d.in_major_many(rng.random(samples), Q).sum())
     est = hits / samples
     sigma = math.sqrt(expected * (1 - expected) / samples)
     assert abs(est - expected) < 5 * sigma + 1e-6

@@ -50,10 +50,21 @@ def test_mertens_value():
     assert int(t.mobius[1:101].sum()) == 1
 
 
-def test_mobius_matches_brute_force():
-    t = sieve_tables(2000)
-    for m in range(1, 2001):
+def _check_mobius(N):
+    t = sieve_tables(N)
+    assert len(t.mobius) == N + 1 and t.mobius[0] == 0
+    for m in range(1, N + 1):
         assert t.mobius[m] == _mu_brute(m), m
+
+
+def test_mobius_matches_brute_force():
+    _check_mobius(2000)
+
+
+@pytest.mark.parametrize("N", [2, 3, 4, 24, 25, 26, 120, 121, 122])
+def test_mobius_matches_brute_force_at_square_boundaries(N):
+    # N around p*p decides which primes the sieve treats as small
+    _check_mobius(N)
 
 
 def test_lpf_properties():
