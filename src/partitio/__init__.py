@@ -35,7 +35,14 @@ from partitio.arcs import (
     size_slices,
     upsilon,
 )
-from partitio.expsums import exp_sum, exp_sum_rational, fit_decay, sup_profile
+from partitio.expsums import (
+    PrecisionLimit,
+    exp_sum,
+    exp_sum_many,
+    exp_sum_rational,
+    fit_decay,
+    sup_profile,
+)
 from partitio.counting import (
     CountTable,
     major_arc_moment,

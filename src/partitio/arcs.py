@@ -359,7 +359,7 @@ def size_slices(
 
     The window collects alpha in N(Q) with norm/T < |W(alpha)| <= 2*norm/T.
     """
-    from partitio.expsums import exp_sum
+    from partitio.expsums import exp_sum_many
 
     if T < 2:
         raise ValueError("T must be at least 2")
@@ -369,7 +369,7 @@ def size_slices(
     alphas = sample_slice_alphas(n, Q, samples, rng)
     if len(alphas) == 0:
         return SliceStats(0.0, 0.0, 0, 0)
-    mags = np.array([abs(exp_sum(w, float(a))) for a in alphas])
+    mags = np.abs(exp_sum_many(w, alphas))
     lo, hi = w.norm / T, 2 * w.norm / T
     in_band = (mags > lo) & (mags <= hi)
     sup = float(mags[in_band].max()) if in_band.any() else 0.0

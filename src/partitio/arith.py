@@ -99,12 +99,17 @@ def smooth_set(P: int, R: int, max_limit: int = DEFAULT_MAX_LIMIT) -> SmoothSet:
         raise ValueError(f"need 2 <= R <= P, got R={R}, P={P}")
     if P > max_limit:
         raise CapacityLimit(f"smooth-set limit {P} exceeds budget {max_limit}")
-    keep = np.ones(P + 1, dtype=bool)
-    keep[0] = False
-    # m is R-smooth iff no prime > R divides it
-    for p in sieve_tables(P).primes:
-        if p > R:
-            keep[p::p] = False
+    lpf = sieve_tables(P, max_limit).least_prime_factor
+    keep = np.zeros(P + 1, dtype=bool)
+    keep[1] = True
+    # m > 1 is R-smooth iff lpf(m) <= R and m / lpf(m) is; on [2**i, 2**(i+1))
+    # every cofactor lies below 2**i, so each block reads finished entries only
+    lo = 2
+    while lo <= P:
+        hi = min(2 * lo, P + 1)
+        p = lpf[lo:hi]
+        keep[lo:hi] = (p <= R) & keep[np.arange(lo, hi) // p]
+        lo = hi
     return SmoothSet(P=P, R=R, members=np.flatnonzero(keep).astype(np.int64))
 
 

@@ -333,17 +333,18 @@ def _arc_integrals(w: Weight, t: int, n: int, q: int, a_values: list[int], U: fl
     """Integral of |W|^t over the height-capped arcs around a/q, one value
     per entry of a_values.  Endpoint arcs (a = 0, a = q) use their half."""
     us = _arc_ugrid(U)
-    out = np.empty(len(a_values))
-    for i, a in enumerate(a_values):
+    grids = []
+    for a in a_values:
         grid = us
         if a == 0:
             grid = us[us >= 0]
         elif a == q:
             grid = us[us <= 0]
-        alphas = a / q + grid / n
-        mags = np.abs(exp_sum_many(w, alphas))
-        out[i] = _trapezoid(mags**t, alphas)
-    return out
+        grids.append(a / q + grid / n)
+    # one evaluation over every arc of this q, split back arc by arc
+    integrand = np.abs(exp_sum_many(w, np.concatenate(grids))) ** t
+    pieces = np.split(integrand, np.cumsum([len(g) for g in grids])[:-1])
+    return np.array([_trapezoid(y, alphas) for y, alphas in zip(pieces, grids)])
 
 
 def major_arc_moment(

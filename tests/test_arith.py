@@ -95,6 +95,26 @@ def test_smooth_vs_trial_division(P, R):
         assert (m in members) == _trial_factor_smooth(m, R)
 
 
+def test_smooth_every_R_vs_largest_prime_factor():
+    # every (P, R) with 2 <= R <= P < 130, against largest prime factors by
+    # trial division; P crosses the doubling-block edges 2**i
+    top = 130
+    gpf = [1] * (top + 1)
+    for m in range(2, top + 1):
+        r, d = m, 2
+        while d * d <= r:
+            while r % d == 0:
+                gpf[m], r = d, r // d
+            d += 1
+        if r > 1:
+            gpf[m] = r
+    gpf = np.array(gpf)
+    for P in range(2, top):
+        for R in range(2, P + 1):
+            expected = np.flatnonzero(gpf[1 : P + 1] <= R) + 1
+            assert np.array_equal(smooth_set(P, R).members, expected), (P, R)
+
+
 def test_smooth_monotone_in_R():
     a = set(int(m) for m in smooth_set(200, 5).members)
     b = set(int(m) for m in smooth_set(200, 13).members)

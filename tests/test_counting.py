@@ -333,3 +333,26 @@ def test_quadrature_major_monotone_in_Q():
     assert values[0] <= values[1] <= values[2]
     full = quadrature_moment(w, 2, grid_points=4096, doubling=False).value
     assert values[-1] <= full + 1e-9
+
+
+def test_arc_integrals_batch_matches_arc_by_arc():
+    # one exp-sum call per q over all its arcs; each arc's trapezoid must
+    # equal the one taken on its own grid, endpoint half-arcs included
+    from math import gcd
+
+    from partitio.counting import _arc_integrals, _arc_ugrid, _trapezoid
+    from partitio.expsums import exp_sum_many
+
+    P = 40
+    n = P**3
+    w = make_weight("smooth_kth_powers", n, k=3, P=P, R=7)
+    for q, t in ((1, 2), (1, 4), (7, 2), (7, 4)):
+        a_values = [a for a in range(0, q + 1) if gcd(a, q) == 1]
+        U = 0.5 * math.sqrt(n) / q
+        us = _arc_ugrid(U)
+        batch = _arc_integrals(w, t, n, q, a_values, U)
+        for a, value in zip(a_values, batch):
+            grid = us[us >= 0] if a == 0 else us[us <= 0] if a == q else us
+            alphas = a / q + grid / n
+            alone = _trapezoid(np.abs(exp_sum_many(w, alphas)) ** t, alphas)
+            assert value == pytest.approx(alone, rel=1e-12)

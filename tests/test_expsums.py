@@ -3,10 +3,20 @@ from math import gcd
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
+from partitio import expsums
 from partitio.arith import smooth_set
-from partitio.expsums import DecayFit, exp_sum, exp_sum_many, exp_sum_rational, fit_decay, sup_profile
-from partitio.weights import make_weight
+from partitio.expsums import (
+    DecayFit,
+    PrecisionLimit,
+    exp_sum,
+    exp_sum_many,
+    exp_sum_rational,
+    fit_decay,
+    sup_profile,
+)
+from partitio.weights import Weight, make_weight
 
 
 def test_exp_sum_at_zero_counts_support():
@@ -34,6 +44,139 @@ def test_exp_sum_many_matches_scalar(rng):
     batch = exp_sum_many(w, alphas)
     for a, b in zip(alphas, batch):
         assert exp_sum(w, float(a)) == pytest.approx(b, abs=1e-9 * w.norm)
+
+
+def _reduced(w, alphas, j=1):
+    t = np.asarray(alphas, dtype=float) * float(j * w.phase)
+    return t - np.floor(t)
+
+
+def _dense_oracle(w, alphas, j=1):
+    return expsums._dense(w.support.astype(float), w.values, _reduced(w, alphas, j))
+
+
+def _grid_length(w):
+    return expsums._smooth_length(2 * (int(w.support.max() - w.support.min()) + 1))
+
+
+def _test_weight(kind, n, j):
+    if kind == "complex":
+        rng = np.random.default_rng(n)
+        support = np.unique(rng.integers(1, n + 1, size=max(2, n // 5)))
+        values = rng.normal(size=len(support)) + 1j * rng.normal(size=len(support))
+        return Weight(n=n, kind=kind, support=support, values=values,
+                      norm=float(np.abs(values).sum()))
+    return make_weight(kind, n, j=j) if kind == "e2" else make_weight(kind, n)
+
+
+@given(
+    kind=st.sampled_from(("mobius", "primes_log", "squares", "e2", "complex")),
+    log_n=st.floats(min_value=1.7, max_value=5.3),
+    j=st.sampled_from((1, 2)),
+    q=st.integers(min_value=1, max_value=97),
+    a=st.integers(min_value=0, max_value=97),
+    nodes=st.lists(st.integers(min_value=0, max_value=2**22), min_size=1, max_size=3),
+    others=st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=4),
+)
+@example(kind="e2", log_n=5.3, j=2, q=7, a=3, nodes=[0, 12345], others=[0.3])
+@example(kind="e2", log_n=5.0, j=1, q=97, a=41, nodes=[2**22], others=[])
+@example(kind="mobius", log_n=5.3, j=1, q=3, a=1, nodes=[1, 99999], others=[0.5])
+@example(kind="primes_log", log_n=5.3, j=2, q=31, a=7, nodes=[7], others=[1e-9])
+@example(kind="squares", log_n=5.3, j=1, q=2, a=1, nodes=[3], others=[0.999])
+@example(kind="complex", log_n=5.3, j=2, q=1, a=0, nodes=[5], others=[0.25])
+def test_exp_sum_many_and_nufft_match_dense_oracle(kind, log_n, j, q, a, nodes, others):
+    n = int(10**log_n)
+    if kind == "e2":
+        n = max(n, 7**6)  # the first n with a nonempty e2 support
+    w = _test_weight(kind, n, j)
+    R = _grid_length(w)
+    alphas = np.array(
+        [0.0, 1.0, np.nextafter(1.0, 0.0), (a % (q + 1)) / q]
+        + [(node % R) / R for node in nodes] + others
+    )
+    oracle = _dense_oracle(w, alphas, j)
+    tol = 1e-10 * w.norm
+    assert np.abs(exp_sum_many(w, alphas, j) - oracle).max() <= tol
+    forced = expsums._nufft(w.support, w.values, _reduced(w, alphas, j), R)
+    assert np.abs(forced - oracle).max() <= tol
+
+
+def test_nufft_exact_phases_at_large_span(rng):
+    # phases t*m exact to the last bit (Python integers on t = num / 2**e): the
+    # NUFFT error stays at the kernel's ~1e-15 of the norm where a float
+    # product m0 * t alone would be off by ~1e-16 * m0 ~ 1e-10
+    n = 10**6
+    support = np.unique(rng.integers(1, n + 1, size=300))
+    values = rng.normal(size=len(support))
+    w = Weight(n=n, kind="random", support=support, values=values,
+               norm=float(np.abs(values).sum()))
+    alphas = np.concatenate([[np.nextafter(1.0, 0.0), 1 / 3, 0.5, 2 / 7], rng.random(4)])
+    exact = []
+    for alpha in alphas:
+        num, den = float(alpha).as_integer_ratio()
+        phases = np.array([(int(m) * num % den) / den for m in support])
+        exact.append(np.sum(values * np.exp(2j * np.pi * phases)))
+    got = expsums._nufft(support, values, _reduced(w, alphas), _grid_length(w))
+    assert np.abs(got - np.array(exact)).max() <= 1e-13 * w.norm
+
+
+def _kernel_taken(monkeypatch, w, points):
+    taken = []
+    for name in ("_dense", "_nufft"):
+        def spy(*args, _kernel=getattr(expsums, name), _name=name):
+            taken.append(_name)
+            return _kernel(*args)
+
+        monkeypatch.setattr(expsums, name, spy)
+    exp_sum_many(w, np.random.default_rng(0).random(points))
+    monkeypatch.undo()
+    return taken
+
+
+def test_kernel_choice(monkeypatch):
+    mobius = make_weight("mobius", 10**5)
+    assert _kernel_taken(monkeypatch, mobius, 1) == ["_dense"]
+    assert _kernel_taken(monkeypatch, mobius, 48) == ["_nufft"]
+    assert _kernel_taken(monkeypatch, make_weight("squares", 10**7), 60) == ["_dense"]
+    # the grid fits, but 1000 terms x 250 points is cheaper dense
+    assert _kernel_taken(monkeypatch, make_weight("squares", 10**6), 250) == ["_dense"]
+    assert _kernel_taken(monkeypatch, make_weight("e2", 10**10), 48) == ["_dense"]
+    # at most 2w terms: dense whatever the point count
+    tiny = make_weight("squares", 2 * expsums._HALF_WIDTH * (2 * expsums._HALF_WIDTH))
+    assert _kernel_taken(monkeypatch, tiny, 5000) == ["_dense"]
+
+
+def test_smooth_length_is_least_5_smooth():
+    def smooth(r):
+        for p in (2, 3, 5):
+            while r % p == 0:
+                r //= p
+        return r == 1
+
+    for n in range(1, 3000):
+        R = expsums._smooth_length(n)
+        assert R >= n and smooth(R)
+        assert not any(smooth(r) for r in range(n, R))
+
+
+def test_precision_limit_boundary():
+    def single(m, phase=1):
+        return Weight(n=m, kind="ones", support=np.array([m], dtype=np.int64),
+                      values=np.ones(1), norm=1.0, phase=phase)
+
+    # 2**53 - 1 is odd, so W(1/2) = e((2**53 - 1) / 2) = -1 exactly
+    assert exp_sum(single(2**53 - 1), 0.5) == pytest.approx(-1.0, abs=1e-15)
+    assert exp_sum(single(2**53), 0.5) == pytest.approx(1.0, abs=1e-15)
+    with pytest.raises(PrecisionLimit):
+        exp_sum(single(2**53 + 2), 0.5)
+    assert exp_sum(single(2**52, phase=2), 0.25) == pytest.approx(1.0, abs=1e-15)
+    with pytest.raises(PrecisionLimit):
+        exp_sum(single(2**52 + 1, phase=2), 0.25)
+    with pytest.raises(PrecisionLimit):
+        exp_sum_many(single(2**52 + 1), np.array([0.1, 0.2]), j=2)
+    # fifth powers up to 1e17: float phases would be silently wrong
+    with pytest.raises(ArithmeticError):
+        exp_sum_many(make_weight("hth_powers", 10**17, h=5), np.array([3 / 7]))
 
 
 def test_exp_sum_phase_multiplier():
