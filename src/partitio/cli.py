@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Any, Optional
 
 from partitio import arith, constants, counting, singular, weights
-from partitio.expsums import fit_decay, sup_profile
+from partitio.expsums import PrecisionLimit, fit_decay, sup_profile
 from partitio.report import Column, Report, emit
 
 FORMATS = ("csv", "json", "pretty")
@@ -234,18 +234,18 @@ def _cmd_counts(opts: Options) -> Report:
     s = opts.require("s", int)
     limit = opts.require("limit", int)
     natural = bool(opts.get("natural", _bool_cast, False))
-    x_kind = opts.get("x-kind", str, "square")
-    table = counting.representation_counts(
-        k, s, limit, x_kind=x_kind, x_nonneg=not natural, y_nonneg=not natural
+    conventions = dict(
+        x_kind=opts.get("x-kind", str, "square"), x_nonneg=not natural, y_nonneg=not natural
     )
     if opts.get("zero-set", _bool_cast, False):
-        zeros = [int(n) for n in range(1, limit + 1) if table.counts[n] == 0]
+        zeros = counting.zero_set(k, s, limit, **conventions)
         return Report(
             name=f"zero-set k={k} s={s} limit={limit}",
             columns=[Column("n")],
             rows=[[z] for z in zeros],
             meta={"count": len(zeros)},
         )
+    table = counting.representation_counts(k, s, limit, **conventions)
     rows = [[n, int(table.counts[n])] for n in range(1, limit + 1)]
     return Report(
         name=f"representation-counts k={k} s={s}",
@@ -424,7 +424,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             raise ConfigError(f"unknown format {fmt!r}")
         sys.stdout.write(emit(report, fmt))
         return 0 if report.ok else 1
-    except (ConfigError, OSError, ValueError, KeyError) as exc:
+    except (ConfigError, OSError, ValueError, KeyError, PrecisionLimit) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,10 +1,16 @@
 """Gauss sums, truncated singular series, the exact singular integral, and
-local solubility of the square-plus-k-th-powers congruences."""
+local solubility of the square-plus-k-th-powers congruences.
+
+One Gauss-sum path: ``_gauss_sums_all`` gives S(q, a) for every a from int64
+counts of x^k mod q, and ``_GaussSumCache`` turns it into A_m(q);
+``gauss_sum`` and ``a_coeff`` are fronts of the two.
+"""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from math import gcd
 from typing import Optional
 
@@ -13,47 +19,31 @@ import numpy as np
 TWO_PI = 2.0 * math.pi
 
 
+def _gauss_sums_all(q: int, k: int) -> np.ndarray:
+    """S(q, a) for a = 0..q-1 at once: the inverse DFT of the residue-count
+    vector of x -> x^k mod q (x^k by int64 multiply-and-reduce)."""
+    x = np.arange(q, dtype=np.int64)
+    r = np.full(q, 1 % q, dtype=np.int64)
+    for _ in range(k):
+        r = r * x % q
+    counts = np.bincount(r, minlength=q)
+    return np.fft.ifft(counts) * q  # entry a equals sum_v counts[v] e(av/q)
+
+
 def gauss_sum(q: int, a: int, k: int) -> complex:
     """S(q, a) = sum_{x=1..q} e(a x^k / q), with (a, q) = 1."""
     if q < 1:
         raise ValueError("q must be at least 1")
     if gcd(a, q) != 1:
         raise ValueError(f"a and q must be coprime, got ({a}, {q})")
-    residues = np.array([pow(x, k, q) for x in range(1, q + 1)], dtype=np.int64)
-    phases = (residues * (a % q)) % q
-    return complex(np.exp(1j * TWO_PI * phases / q).sum())
-
-
-def _power_residue_counts(q: int, k: int) -> np.ndarray:
-    counts = np.zeros(q, dtype=np.int64)
-    for x in range(1, q + 1):
-        counts[pow(x, k, q)] += 1
-    return counts
-
-
-def _gauss_sums_all(q: int, k: int) -> np.ndarray:
-    """S(q, a) for a = 0..q-1 at once: the inverse DFT of the residue-count
-    vector of x -> x^k mod q."""
-    counts = _power_residue_counts(q, k)
-    return np.fft.ifft(counts) * q  # entry a equals sum_v counts[v] e(av/q)
+    return complex(_gauss_sums_all(q, k)[a % q])
 
 
 def a_coeff(m: int, q: int, s: int, k: int) -> float:
-    """A_m(q) = sum over reduced residues a of S(q,a)^s e(-a m / q).
-
-    The conjugate pairing a <-> q - a makes this real; the imaginary residue
-    is checked against a q**s-scaled tolerance before being dropped.
-    """
+    """A_m(q) = sum over reduced residues a of S(q,a)^s e(-a m / q)."""
     if q < 1:
         raise ValueError("q must be at least 1")
-    S = _gauss_sums_all(q, k)
-    a_vals = np.array([a for a in range(1, q + 1) if gcd(a, q) == 1], dtype=np.int64)
-    phases = np.exp(-1j * TWO_PI * ((a_vals * (m % q)) % q) / q)
-    total = complex((S[a_vals % q] ** s * phases).sum())
-    scale = max(1.0, float(q) ** s)
-    if abs(total.imag) > 1e-9 * scale:
-        raise ArithmeticError(f"A_m({q}) imaginary part {total.imag} too large")
-    return total.real
+    return _GaussSumCache(k, s).a_coeff(m, q)
 
 
 @dataclass(frozen=True)
@@ -67,25 +57,33 @@ class SingularSeriesResult:
 
 
 class _GaussSumCache:
-    """Per-(k, s) cache of S(q, a)^s over reduced residues, for series sums."""
+    """Per-(k, s) cache of S(q, a)^s over reduced residues, the roots e(-v/q)
+    and the imaginary-part tolerance of A_m(q)."""
 
     def __init__(self, k: int, s: int):
         self.k = k
         self.s = s
-        self._powers: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        self._powers: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray, float]] = {}
 
-    def powers(self, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def powers(self, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
         if q not in self._powers:
             S = _gauss_sums_all(q, self.k)
-            a_vals = np.array([a for a in range(1, q + 1) if gcd(a, q) == 1], dtype=np.int64)
-            roots = np.exp(-1j * TWO_PI * np.arange(q) / q)
-            self._powers[q] = (a_vals, S[a_vals % q] ** self.s, roots)
+            v = np.arange(q, dtype=np.int64)
+            a_vals = v[np.gcd(v, q) == 1]
+            roots = np.exp(-1j * TWO_PI * v / q)
+            tol = 1e-9 * max(1.0, float(q) ** self.s)
+            self._powers[q] = (a_vals, S[a_vals] ** self.s, roots, tol)
         return self._powers[q]
 
     def a_coeff(self, m: int, q: int) -> float:
-        a_vals, spow, roots = self.powers(q)
-        idx = (a_vals * (m % q)) % q
-        return float((spow * roots[idx]).sum().real)
+        """A_m(q).  The conjugate pairing a <-> q - a makes it real; the
+        imaginary residue is checked against a q**s-scaled tolerance before
+        being dropped."""
+        a_vals, spow, roots, tol = self.powers(q)
+        total = (spow * roots[(a_vals * (m % q)) % q]).sum()
+        if abs(total.imag) > tol:
+            raise ArithmeticError(f"A_m({q}) imaginary part {total.imag} too large")
+        return float(total.real)
 
 
 def singular_series(
@@ -100,28 +98,26 @@ def singular_series(
     No effective tail bound is asserted; ``last_block`` (the contribution of
     the top dyadic block) is reported as the convergence diagnostic instead.
     """
-    if Q_cut < 1:
-        raise ValueError("Q_cut must be at least 1")
-    if s < 4:
-        raise ValueError("series needs s >= 4 for absolute convergence")
-    cache = cache or _GaussSumCache(k, s)
-    partial = 0.0
-    last_block = 0.0
-    half = Q_cut / 2
-    for q in range(1, Q_cut + 1):
-        term = cache.a_coeff(m, q) / q**s
-        partial += term
-        if q > half:
-            last_block += term
-    return SingularSeriesResult(m=m, s=s, k=k, Q_cut=Q_cut, partial=partial, last_block=last_block)
+    return singular_series_blocks(m, s, k, [Q_cut], cache=cache)[0]
 
 
 def singular_series_blocks(
     m: int, s: int, k: int, Q_cuts: list[int], cache: Optional[_GaussSumCache] = None
 ) -> list[SingularSeriesResult]:
-    """Partial sums at several cutoffs sharing one Gauss-sum cache."""
+    """Partial sums at several cutoffs from one pass over q <= max(Q_cuts).
+
+    Each partial and last block is a plain left-to-right float sum, so it
+    equals the one-cutoff loop bit for bit.
+    """
+    if any(Q < 1 for Q in Q_cuts):
+        raise ValueError("Q_cut must be at least 1")
+    if s < 4:
+        raise ValueError("series needs s >= 4 for absolute convergence")
     cache = cache or _GaussSumCache(k, s)
-    return [singular_series(m, s, k, Q, cache=cache) for Q in Q_cuts]
+    terms = [cache.a_coeff(m, q) / q**s for q in range(1, max(Q_cuts, default=0) + 1)]
+    partials = [*accumulate(terms, initial=0.0)]
+    last_blocks = [[*accumulate(terms[Q // 2 : Q], initial=0.0)][-1] for Q in Q_cuts]
+    return [SingularSeriesResult(m, s, k, Q, partials[Q], b) for Q, b in zip(Q_cuts, last_blocks)]
 
 
 def singular_integral(m: int, s: int, k: int) -> tuple[float, float]:

@@ -124,10 +124,6 @@ def make_weight(
             prods = (np.outer(p1, p2).ravel().astype(np.int64)) ** 2
             support, counts = np.unique(prods, return_counts=True)
             values = counts.astype(float)
-        return Weight(
-            n=n, kind=kind, support=support, values=values,
-            norm=float(values.sum()), phase=j, params=params,
-        )
     else:
         raise ValueError(f"unknown weight kind {kind!r}")
 
@@ -137,6 +133,7 @@ def make_weight(
         support=support,
         values=values,
         norm=float(np.abs(values).sum()),
+        phase=params.get("j", 1),
         params=params,
     )
 

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from partitio.cli import main
+from partitio.counting import zero_set
 from partitio.report import Column, Report, emit, emit_json, reemit_json
 
 
@@ -83,6 +84,35 @@ def test_zero_set_via_cli(capsys):
     )
     assert code == 0
     assert out.splitlines()[1:] == ["47", "62", "63", "77", "78", "79", "143", "158", "159"]
+
+
+@pytest.mark.parametrize(
+    "flags, kwargs",
+    [
+        (["--x-kind", "prime_square", "--natural"],
+         dict(x_kind="prime_square", x_nonneg=False, y_nonneg=False)),
+        (["--x-kind", "none"], dict(x_kind="none", x_nonneg=True, y_nonneg=True)),
+    ],
+)
+def test_zero_set_via_cli_matches_library(capsys, flags, kwargs):
+    code, out, _ = run_cli(
+        capsys, "counts", "--k", "3", "--s", "2", "--limit", "300", "--zero-set",
+        *flags, "--format", "csv",
+    )
+    assert code == 0
+    expected = zero_set(3, 2, 300, **kwargs)
+    assert expected
+    assert out.splitlines()[1:] == [str(n) for n in expected]
+
+
+def test_precision_limit_is_usage_error(capsys):
+    code, out, err = run_cli(
+        capsys, "weights", "--kind", "hth_powers", "--h", "5",
+        "--limit", "10000000000000000", "--slices", "20",
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
 
 
 def test_empty_command_is_usage_error(capsys):

@@ -51,14 +51,14 @@ def test_gauss_two_and_nine():
     assert gauss_sum(9, 1, 3) == pytest.approx(3 * (1 + 2 * math.cos(2 * math.pi / 9)), abs=1e-9)
 
 
-def test_gauss_matches_brute(rng):
-    for _ in range(30):
-        q = int(rng.integers(1, 60))
-        k = int(rng.integers(2, 6))
-        a = int(rng.integers(1, q + 1))
-        if gcd(a, q) != 1:
-            continue
-        assert gauss_sum(q, a, k) == pytest.approx(_gauss_brute(q, a, k), abs=1e-9 * q)
+def test_gauss_matches_brute():
+    # every modulus q <= 120 and exponent 1..7, at a = 1, q - 1 and the
+    # first unit above q/2: covers q = 1, k = 1 and the int64 residue counts
+    for q in range(1, 121):
+        above_half = next((a for a in range(q // 2 + 1, q) if gcd(a, q) == 1), 1)
+        for k in range(1, 8):
+            for a in {1, q - 1, above_half}:
+                assert gauss_sum(q, a, k) == pytest.approx(_gauss_brute(q, a, k), abs=1e-9 * q)
 
 
 def test_gauss_bound_and_conjugate(rng):
@@ -101,6 +101,14 @@ def test_a_coeff_matches_brute(rng):
         k = int(rng.integers(3, 6))
         ref, mass = _a_brute(m, q, s, k)
         assert a_coeff(m, q, s, k) == pytest.approx(ref.real, abs=1e-10 * mass + 1e-9)
+
+
+def test_a_coeff_imaginary_guard():
+    cache = _GaussSumCache(3, 5)
+    a_vals, spow, roots, _ = cache.powers(7)
+    cache._powers[7] = (a_vals, spow * 1j, roots, 1e-9 * 7.0**5)
+    with pytest.raises(ArithmeticError):
+        cache.a_coeff(1, 7)
 
 
 def test_a_coeff_multiplicative_crt(rng):
@@ -168,6 +176,25 @@ def test_series_insoluble_class_oscillates_to_zero():
     p_big = singular_series(m, 7, 4, 4096, cache=cache).partial
     assert abs(p_big) < max(abs(p_small), 0.05)
     assert abs(p_big) < 0.05
+
+
+def test_series_blocks_equal_one_cutoff_loops():
+    # one pass over q <= max(cuts) against the per-cutoff loop, bit for bit,
+    # with unsorted and repeated cutoffs (math.fsum differs at 13, 29 and 42)
+    m, s, k = 5, 5, 3
+    cuts = [42, 1, 29, 42, 2, 13]
+    blocks = singular_series_blocks(m, s, k, cuts)
+    assert [b.Q_cut for b in blocks] == cuts
+    for Q, b in zip(cuts, blocks):
+        partial = 0.0
+        last_block = 0.0
+        for q in range(1, Q + 1):
+            term = a_coeff(m, q, s, k) / q**s
+            partial += term
+            if q > Q / 2:
+                last_block += term
+        assert (b.partial, b.last_block) == (partial, last_block)
+        assert b == singular_series(m, s, k, Q)
 
 
 def test_series_requires_s_at_least_four():
