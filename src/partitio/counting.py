@@ -1,10 +1,14 @@
 """Exact representation counts, convolution moments, and arc quadrature.
 
-Counts are additive convolutions of power-value indicators, kept in checked
-64-bit integers with an automatic escalation to Python big integers when a
-fold could overflow.  Moments of the smooth Weyl sum come either exactly from
-Parseval (sum of squared convolution counts) or numerically from grid or
-per-arc quadrature.
+Counts are additive convolutions of power-value indicators in int64.  Each
+fold out[m] = sum_v acc[m - v] is bounded entry by entry by max(acc) times
+the number of summands v <= N, and the partial sums rise toward that bound,
+so a fold whose bound fits in 2**63 - 1 cannot wrap; a fold whose bound does
+not is done on Python big integers instead.  Zero sets need reachability
+only: boolean folds of the y-summands, then a sieve of the candidates by the
+x-values, with no integer table.  Moments of the smooth Weyl sum come either
+exactly from Parseval (sum of squared convolution counts) or numerically from
+grid or per-arc quadrature.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from partitio.arith import SmoothSet, iroot, sieve_tables, smooth_set
 from partitio.expsums import exp_sum_many
 from partitio.weights import Weight
 
-_INT64_GUARD = 2**62
+_INT64_MAX = 2**63 - 1
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
@@ -45,30 +49,75 @@ class CountTable:
     provenance: Provenance
 
     def total(self) -> int:
-        return int(sum(int(c) for c in self.counts)) if self.counts.dtype == object else int(
-            self.counts.sum(dtype=np.int64)
-        )
+        """Exact sum of the counts, also when it passes 2**63."""
+        c = self.counts
+        if c.dtype == object:
+            return int(sum(int(v) for v in c))
+        # each half sums below 2**31 per entry, far from the int64 limit
+        return (int((c >> 31).sum()) << 31) + int((c & (2**31 - 1)).sum())
 
     def __getitem__(self, m: int) -> int:
         return int(self.counts[m])
 
 
-def _fold(acc: np.ndarray, kernel_values: np.ndarray, N: int, running_total: int) -> tuple[np.ndarray, int]:
-    """One convolution step: out[m] = sum over v in kernel of acc[m - v].
+def _summands(
+    k: int, s: int, N: int, x_kind: str = "square", x_nonneg: bool = True,
+    y_nonneg: bool = True, h: Optional[int] = None, base: Union[str, SmoothSet] = "all",
+) -> tuple[np.ndarray, str, Optional[np.ndarray]]:
+    """The ascending y-values (k-th powers of the base, 0 first when
+    y_nonneg), the base tag, and the ascending x-values (None for x_kind
+    "none"), all at most N, under the conventions of representation_counts."""
+    if s < 1 or N < 1 or k < 1:
+        raise ValueError("need s >= 1, N >= 1, k >= 1")
+    ymax = iroot(N, k)
+    if isinstance(base, SmoothSet):
+        ys = base.members[base.members <= ymax]
+        base_tag = f"smooth({base.P},{base.R})"
+    else:
+        if base != "all":
+            raise ValueError(f"unknown base {base!r}")
+        ys = np.arange(1, ymax + 1, dtype=np.int64)
+        base_tag = "all"
+    kernel = ys ** k
+    if y_nonneg:
+        kernel = np.concatenate([np.zeros(1, dtype=np.int64), kernel])
+    if len(kernel) == 0:
+        raise ValueError("empty summand set")
+    if x_kind == "none":
+        return kernel, base_tag, None
 
-    ``running_total`` tracks sum(acc) in exact Python arithmetic; when the
-    next fold could exceed the int64 guard the accumulator escalates to
-    Python integers (the "big-integer mode" of the overflow contract).
+    x_start = 0 if x_nonneg else 1
+    if x_kind == "square":
+        xv = np.arange(x_start, isqrt(N) + 1, dtype=np.int64) ** 2
+    elif x_kind == "prime_square":
+        primes = sieve_tables(max(isqrt(N), 2)).primes
+        xv = primes[primes * primes <= N] ** 2
+    elif x_kind == "hth_power":
+        if h is None or h < 1:
+            raise ValueError("hth_power needs h >= 1")
+        xv = np.arange(x_start, iroot(N, h) + 1, dtype=np.int64) ** h
+    else:
+        raise ValueError(f"unknown x_kind {x_kind!r}")
+    if len(xv) == 0:
+        raise ValueError("empty x summand set")
+    return kernel, base_tag, xv
+
+
+def _fold(acc: np.ndarray, values: np.ndarray, N: int) -> np.ndarray:
+    """One convolution step: out[m] = sum over v in values, v <= N, of acc[m - v].
+
+    With acc >= 0 every out[m], and every partial sum on the way to it, is at
+    most max(acc) times the number of values v <= N.  The fold stays in int64
+    while that bound fits in 2**63 - 1 and runs on Python integers (object
+    dtype) otherwise.
     """
-    next_total = running_total * len(kernel_values)
-    if acc.dtype != object and next_total > _INT64_GUARD:
+    values = values[values <= N]
+    if acc.dtype != object and int(acc.max()) * len(values) > _INT64_MAX:
         acc = acc.astype(object)
     out = np.zeros(N + 1, dtype=acc.dtype)
-    for v in kernel_values:
-        v = int(v)
-        if v <= N:
-            out[v:] += acc[: N + 1 - v]
-    return out, next_total
+    for v in values.tolist():
+        out[v:] += acc[: N + 1 - v]
+    return out
 
 
 def power_convolution(
@@ -83,28 +132,11 @@ def power_convolution(
     base "all" uses x in [1, floor(N**(1/k))]; a SmoothSet restricts x to its
     members.  allow_zero adds x = 0 as a summand.
     """
-    if s < 1 or N < 1 or k < 1:
-        raise ValueError("need s >= 1, N >= 1, k >= 1")
-    if isinstance(base, SmoothSet):
-        xs = [int(x) for x in base.members]
-        base_tag = f"smooth({base.P},{base.R})"
-    else:
-        if base != "all":
-            raise ValueError(f"unknown base {base!r}")
-        xs = list(range(1, iroot(N, k) + 1))
-        base_tag = "all"
-    values = [x**k for x in xs if x**k <= N]
-    if allow_zero:
-        values = [0] + values
-    if not values:
-        raise ValueError("empty summand set")
-    kernel = np.array(values, dtype=np.int64)
-
+    kernel, base_tag, _ = _summands(k, s, N, "none", y_nonneg=allow_zero, base=base)
     acc = np.zeros(N + 1, dtype=np.int64)
     acc[0] = 1
-    total = 1
     for _ in range(s):
-        acc, total = _fold(acc, kernel, N, total)
+        acc = _fold(acc, kernel, N)
     if acc.dtype != object and np.any(acc < 0):
         raise ArithmeticError("count overflow slipped past the guard")
     return CountTable(
@@ -132,30 +164,13 @@ def representation_counts(
     non-negative k-th powers; prime_square with y_nonneg=False counts the
     prime-square variant over natural-number y.
     """
+    _, _, xv = _summands(k, s, N, x_kind, x_nonneg, y_nonneg, h, base)
     table = power_convolution(k, s, N, base=base, allow_zero=y_nonneg)
-    if x_kind == "none":
+    if xv is None:
         return table
-
-    if x_kind == "square":
-        x_start = 0 if x_nonneg else 1
-        xv = [x * x for x in range(x_start, isqrt(N) + 1)]
-    elif x_kind == "prime_square":
-        primes = sieve_tables(max(isqrt(N), 2)).primes
-        xv = [int(p) * int(p) for p in primes if p * p <= N]
-    elif x_kind == "hth_power":
-        if h is None or h < 1:
-            raise ValueError("hth_power needs h >= 1")
-        x_start = 0 if x_nonneg else 1
-        xv = [x**h for x in range(x_start, iroot(N, h) + 1)]
-    else:
-        raise ValueError(f"unknown x_kind {x_kind!r}")
-    if not xv:
-        raise ValueError("empty x summand set")
-
-    counts, _ = _fold(table.counts, np.array(xv, dtype=np.int64), N, table.total())
     return CountTable(
         limit=N,
-        counts=counts,
+        counts=_fold(table.counts, xv, N),
         provenance=Provenance(
             k=k, s=s, base=table.provenance.base, allow_zero=y_nonneg,
             x_kind=x_kind, x_nonneg=x_nonneg,
@@ -164,9 +179,28 @@ def representation_counts(
 
 
 def zero_set(k: int, s: int, N: int, **kwargs) -> list[int]:
-    """All n in [1, N] with no representation (default x/y conventions)."""
-    table = representation_counts(k, s, N, **kwargs)
-    return [int(n) for n in np.flatnonzero(table.counts[1:] == 0) + 1]
+    """All n in [1, N] with no representation, under the keyword conventions
+    of representation_counts.  Builds no count table: the sums of s y-values
+    are marked in a boolean array, then each x-value in ascending order
+    strikes the candidates n >= x with n - x marked."""
+    kernel, _, xv = _summands(k, s, N, **kwargs)
+    reach = np.zeros(N + 1, dtype=bool)
+    reach[0] = True
+    for _ in range(s):
+        out = np.zeros(N + 1, dtype=bool)
+        for v in kernel.tolist():
+            out[v:] |= reach[: N + 1 - v]
+        reach = out
+    if xv is None:
+        return (np.flatnonzero(~reach[1:]) + 1).tolist()
+    cand = np.arange(1, N + 1, dtype=np.int64)
+    for v in xv.tolist():
+        i = int(np.searchsorted(cand, v))
+        upper = cand[i:]
+        cand = np.concatenate([cand[:i], upper[~reach[upper - v]]])
+        if i == len(cand):  # every candidate lies below v and the later x-values
+            break
+    return cand.tolist()
 
 
 def nu_convolution(w: Weight, rho: CountTable, n: int) -> Union[int, float]:
@@ -199,15 +233,31 @@ def moment_exact(k: int, r: int, P: int, R: int) -> int:
 
 
 def _autocorrelation_int(counts: np.ndarray) -> np.ndarray:
-    """Exact D[v] = sum_m counts[m] counts[m+v] via zero-padded FFT."""
+    """Exact D[v] = sum_m counts[m] counts[m+v] via zero-padded FFT.
+
+    Raises ArithmeticError unless an a-priori bound on the float error is
+    below 1/2, so that rounding recovers every D[v].
+    """
     m = len(counts)
     size = 1
     while size < 2 * m:
         size <<= 1
-    f = np.fft.rfft(counts.astype(float), size)
+    x = counts.astype(float)
+    # Percival, Math. Comp. 72 (2003), Thm. 5.1: an FFT convolution of length
+    # 2**n in precision eps = 2**-53, with twiddle factors accurate to eps, is
+    # off by at most |x| |y| ((1+eps)**6n (1+eps sqrt(5))**(3n+1) - 1), below
+    # eps |x| |y| (13n + 3); here |x| |y| = sum(c**2) = D[0].  numpy's real
+    # transforms use other radices and one more twiddle pass, so the constant
+    # is doubled; random and spiked tables stay below 1/25 of the undoubled one
+    n = size.bit_length() - 1
+    bound = float(np.dot(x, x)) * 2.0**-53 * 2 * (13 * n + 3)
+    if bound >= 0.5:
+        raise ArithmeticError("counts too large for an exact FFT autocorrelation")
+    f = np.fft.rfft(x, size)
     ac = np.fft.irfft(f * np.conj(f), size)[:m]
     rounded = np.rint(ac)
-    if np.max(np.abs(ac - rounded)) > 1e-3:
+    # second guard: the observed rounding error may not exceed the bound
+    if np.max(np.abs(ac - rounded)) > bound:
         raise ArithmeticError("autocorrelation lost integrality; counts too large for FFT path")
     return rounded.astype(np.int64)
 
@@ -307,11 +357,17 @@ def quadrature_moment(
 
 
 def _totients(N: int) -> np.ndarray:
+    lpf = sieve_tables(max(N, 2)).least_prime_factor
     phi = np.arange(N + 1, dtype=np.int64)
-    for p in sieve_tables(max(N, 2)).primes:
-        if p > N:
-            break
-        phi[p::p] -= phi[p::p] // p
+    # phi(m) = phi(c) * (p if p | c else p - 1) for p = lpf(m), c = m / p; on
+    # [2**i, 2**(i+1)) every c lies below 2**i, so each block reads finished entries
+    lo = 2
+    while lo <= N:
+        hi = min(2 * lo, N + 1)
+        p = lpf[lo:hi]
+        c = np.arange(lo, hi) // p
+        phi[lo:hi] = phi[c] * np.where(c % p == 0, p, p - 1)
+        lo = hi
     return phi
 
 

@@ -3,10 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from partitio.arith import smooth_set
 from partitio.counting import (
     CountTable,
+    _autocorrelation_int,
+    _fold,
+    _totients,
     iroot,
     mean_value_N,
     moment_exact,
@@ -78,6 +82,30 @@ def test_overflow_escalates_to_big_integers():
     for m in (0, 1, 17, 40):
         assert t[m] == math.comb(m + 39, 39)
     assert min(int(c) for c in t.counts) >= 0
+
+
+def test_fold_guard_is_per_entry_at_int64_max():
+    # 2**63 - 1 = 7 * M: seven summands <= N on entries of at most M fill an
+    # entry to exactly the int64 maximum; one more unit needs big integers
+    M = (2**63 - 1) // 7
+    values = np.array([0, 1, 2, 3, 4, 5, 6, 25], dtype=np.int64)  # 25 > N plays no part
+    acc = np.full(21, M, dtype=np.int64)
+    out = _fold(acc, values, 20)
+    assert out.dtype == np.int64
+    assert out.tolist() == [(m + 1) * M for m in range(6)] + [2**63 - 1] * 15
+    acc[20] = M + 1
+    out = _fold(acc, values, 20)
+    assert out.dtype == object
+    assert out[20] == 2**63 and out[19] == 2**63 - 1
+
+
+def test_wide_int64_table_keeps_exact_entries_and_total():
+    # sum(acc) * |kernel| passes 2**62 before the last fold, but no entry
+    # can pass 2**61: the table stays int64 while its total needs 65 bits
+    t = power_convolution(1, 8, 1000, allow_zero=True)
+    assert t.counts.dtype == np.int64
+    assert t.counts.tolist() == [math.comb(m + 7, 7) for m in range(1001)]
+    assert t.total() == math.comb(1008, 8) > 2**64
 
 
 # ---------------------------------------------------------------------------
@@ -183,6 +211,76 @@ def test_doubling_map_surjective_small_direct():
         assert mapped == big, n
 
 
+def _is_prime(p):
+    return p > 1 and all(p % d for d in range(2, math.isqrt(p) + 1))
+
+
+def _enumerated_counts(k, s, N, x_kind, x_nonneg, y_nonneg, h, members):
+    """Counts of x_term + y_1^k + ... + y_s^k = n, one summand at a time in
+    Python integers; members is None for every y >= 1."""
+    ys = [0] if y_nonneg else []
+    ys += [y**k for y in range(1, N + 1) if y**k <= N and (members is None or y in members)]
+    x_start = 0 if x_nonneg else 1
+    xs = {
+        "square": [x * x for x in range(x_start, N + 1) if x * x <= N],
+        "prime_square": [p * p for p in range(2, N + 1) if p * p <= N and _is_prime(p)],
+        "hth_power": [x**h for x in range(x_start, N + 1) if x**h <= N] if h else [],
+        "none": [0],
+    }[x_kind]
+    counts = [1] + [0] * N
+    for vals in [ys] * s + [xs]:
+        nxt = [0] * (N + 1)
+        for t, c in enumerate(counts):
+            for v in vals:
+                if c and t + v <= N:
+                    nxt[t + v] += c
+        counts = nxt
+    return xs, counts
+
+
+@given(
+    k=st.integers(2, 5),
+    s=st.integers(1, 4),
+    N=st.integers(1, 300),
+    x_kind=st.sampled_from(["square", "prime_square", "hth_power", "none"]),
+    x_nonneg=st.booleans(),
+    y_nonneg=st.booleans(),
+    h=st.sampled_from([None, 1, 2, 3, 4]),
+    smooth=st.one_of(st.none(), st.tuples(st.integers(2, 20), st.integers(2, 20))),
+)
+def test_counts_and_zero_sets_match_enumeration(k, s, N, x_kind, x_nonneg, y_nonneg, h, smooth):
+    base, members = "all", None
+    if smooth is not None:
+        base = smooth_set(max(smooth), min(smooth))
+        members = {int(m) for m in base.members}
+    kwargs = dict(x_kind=x_kind, x_nonneg=x_nonneg, y_nonneg=y_nonneg, h=h, base=base)
+    xs, ref = _enumerated_counts(k, s, N, x_kind, x_nonneg, y_nonneg, h, members)
+    if not xs:
+        for f in (representation_counts, zero_set):
+            with pytest.raises(ValueError):
+                f(k, s, N, **kwargs)
+        return
+    t = representation_counts(k, s, N, **kwargs)
+    assert t.counts.dtype == np.int64
+    assert t.counts.tolist() == ref
+    assert t.total() == sum(ref)
+    assert zero_set(k, s, N, **kwargs) == [n for n in range(1, N + 1) if ref[n] == 0]
+
+
+def test_zero_set_matches_count_table(rng):
+    for i in range(16):
+        k, s = int(rng.integers(2, 6)), int(rng.integers(1, 5))
+        N = int(rng.integers(2000, 6000))
+        kwargs = dict(
+            x_kind=("square", "prime_square", "hth_power", "none")[i % 4],
+            x_nonneg=bool(rng.integers(2)), y_nonneg=bool(rng.integers(2)), h=3,
+            base="all" if i % 3 else smooth_set(int(rng.integers(20, 80)), int(rng.integers(2, 20))),
+        )
+        table = representation_counts(k, s, N, **kwargs)
+        expected = (np.flatnonzero(table.counts[1:] == 0) + 1).tolist()
+        assert zero_set(k, s, N, **kwargs) == expected, (k, s, N, kwargs)
+
+
 def test_square_and_fourth_power_ranges_mod16():
     assert {(x * x) % 16 for x in range(1, 101)} == {0, 1, 4, 9}
     assert {(y**4) % 16 for y in range(1, 101)} == {0, 1}
@@ -286,6 +384,34 @@ def test_mean_value_diagonal_lower_bound():
     n, k, r, R = 10**4, 3, 1, 21
     P = iroot(n, k)
     assert mean_value_N(k, r, n, R) >= math.isqrt(n) * moment_exact(k, r, P, R)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_autocorrelation_bound_boundary(seed):
+    # FFT length 128 = 2**7: the a-priori bound eps * sum(c**2) * 2 * (13*7 + 3)
+    # stays below 1/2 while sum(c**2) < 2**51 / 94
+    m = 64
+    A = math.isqrt(2**51 // 94 // m)
+    inside = np.full(m, A, dtype=np.int64)
+    inside[: 32 * seed] = np.random.default_rng(seed).integers(0, A, size=32 * seed)
+    exact = [sum(int(inside[i]) * int(inside[i + v]) for i in range(m - v)) for v in range(m)]
+    assert _autocorrelation_int(inside).tolist() == exact
+    with pytest.raises(ArithmeticError, match="exact FFT"):
+        _autocorrelation_int(np.full(m, A + 1, dtype=np.int64))
+
+
+def test_totients_match_trial_division():
+    def phi(m):
+        result, rest, p = m, m, 2
+        while p * p <= rest:
+            if rest % p == 0:
+                while rest % p == 0:
+                    rest //= p
+                result -= result // p
+            p += 1
+        return result - result // rest if rest > 1 else result
+
+    assert _totients(1999).tolist() == [0] + [phi(m) for m in range(1, 2000)]
 
 
 def test_mean_value_growth():
