@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage or config error.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -76,7 +77,10 @@ class Options:
 
 
 def _parse_phi(text: str) -> Fraction:
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"phi {text!r} has a zero denominator") from None
 
 
 def _bool_cast(text: str) -> bool:
@@ -90,7 +94,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", default=None, help="key=value config file")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """Built on first use, then shared: argparse keeps no state between parses."""
     parser = argparse.ArgumentParser(
         prog="partitio",
         description="Desk-scale circle-method workbench: exact counts, "
@@ -246,7 +252,7 @@ def _cmd_counts(opts: Options) -> Report:
             meta={"count": len(zeros)},
         )
     table = counting.representation_counts(k, s, limit, **conventions)
-    rows = [[n, int(table.counts[n])] for n in range(1, limit + 1)]
+    rows = [[n, c] for n, c in enumerate(table.counts[1:limit + 1].tolist(), start=1)]
     return Report(
         name=f"representation-counts k={k} s={s}",
         columns=[Column("n"), Column("count")],
@@ -268,6 +274,8 @@ def _cmd_moments(opts: Options) -> Report:
     ok = True
     t = opts.get("t", float, None)
     if t is not None:
+        if not t.is_integer():
+            raise ConfigError(f"--t must be an integer, got {t}")
         t = int(t)
         w = weights.make_weight("smooth_kth_powers", P**k, k=k, P=P, R=R)
         region = opts.get("region", str, "full")

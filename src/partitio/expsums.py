@@ -215,6 +215,8 @@ def sup_profile(
     """
     if any(Q_list[i] >= Q_list[i + 1] for i in range(len(Q_list) - 1)):
         raise ValueError("Q_list must ascend")
+    if samples_per_slice < 1:
+        raise ValueError(f"samples_per_slice must be at least 1, got {samples_per_slice}")
     children = np.random.SeedSequence(seed).spawn(len(Q_list))
     profile = []
     for Q, child in zip(Q_list, children):

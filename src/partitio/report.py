@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain, repeat
 from typing import Any, Optional
 
 from partitio.constants import round_down_str, round_up_str
@@ -27,7 +28,7 @@ class Column:
 class Report:
     name: str
     columns: list[Column]
-    rows: list[list[Any]]
+    rows: list[list[Any]]  # each row holds one value per column
     meta: dict = field(default_factory=dict)
     ok: bool = True
 
@@ -48,14 +49,44 @@ def _display(value: Any, col: Column) -> str:
     return str(value)
 
 
+def _columns(report: Report) -> list[list[str]]:
+    """`_display` of every cell, column by column.  Without digits `_display` is
+    `str` except on bools and on float subclasses (numpy's repr differs)."""
+    columns = []
+    for col, values in zip(report.columns, list(zip(*report.rows)) or repeat(())):
+        if col.digits is not None:
+            columns.append([_display(v, col) for v in values])
+        else:
+            columns.append(["true" if v is True else "false" if v is False
+                            else repr(v) if isinstance(v, float) else str(v) for v in values])
+    return columns
+
+
+def _rows(columns: list[list[str]], n_rows: int) -> list[tuple[str, ...]]:
+    return list(zip(*columns)) or [()] * n_rows
+
+
 def emit_csv(report: Report) -> str:
     lines = [",".join(c.name for c in report.columns)]
-    for row in report.rows:
-        lines.append(",".join(_display(v, c) for v, c in zip(row, report.columns)))
+    lines.extend(map(",".join, _rows(_columns(report), len(report.rows))))
     return "\n".join(lines) + "\n"
 
 
-def _json_payload(report: Report) -> dict:
+def _json_table(rows: list) -> str:
+    """`json.dumps(rows, indent=2)` as laid out one level deep, for non-empty rows
+    of scalars.  The C encoder writes bare newlines between items.  No encoded
+    scalar holds a newline, starts with '[' or ends with ']', so ']\\n[' marks a
+    row boundary and every newline can be indented in place."""
+    if not rows:
+        return "[]"
+    text = json.dumps(rows, separators=("\n", ":")).replace("\n", ",\n      ")
+    return ("[\n    [\n      " + text[2:-2].replace("],\n      [", "\n    ],\n    [\n      ")
+            + "\n    ]\n  ]")
+
+
+def emit_json(report: Report) -> str:
+    """Byte for byte `json.dumps(payload, indent=2, sort_keys=True)`, but the
+    tables skip the pure-Python encoder that `indent` selects."""
     cols = []
     for c in report.columns:
         entry: dict[str, Any] = {"name": c.name}
@@ -64,26 +95,19 @@ def _json_payload(report: Report) -> dict:
         if c.convention is not None:
             entry["convention"] = c.convention
         cols.append(entry)
-    rows = []
-    for row in report.rows:
-        rows.append(
-            [float(v) if isinstance(v, Fraction) else v for v in row]
-        )
-    displays = [
-        [_display(v, c) for v, c in zip(row, report.columns)] for row in report.rows
-    ]
-    return {
-        "name": report.name,
-        "ok": report.ok,
-        "columns": cols,
-        "rows": rows,
-        "display": displays,
-        "meta": report.meta,
-    }
-
-
-def emit_json(report: Report) -> str:
-    return json.dumps(_json_payload(report), indent=2, sort_keys=True) + "\n"
+    rows = report.rows
+    kinds = set(map(type, chain.from_iterable(rows)))
+    if any(issubclass(t, Fraction) for t in kinds):
+        rows = [[float(v) if isinstance(v, Fraction) else v for v in row] for row in rows]
+    payload = {"name": report.name, "ok": report.ok, "columns": cols, "meta": report.meta,
+               "rows": rows, "display": _rows(_columns(report), len(rows))}
+    scalars = (str, int, float, type(None), Fraction)
+    if not report.columns or not all(issubclass(t, scalars) for t in kinds):
+        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    parts = [f'  "{key}": ' + (_json_table(value) if key in ("display", "rows") else
+                               json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  "))
+             for key, value in sorted(payload.items())]
+    return "{\n" + ",\n".join(parts) + "\n}\n"
 
 
 def reemit_json(payload_text: str) -> str:
@@ -93,18 +117,13 @@ def reemit_json(payload_text: str) -> str:
 
 def emit_pretty(report: Report) -> str:
     headers = [c.name for c in report.columns]
-    cells = [
-        [_display(v, c) for v, c in zip(row, report.columns)] for row in report.rows
-    ]
-    widths = [
-        max(len(headers[i]), *(len(r[i]) for r in cells)) if cells else len(headers[i])
-        for i in range(len(headers))
-    ]
+    columns = _columns(report)
+    widths = [max(len(h), max(map(len, col), default=0)) for h, col in zip(headers, columns)]
     out = [report.name, "=" * len(report.name)]
     out.append("  ".join(h.ljust(w) for h, w in zip(headers, widths)))
     out.append("  ".join("-" * w for w in widths))
-    for r in cells:
-        out.append("  ".join(v.ljust(w) for v, w in zip(r, widths)))
+    padded = [list(map(str.ljust, col, repeat(w))) for col, w in zip(columns, widths)]
+    out.extend(map("  ".join, _rows(padded, len(report.rows))))
     if report.meta:
         out.append("")
         for key in report.meta:

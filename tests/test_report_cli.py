@@ -1,10 +1,22 @@
 import json
+import math
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
+import partitio
+from partitio import cli
 from partitio.cli import main
 from partitio.counting import zero_set
-from partitio.report import Column, Report, emit, emit_json, reemit_json
+from partitio.expsums import sup_profile
+from partitio.report import Column, Report, _display, emit, emit_json, reemit_json
+from partitio.weights import make_weight
 
 
 def run_cli(capsys, *argv):
@@ -56,6 +68,98 @@ def test_emit_pretty_golden():
         "status: ok\n"
     )
     assert got == expected
+
+
+def _reference_emit(report, fmt):
+    """The per-cell emitters: `_display` on every cell, and the JSON payload
+    through `json.dumps(..., indent=2, sort_keys=True)`."""
+    cells = [[_display(v, c) for v, c in zip(row, report.columns)] for row in report.rows]
+    if fmt == "csv":
+        return "\n".join([",".join(c.name for c in report.columns)]
+                         + [",".join(r) for r in cells]) + "\n"
+    if fmt == "json":
+        cols = []
+        for c in report.columns:
+            entry = {"name": c.name}
+            if c.digits is not None:
+                entry["digits"] = c.digits
+            if c.convention is not None:
+                entry["convention"] = c.convention
+            cols.append(entry)
+        payload = {
+            "name": report.name,
+            "ok": report.ok,
+            "columns": cols,
+            "rows": [[float(v) if isinstance(v, Fraction) else v for v in row]
+                     for row in report.rows],
+            "display": cells,
+            "meta": report.meta,
+        }
+        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    headers = [c.name for c in report.columns]
+    widths = [max(len(headers[i]), *(len(r[i]) for r in cells)) if cells else len(headers[i])
+              for i in range(len(headers))]
+    out = [report.name, "=" * len(report.name)]
+    out.append("  ".join(h.ljust(w) for h, w in zip(headers, widths)))
+    out.append("  ".join("-" * w for w in widths))
+    out += ["  ".join(v.ljust(w) for v, w in zip(r, widths)) for r in cells]
+    if report.meta:
+        out.append("")
+        out += [f"{key}: {report.meta[key]}" for key in report.meta]
+    out += ["", f"status: {'ok' if report.ok else 'FAILED'}"]
+    return "\n".join(out) + "\n"
+
+
+def _outcome(fn, *args):
+    try:
+        return "text", fn(*args)
+    except Exception as exc:
+        return "raises", type(exc)
+
+
+_texts = st.text(alphabet=st.sampled_from('ab,"\\\n\té€😀 -:'), max_size=8)
+_numbers = st.one_of(
+    st.integers(-2**80, 2**80),
+    st.floats(),  # nan, +-inf and -0.0 among them
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.1, 2.0**70]),
+    st.fractions(max_denominator=10**6).filter(lambda f: abs(f) < 10**9),
+    st.floats().map(np.float64),  # a float subclass whose repr is not its str
+)
+_cells = st.one_of(_numbers, st.booleans(), st.none(), _texts,
+                   st.lists(st.integers(), max_size=2))  # a nested cell
+_digit_cells = st.one_of(
+    st.floats(-1e9, 1e9), st.fractions(max_denominator=10**6).filter(lambda f: abs(f) < 10**6),
+    st.integers(-10**6, 10**6), st.booleans(), st.none(),
+)
+_meta = st.dictionaries(
+    _texts,
+    st.recursive(st.one_of(st.integers(-2**70, 2**70), st.floats(), st.booleans(), st.none(),
+                           _texts),
+                 lambda inner: st.lists(inner, max_size=3)
+                 | st.dictionaries(_texts, inner, max_size=3),
+                 max_leaves=6),
+    max_size=3,
+)
+
+
+@st.composite
+def _reports(draw):
+    columns = draw(st.lists(
+        st.builds(Column, _texts, st.none())
+        | st.builds(Column, _texts, st.integers(0, 8), st.sampled_from([None, "ceil", "floor"])),
+        max_size=4,
+    ))
+    column = [_cells if c.digits is None else _digit_cells for c in columns]
+    n_rows = draw(st.integers(0, 5))
+    rows = [[draw(strategy) for strategy in column] for _ in range(n_rows)]
+    return Report(name=draw(_texts), columns=columns, rows=rows, meta=draw(_meta),
+                  ok=draw(st.booleans()))
+
+
+@given(_reports(), st.sampled_from(["csv", "json", "pretty"]))
+@example(Report("no columns", [], [[], []]), "json")
+def test_emit_matches_per_cell_reference(report, fmt):
+    assert _outcome(emit, report, fmt) == _outcome(_reference_emit, report, fmt)
 
 
 def test_emit_unknown_format():
@@ -216,3 +320,73 @@ def test_moments_cli_quadrature_agreement(capsys):
     )
     assert code == 0
     assert "moment_exact,10.0" in out
+
+
+def test_phi_with_zero_denominator_is_usage_error(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--k", "7", "--s", "20", "--phi", "1/0"])
+    assert exc.value.code == 2
+    assert "1/0" in capsys.readouterr().err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("phi = 1/0\n")
+    code, out, err = run_cli(capsys, "check", "--k", "7", "--s", "20", "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "zero denominator" in err
+
+
+def test_moments_rejects_fractional_t(capsys):
+    argv = ["moments", "--k", "3", "--r", "2", "--limit", "12", "--format", "csv"]
+    code, out, err = run_cli(capsys, *argv, "--t", "4.7")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "4.7" in err
+    for t in ("4", "4.0"):
+        code, out, _ = run_cli(capsys, *argv, "--t", t)
+        assert code == 0
+        assert "quadrature[full] t=4," in out
+
+
+def test_zero_samples_is_usage_error(capsys):
+    with pytest.raises(ValueError):
+        sup_profile(make_weight("squares", 10**4), 10**4, [20.0, 80.0], samples_per_slice=0)
+    code, out, err = run_cli(capsys, "weights", "--kind", "squares", "--limit", "10000",
+                             "--samples", "0")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+
+
+README_COMMANDS = [
+    ["constants", "--format", "csv"],
+    ["thm14-table"],
+    ["counts", "--k", "4", "--s", "6", "--limit", "200", "--zero-set"],
+    ["moments", "--k", "3", "--r", "2", "--limit", "12", "--t", "4"],
+    ["weights", "--kind", "squares", "--limit", "1000000", "--seed", "1"],
+    ["singular", "--k", "3", "--s", "5", "--m", "5", "--integral", "--n", "37"],
+    ["check", "--k", "7", "--s", "20", "--phi", "1/8", "--r", "4", "--t", "6"],
+]
+
+
+def _fresh_process_stdout(argv, **env):
+    src = str(Path(partitio.__file__).resolve().parent.parent)
+    environ = {k: v for k, v in os.environ.items() if not k.startswith("PARTITIO_")}
+    environ.update(env, PYTHONPATH=src + os.pathsep + environ.get("PYTHONPATH", ""))
+    return subprocess.run([sys.executable, "-m", "partitio.cli", *argv], env=environ,
+                          stdout=subprocess.PIPE, stderr=subprocess.DEVNULL).stdout
+
+
+def test_shared_parser_output_matches_fresh_process(monkeypatch, capsys):
+    for name in [k for k in os.environ if k.startswith("PARTITIO_")]:
+        monkeypatch.delenv(name)
+    expected = [_fresh_process_stdout(argv) for argv in README_COMMANDS]
+    expected_env = _fresh_process_stdout(["thm14-table"], PARTITIO_FORMAT="json")
+    for _ in range(2):
+        for argv, want in zip(README_COMMANDS, expected):
+            code, out, _ = run_cli(capsys, *argv)
+            assert code == 0
+            assert out.encode() == want
+            with pytest.raises(SystemExit):
+                main(["counts", "--k", "four"])
+            capsys.readouterr()
+        monkeypatch.setenv("PARTITIO_FORMAT", "json")
+        assert run_cli(capsys, "thm14-table")[1].encode() == expected_env
+        monkeypatch.delenv("PARTITIO_FORMAT")
+    assert cli.build_parser.cache_info().misses == 1
