@@ -38,6 +38,7 @@ from partitio.arcs import (
 from partitio.expsums import (
     PrecisionLimit,
     exp_sum,
+    exp_sum_grid,
     exp_sum_many,
     exp_sum_rational,
     fit_decay,

@@ -45,6 +45,8 @@ from typing import Optional, Union
 
 import numpy as np
 
+from partitio.arith import coprime_mask
+
 Real = Union[float, Fraction]
 Points = Union[Real, np.ndarray]  # one point or a 1-D array of them
 
@@ -263,7 +265,7 @@ def arc_classify(alpha: Real, n: int, Q: float) -> ArcLabel:
 
 def _coprime_residues(q: int, rng: np.random.Generator, size: int = 4) -> np.ndarray:
     """The a in [0, q] coprime to q, thinned to ``size`` random ones."""
-    a = np.flatnonzero(np.gcd(np.arange(q + 1), q) == 1)
+    a = np.flatnonzero(coprime_mask(q))
     return rng.choice(a, size=size, replace=False) if len(a) > size else a
 
 

@@ -1,4 +1,4 @@
-"""Sieves and smooth-number generation underpinning all enumeration."""
+"""Sieves, smooth numbers and reduced residues underpinning all enumeration."""
 
 from __future__ import annotations
 
@@ -40,6 +40,22 @@ def iroot(n: int, k: int) -> int:
     while (r + 1) ** k <= n:
         r += 1
     return r
+
+
+def coprime_mask(q: int) -> np.ndarray:
+    """mask[a] is gcd(a, q) == 1 for a = 0..q, both ends included (so 0/1 and
+    1/1 for q = 1), from striding out each prime factor of q."""
+    if q < 1:
+        raise ValueError("q must be at least 1")
+    mask, rest, p = np.ones(q + 1, dtype=bool), q, 2
+    while rest > 1:
+        p = p if p * p <= rest else rest  # no factor up to sqrt(rest): rest is prime
+        if rest % p == 0:
+            mask[::p] = False
+            while rest % p == 0:
+                rest //= p
+        p += 1
+    return mask
 
 
 def sieve_tables(N: int, max_limit: int = DEFAULT_MAX_LIMIT) -> SieveTables:

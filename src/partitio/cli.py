@@ -306,6 +306,8 @@ def _cmd_weights(opts: Options) -> Report:
     h = opts.get("h", int, None)
     seed = opts.get("seed", int, 0)
     n_slices = opts.get("slices", int, 7)
+    if n_slices < 1:
+        raise ConfigError(f"--slices must be at least 1, got {n_slices}")
     samples = opts.get("samples", int, 250)
     w = weights.make_weight(kind, n, h=h)
     stats = weights.weight_stats(w) if w.is_nonnegative else None
@@ -368,6 +370,8 @@ def _cmd_check(opts: Options) -> Report:
     phi = opts.require("phi", _parse_phi)
     r = opts.get("r", int, None)
     t = opts.get("t", float, None)
+    if t is not None and not math.isfinite(t):
+        raise ConfigError(f"--t must be finite, got {t}")
     if t is not None and t == int(t):
         t = int(t)
     source = opts.get("delta-source", str, "table")

@@ -15,14 +15,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from math import gcd, isqrt
+from math import isqrt
 from typing import Optional, Union
 
 import numpy as np
 
 from partitio.arcs import Dissection
-from partitio.arith import SmoothSet, iroot, sieve_tables, smooth_set
-from partitio.expsums import exp_sum_many
+from partitio.arith import SmoothSet, coprime_mask, iroot, sieve_tables, smooth_set
+from partitio.expsums import exp_sum_grid, exp_sum_many
 from partitio.weights import Weight
 
 _INT64_MAX = 2**63 - 1
@@ -187,10 +187,7 @@ def zero_set(k: int, s: int, N: int, **kwargs) -> list[int]:
     reach = np.zeros(N + 1, dtype=bool)
     reach[0] = True
     for _ in range(s):
-        out = np.zeros(N + 1, dtype=bool)
-        for v in kernel.tolist():
-            out[v:] |= reach[: N + 1 - v]
-        reach = out
+        reach = _fold(reach, kernel, N)  # bool += is logical or
     if xv is None:
         return (np.flatnonzero(~reach[1:]) + 1).tolist()
     cand = np.arange(1, N + 1, dtype=np.int64)
@@ -296,23 +293,18 @@ class QuadratureResult:
 
 
 def _grid_integral(w: Weight, t: int, G: int, region: str, Q: Optional[float], n: int) -> float:
-    alphas = np.arange(G, dtype=float) / G
-    mags = np.abs(exp_sum_many(w, alphas))
-    integrand = mags**t
-    if region == "full":
-        mask = np.ones(G, dtype=bool)
-    else:
+    integrand = np.abs(exp_sum_grid(w, G)) ** t
+    if region != "full":
         if Q is None:
             raise ValueError(f"region {region!r} needs Q")
-        d = Dissection(n)
-        if region == "major":
-            mask = d.in_major_many(alphas, Q)
-        elif region == "slice":
-            mask = d.in_slice_many(alphas, Q)
-        else:
+        if region not in ("major", "slice"):
             raise ValueError(f"unknown region {region!r}")
+        d, alphas = Dissection(n), np.arange(G, dtype=float) / G
+        integrand = integrand[
+            d.in_major_many(alphas, Q) if region == "major" else d.in_slice_many(alphas, Q)
+        ]
     # periodic integrand, uniform grid: the mean is the trapezoid value
-    return float(integrand[mask].sum() / G)
+    return float(integrand.sum() / G)
 
 
 def quadrature_moment(
@@ -389,14 +381,8 @@ def _arc_integrals(w: Weight, t: int, n: int, q: int, a_values: list[int], U: fl
     """Integral of |W|^t over the height-capped arcs around a/q, one value
     per entry of a_values.  Endpoint arcs (a = 0, a = q) use their half."""
     us = _arc_ugrid(U)
-    grids = []
-    for a in a_values:
-        grid = us
-        if a == 0:
-            grid = us[us >= 0]
-        elif a == q:
-            grid = us[us <= 0]
-        grids.append(a / q + grid / n)
+    halves = {0: us[us >= 0], q: us[us <= 0]}
+    grids = [a / q + halves.get(a, us) / n for a in a_values]
     # one evaluation over every arc of this q, split back arc by arc
     integrand = np.abs(exp_sum_many(w, np.concatenate(grids))) ** t
     pieces = np.split(integrand, np.cumsum([len(g) for g in grids])[:-1])
@@ -429,7 +415,7 @@ def major_arc_moment(
     total = 0.0
 
     for q in range(1, min(exact_q, qmax) + 1):
-        a_values = [a for a in range(0, q + 1) if gcd(a, q) == 1]
+        a_values = np.flatnonzero(coprime_mask(q))
         total += float(_arc_integrals(w, t, n, q, a_values, cap / q).sum())
 
     totient = _totients(qmax) if qmax > exact_q else None
@@ -437,15 +423,12 @@ def major_arc_moment(
     while lo < qmax:
         hi = min(qmax, 2 * lo)
         qs_all = np.arange(lo + 1, hi + 1)
+        qs = qs_all
         if len(qs_all) > band_q_samples:
-            picks = np.unique(np.linspace(0, len(qs_all) - 1, band_q_samples).astype(int))
-            qs = qs_all[picks]
-        else:
-            qs = qs_all
+            qs = qs_all[np.unique(np.linspace(0, len(qs_all) - 1, band_q_samples).astype(int))]
         per_q = []
-        for q in qs:
-            q = int(q)
-            coprime = [a for a in range(1, q) if gcd(a, q) == 1]
+        for q in qs.tolist():
+            coprime = np.flatnonzero(coprime_mask(q))  # q >= 2: no a = 0 or q
             if len(coprime) > band_a_samples:
                 coprime = sorted(rng.choice(coprime, size=band_a_samples, replace=False))
             vals = _arc_integrals(w, t, n, q, coprime, cap / q)

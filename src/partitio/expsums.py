@@ -1,10 +1,12 @@
 """Exponential-sum evaluation and empirical decay-exponent fitting.
 
 W(alpha) = sum over the weight support of w(m) e(t m), with e(z) =
-exp(2 pi i z) and t = j * phase * alpha.  ``exp_sum_many`` is the one
-evaluator and ``exp_sum`` its one-point wrapper.  It reduces t mod 1
-(t - floor(t), exact) and runs whichever of two kernels its operation count
-says is cheaper for the call:
+exp(2 pi i z) and t = j * phase * alpha.  On the uniform grid alpha = j/G,
+``exp_sum_grid`` bins the weight by the integer residue m * phase mod G and
+takes one length-G DFT, so its phases are exact; ``exp_sum_rational`` reads
+one entry of it.  ``exp_sum_many`` is the one off-grid evaluator and
+``exp_sum`` its one-point wrapper.  It reduces t mod 1 (t - floor(t), exact)
+and runs whichever of two kernels its operation count says is cheaper:
 
 * Dense: the |points| x |support| phase matrix x = t m, reduced by
   x - rint(x), then cos(2 pi x) @ w + i sin(2 pi x) @ w, in row blocks of at
@@ -40,7 +42,7 @@ NUFFT runs only when its estimate is the lower one and R <= ``_NUFFT_MAX_GRID``
 of at most 2w terms.  The choice depends only on |support|, the support's
 span and the number of points, so equal calls give equal bits.
 
-Precision limit: t m is an exact float product only while
+Precision limit: off the grid, t m is an exact float product only while
 |m * j * phase| <= 2**53; past that ``float(m)`` is no longer m, and
 ``exp_sum_many`` raises ``PrecisionLimit`` instead of returning a wrong sum.
 """
@@ -187,17 +189,21 @@ def _nufft(m: np.ndarray, values: np.ndarray, t: np.ndarray, R: int) -> np.ndarr
     return smooth * np.exp(TWO_PI * 1j * phase)
 
 
+def exp_sum_grid(w: Weight, G: int) -> np.ndarray:
+    """W(j/G) for j = 0..G-1: the length-G DFT of the weight binned by its
+    exact phase residue m * phase mod G, so no phase is rounded."""
+    if G < 1:
+        raise ValueError(f"G must be at least 1, got {G}")
+    r = (w.support % G) * (w.phase % G) % G
+    spectrum = np.bincount(r, w.values.real, G) + 1j * np.bincount(r, w.values.imag, G)
+    return G * np.fft.ifft(spectrum)
+
+
 def exp_sum_rational(w: Weight, a: int, q: int) -> complex:
-    """Exact-phase evaluation of W(a/q) by grouping the support modulo q."""
+    """Exact-phase evaluation of W(a/q), one entry of the length-q grid."""
     if q < 1 or q > w.n:
         raise ValueError(f"need 1 <= q <= n, got q={q}, n={w.n}")
-    if len(w.support) == 0:
-        return 0.0 + 0.0j
-    residues = (w.support % q).astype(np.int64)
-    sums = np.bincount(residues, weights=w.values, minlength=q)
-    idx = (np.arange(q, dtype=np.int64) * (a * w.phase)) % q
-    roots = np.exp(1j * TWO_PI * np.arange(q) / q)
-    return complex(np.sum(sums * roots[idx]))
+    return complex(exp_sum_grid(w, q)[a % q])
 
 
 def sup_profile(

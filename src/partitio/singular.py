@@ -2,7 +2,8 @@
 local solubility of the square-plus-k-th-powers congruences.
 
 One Gauss-sum path: ``_gauss_sums_all`` gives S(q, a) for every a from int64
-counts of x^k mod q, and ``_GaussSumCache`` turns it into A_m(q);
+counts of x^k mod q, and ``_GaussSumCache`` turns it, by one length-q FFT per
+modulus, into a table of A_m(q) for every m mod q, which the series indexes;
 ``gauss_sum`` and ``a_coeff`` are fronts of the two.
 """
 
@@ -16,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-TWO_PI = 2.0 * math.pi
+from partitio.arith import coprime_mask
 
 
 def _gauss_sums_all(q: int, k: int) -> np.ndarray:
@@ -57,33 +58,28 @@ class SingularSeriesResult:
 
 
 class _GaussSumCache:
-    """Per-(k, s) cache of S(q, a)^s over reduced residues, the roots e(-v/q)
-    and the imaginary-part tolerance of A_m(q)."""
+    """Per-(k, s) cache of one float64 table of A_m(q) per modulus q."""
 
     def __init__(self, k: int, s: int):
         self.k = k
         self.s = s
-        self._powers: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray, float]] = {}
+        self._tables: dict[int, np.ndarray] = {}
 
-    def powers(self, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-        if q not in self._powers:
+    def table(self, q: int) -> np.ndarray:
+        """A_m(q), m = 0..q-1: the DFT of S(q, a)^s over a coprime to q.  It is
+        real by the pairing a <-> q - a; the imaginary residue is checked
+        against a q**s-scaled tolerance before being dropped."""
+        if q not in self._tables:
             S = _gauss_sums_all(q, self.k)
-            v = np.arange(q, dtype=np.int64)
-            a_vals = v[np.gcd(v, q) == 1]
-            roots = np.exp(-1j * TWO_PI * v / q)
-            tol = 1e-9 * max(1.0, float(q) ** self.s)
-            self._powers[q] = (a_vals, S[a_vals] ** self.s, roots, tol)
-        return self._powers[q]
+            A = np.fft.fft(np.where(coprime_mask(q)[:q], S**self.s, 0))
+            worst = np.abs(A.imag).max()
+            if worst > 1e-9 * max(1.0, float(q) ** self.s):
+                raise ArithmeticError(f"A_m({q}) imaginary part {worst} too large")
+            self._tables[q] = A.real.copy()  # a view would keep all 16 B per entry alive
+        return self._tables[q]
 
     def a_coeff(self, m: int, q: int) -> float:
-        """A_m(q).  The conjugate pairing a <-> q - a makes it real; the
-        imaginary residue is checked against a q**s-scaled tolerance before
-        being dropped."""
-        a_vals, spow, roots, tol = self.powers(q)
-        total = (spow * roots[(a_vals * (m % q)) % q]).sum()
-        if abs(total.imag) > tol:
-            raise ArithmeticError(f"A_m({q}) imaginary part {total.imag} too large")
-        return float(total.real)
+        return float(self.table(q)[m % q])
 
 
 def singular_series(
@@ -168,17 +164,9 @@ def local_solubility(k: int, s: int, n: int) -> LocalSolubility:
     else:
         R = frozenset(range(mod))
     witness = None
-    for x0 in [x for x in range(1, mod + 1) if x % 2 == 1] + [
-        x for x in range(1, mod + 1) if x % 2 == 0
-    ]:
-        residue = (n - x0 * x0) % mod
-        j = residue if residue >= 1 else mod
+    for x0 in [*range(1, mod + 1, 2), *range(2, mod + 1, 2)]:
+        j = (n - x0 * x0 - 1) % mod + 1  # the residue of n - x0^2, taken in 1..mod
         if j <= s:
             witness = (x0, j)
             break
-    return LocalSolubility(
-        modulus=mod,
-        R_set=R,
-        n_minus_square_hits_R=witness is not None,
-        witness=witness,
-    )
+    return LocalSolubility(mod, R, n_minus_square_hits_R=witness is not None, witness=witness)

@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from partitio.arith import CapacityLimit, sieve_tables, smooth_bound, smooth_set
+from partitio.arith import CapacityLimit, coprime_mask, sieve_tables, smooth_bound, smooth_set
 
 
 def _trial_factor_smooth(m, R):
@@ -150,3 +152,11 @@ def test_smooth_set_contains():
     s = smooth_set(100, 7)
     assert 1 in s and 63 in s and 64 in s
     assert 22 not in s  # 11 is a prime factor
+
+
+def test_coprime_mask_matches_gcd():
+    for q in range(1, 2001):
+        mask = coprime_mask(q)
+        assert mask.tolist() == [math.gcd(a, q) == 1 for a in range(q + 1)]
+    with pytest.raises(ValueError):
+        coprime_mask(0)

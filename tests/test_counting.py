@@ -448,6 +448,18 @@ def test_quadrature_t4_matches_exact():
     assert res.rel_change < 5e-3
 
 
+def test_quadrature_alias_free_grid_is_exact():
+    # |W|^(2r) has frequencies |f| <= r P^k, so a grid of G > 2 r P^k points
+    # integrates it exactly; only rounding separates the two values
+    for k, r, P, R in ((3, 1, 10, 10), (3, 2, 12, 5), (4, 2, 6, 6)):
+        w = make_weight("smooth_kth_powers", P**k, k=k, P=P, R=R)
+        G = max(1000, 2 * r * P**k + 1)
+        res = quadrature_moment(w, 2 * r, grid_points=G)
+        exact = moment_exact(k, r, P, R)
+        assert abs(res.value - exact) <= 1e-12 * exact
+        assert abs(res.doubled_value - exact) <= 1e-12 * exact
+
+
 def test_quadrature_major_monotone_in_Q():
     P, k = 10, 3
     n = P**k

@@ -11,6 +11,7 @@ from partitio.expsums import (
     DecayFit,
     PrecisionLimit,
     exp_sum,
+    exp_sum_grid,
     exp_sum_many,
     exp_sum_rational,
     fit_decay,
@@ -217,6 +218,50 @@ def test_exp_sum_rational_rejects_large_q():
     w = make_weight("squares", 100)
     with pytest.raises(ValueError):
         exp_sum_rational(w, 1, 101)
+
+
+def _grid_oracle(w, G):
+    """W(j/G) from phases reduced mod G in Python integers."""
+    js = np.arange(G)
+    out = np.zeros(G, dtype=complex)
+    for m, v in zip(w.support.tolist(), w.values.tolist()):
+        out += v * np.exp(2j * np.pi * (m * w.phase % G * js % G) / G)
+    return out
+
+
+@given(
+    kind=st.sampled_from(("squares", "e2", "complex", "huge")),
+    n=st.integers(min_value=1, max_value=3000),
+    G=st.integers(min_value=1, max_value=400),
+    a=st.integers(min_value=0, max_value=2000),
+)
+@example(kind="squares", n=100, G=1, a=5)
+@example(kind="squares", n=50, G=400, a=3)
+@example(kind="e2", n=7**6, G=97, a=250)
+@example(kind="complex", n=300, G=299, a=1000)
+@example(kind="huge", n=2**62, G=360, a=361)
+def test_exp_sum_grid_matches_integer_oracle(kind, n, G, a):
+    if kind == "e2":
+        w = make_weight("e2", max(n, 7**6), j=2)  # phase 2
+    elif kind == "huge":
+        rng = np.random.default_rng(n)
+        support = np.unique(rng.integers(2**53, 2**62, size=40, endpoint=True))
+        values = rng.normal(size=len(support))
+        w = Weight(n=2**62, kind=kind, support=support, values=values,
+                   norm=float(np.abs(values).sum()), phase=3)
+    else:
+        w = _test_weight(kind, n, 1)
+    oracle = _grid_oracle(w, G)
+    tol = 1e-12 * max(1.0, w.norm)
+    assert np.abs(exp_sum_grid(w, G) - oracle).max() <= tol
+    if G <= w.n:
+        assert abs(exp_sum_rational(w, a, G) - oracle[a % G]) <= tol
+
+
+def test_exp_sum_grid_empty_support():
+    w = make_weight("e2", 100)
+    assert len(w.support) == 0
+    assert not exp_sum_grid(w, 5).any() and exp_sum_rational(w, 3, 7) == 0
 
 
 def test_norm_bound_sampled(rng):

@@ -354,6 +354,27 @@ def test_zero_samples_is_usage_error(capsys):
     assert err.startswith("error: ")
 
 
+def test_non_finite_check_t_is_usage_error(capsys):
+    for t in ("inf", "-inf", "nan"):
+        code, out, err = run_cli(capsys, "check", "--k", "7", "--s", "20", "--phi", "1/8",
+                                 "--r", "4", f"--t={t}")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "finite" in err
+
+
+def test_nonpositive_slices_is_usage_error(tmp_path, capsys):
+    argv = ["weights", "--kind", "squares", "--limit", "10000"]
+    for slices in ("0", "-3"):
+        code, out, err = run_cli(capsys, *argv, "--slices", slices)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "slices" in err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("slices = 0\n")
+    code, out, err = run_cli(capsys, *argv, "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert "slices" in err
+
+
 README_COMMANDS = [
     ["constants", "--format", "csv"],
     ["thm14-table"],

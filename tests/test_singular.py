@@ -5,6 +5,7 @@ from math import gcd
 import numpy as np
 import pytest
 
+from partitio import singular
 from partitio.singular import (
     _GaussSumCache,
     a_coeff,
@@ -103,12 +104,24 @@ def test_a_coeff_matches_brute(rng):
         assert a_coeff(m, q, s, k) == pytest.approx(ref.real, abs=1e-10 * mass + 1e-9)
 
 
-def test_a_coeff_imaginary_guard():
-    cache = _GaussSumCache(3, 5)
-    a_vals, spow, roots, _ = cache.powers(7)
-    cache._powers[7] = (a_vals, spow * 1j, roots, 1e-9 * 7.0**5)
+def test_a_coeff_imaginary_guard(monkeypatch):
+    # S e(0.05) breaks the conjugate pairing, so the table is far from real
+    gauss = singular._gauss_sums_all
+    monkeypatch.setattr(singular, "_gauss_sums_all",
+                        lambda q, k: gauss(q, k) * cmath.exp(0.1j * math.pi))
     with pytest.raises(ArithmeticError):
-        cache.a_coeff(1, 7)
+        _GaussSumCache(3, 5).table(7)
+
+
+def test_gauss_table_matches_brute():
+    for k, s in ((3, 5), (4, 7), (5, 4)):
+        cache = _GaussSumCache(k, s)
+        for q in range(1, 41):
+            table = cache.table(q)
+            assert table.dtype == np.float64 and len(table) == q
+            for m in range(q):
+                ref, mass = _a_brute(m, q, s, k)
+                assert table[m] == pytest.approx(ref.real, abs=1e-12 * mass + 1e-12)
 
 
 def test_a_coeff_multiplicative_crt(rng):
