@@ -91,6 +91,20 @@ def sieve_tables(N: int, max_limit: int = DEFAULT_MAX_LIMIT) -> SieveTables:
     return SieveTables(limit=N, least_prime_factor=lpf, mobius=mobius, primes=primes)
 
 
+def _lpf_recurrence(lpf: np.ndarray, values: np.ndarray, step) -> np.ndarray:
+    """Fill values[m] = step(values[c], p, c) for m = 2..len(values)-1, where
+    p = lpf[m] and c = m // p.  On [2**i, 2**(i+1)) every cofactor c lies
+    below 2**i, so each block reads finished entries only."""
+    lo, end = 2, len(values)
+    while lo < end:
+        hi = min(2 * lo, end)
+        p = lpf[lo:hi]
+        c = np.arange(lo, hi) // p
+        values[lo:hi] = step(values[c], p, c)
+        lo = hi
+    return values
+
+
 @dataclass(frozen=True)
 class SmoothSet:
     """All integers in [1, P] whose prime divisors are at most R.
@@ -115,17 +129,11 @@ def smooth_set(P: int, R: int, max_limit: int = DEFAULT_MAX_LIMIT) -> SmoothSet:
         raise ValueError(f"need 2 <= R <= P, got R={R}, P={P}")
     if P > max_limit:
         raise CapacityLimit(f"smooth-set limit {P} exceeds budget {max_limit}")
-    lpf = sieve_tables(P, max_limit).least_prime_factor
     keep = np.zeros(P + 1, dtype=bool)
     keep[1] = True
-    # m > 1 is R-smooth iff lpf(m) <= R and m / lpf(m) is; on [2**i, 2**(i+1))
-    # every cofactor lies below 2**i, so each block reads finished entries only
-    lo = 2
-    while lo <= P:
-        hi = min(2 * lo, P + 1)
-        p = lpf[lo:hi]
-        keep[lo:hi] = (p <= R) & keep[np.arange(lo, hi) // p]
-        lo = hi
+    # m > 1 is R-smooth iff lpf(m) <= R and m / lpf(m) is
+    _lpf_recurrence(sieve_tables(P, max_limit).least_prime_factor, keep,
+                    lambda smooth_c, p, c: (p <= R) & smooth_c)
     return SmoothSet(P=P, R=R, members=np.flatnonzero(keep).astype(np.int64))
 
 

@@ -1,9 +1,12 @@
 """Command-line front end.
 
 Subcommands: constants, thm14-table, counts, moments, weights, singular,
-check.  Options resolve in the order: explicit flag, config file (key=value
-lines, '#' comments), environment (PARTITIO_<NAME>), built-in default.
-Exit codes: 0 success, 1 verification failure, 2 usage or config error.
+check.  Each option is declared once in ``_OPTIONS`` and each command once in
+``_COMMANDS``; both feed the parser and the resolver.  Options resolve in the
+order: explicit flag, config file (key=value lines, '#' comments),
+environment (PARTITIO_<NAME>), built-in default, and every value passes the
+option's own type and choices.  Exit codes: 0 success, 1 verification
+failure, 2 usage or config error.
 """
 
 from __future__ import annotations
@@ -44,38 +47,6 @@ def _parse_config_file(path: str) -> dict[str, str]:
     return values
 
 
-class Options:
-    """Layered option resolution: CLI > config file > environment > default."""
-
-    def __init__(self, args: argparse.Namespace, known: set[str]):
-        self.args = args
-        self.config: dict[str, str] = {}
-        if getattr(args, "config", None):
-            self.config = _parse_config_file(args.config)
-            unknown = set(self.config) - known
-            if unknown:
-                raise ConfigError(
-                    f"{args.config}: unknown keys {sorted(unknown)} (allowed: {sorted(known)})"
-                )
-
-    def get(self, name: str, cast, default=None):
-        cli = getattr(self.args, name.replace("-", "_"), None)
-        if cli is not None:
-            return cli
-        if name in self.config:
-            return cast(self.config[name])
-        env = os.environ.get("PARTITIO_" + name.upper().replace("-", "_"))
-        if env is not None:
-            return cast(env)
-        return default
-
-    def require(self, name: str, cast):
-        value = self.get(name, cast, None)
-        if value is None:
-            raise ConfigError(f"missing required option --{name}")
-        return value
-
-
 def _parse_phi(text: str) -> Fraction:
     try:
         return Fraction(text)
@@ -83,94 +54,50 @@ def _parse_phi(text: str) -> Fraction:
         raise ValueError(f"phi {text!r} has a zero denominator") from None
 
 
-def _bool_cast(text: str) -> bool:
-    return text.strip().lower() in ("1", "true", "yes", "on")
+def _switch(text: str) -> bool:
+    """A switch's value as spelled in a config file or the environment."""
+    value = {"1": True, "true": True, "yes": True, "on": True,
+             "0": False, "false": False, "no": False, "off": False}.get(text.strip().lower())
+    if value is None:
+        raise ValueError("a switch takes 1/0, true/false, yes/no or on/off")
+    return value
 
-
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--format", choices=FORMATS, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--tolerance", type=float, default=None)
-    p.add_argument("--config", default=None, help="key=value config file")
-
-
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """Built on first use, then shared: argparse keeps no state between parses."""
-    parser = argparse.ArgumentParser(
-        prog="partitio",
-        description="Desk-scale circle-method workbench: exact counts, "
-        "Weyl-sum profiles, singular series, constants engine.",
-    )
-    sub = parser.add_subparsers(dest="command")
-
-    p = sub.add_parser("constants", help="pruning-constant table and headline constants")
-    _add_common(p)
-
-    p = sub.add_parser("thm14-table", help="verify the stored exponent rows (phi = 1/8)")
-    _add_common(p)
-
-    p = sub.add_parser("counts", help="representation counts and zero sets")
-    _add_common(p)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--s", type=int, default=None)
-    p.add_argument("--limit", type=int, default=None)
-    p.add_argument("--zero-set", action="store_true", default=None)
-    p.add_argument("--x-kind", choices=("square", "prime_square", "hth_power", "none"), default=None)
-    p.add_argument("--natural", action="store_true", default=None,
-                   help="restrict x and y to be at least 1")
-
-    p = sub.add_parser("moments", help="exact and quadrature moments of the smooth Weyl sum")
-    _add_common(p)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--r", type=int, default=None)
-    p.add_argument("--limit", type=int, default=None, help="P, the summand bound")
-    p.add_argument("--eta", type=float, default=None, help="smoothness exponent, R = ceil(P**eta)")
-    p.add_argument("--t", type=float, default=None, help="quadrature moment order (even)")
-    p.add_argument("--Q", type=float, default=None)
-    p.add_argument("--region", choices=("full", "major", "slice"), default=None)
-    p.add_argument("--grid-points", type=int, default=None)
-    p.add_argument("--mean-value", action="store_true", default=None,
-                   help="also count the square-difference mean value at n = limit**k")
-
-    p = sub.add_parser("weights", help="sup profile of |W| over dyadic slices, with decay fit")
-    _add_common(p)
-    p.add_argument("--kind", choices=weights.KINDS, default=None)
-    p.add_argument("--limit", type=int, default=None, help="weight domain n")
-    p.add_argument("--h", type=int, default=None)
-    p.add_argument("--slices", type=int, default=None)
-    p.add_argument("--samples", type=int, default=None)
-
-    p = sub.add_parser("singular", help="singular series, exact integral, local solubility")
-    _add_common(p)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--s", type=int, default=None)
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--q-cut", type=int, default=None)
-    p.add_argument("--integral", action="store_true", default=None)
-    p.add_argument("--n", type=int, default=None, help="check local solubility at this n")
-
-    p = sub.add_parser("check", help="entry conditions and the bound catalogue")
-    _add_common(p)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--s", type=int, default=None)
-    p.add_argument("--phi", type=_parse_phi, default=None, help="e.g. 1/8 or 0.125")
-    p.add_argument("--r", type=int, default=None)
-    p.add_argument("--t", type=float, default=None)
-    p.add_argument("--delta-source", choices=("table", "large-k", "interpolate"), default=None)
-    p.add_argument("--h", type=int, default=None)
-
-    return parser
-
-
-_KNOWN_KEYS = {
-    "format", "seed", "tolerance", "k", "s", "phi", "limit", "Q", "t",
-    "r", "eta", "kind", "h", "m", "q-cut", "n", "region", "grid-points", "slices",
-    "samples", "zero-set", "x-kind", "natural", "integral", "mean-value", "delta-source",
+#: Every option once: name -> (type, default, choices, help).  A type of bool
+#: is a switch.  Config keys are these names; environment variables are
+#: PARTITIO_<NAME> with '-' read as '_'.
+_OPTIONS: dict[str, tuple[Any, Any, Optional[tuple], Optional[str]]] = {
+    "format": (str, "pretty", FORMATS, None),
+    "k": (int, None, None, None),
+    "s": (int, None, None, None),
+    "r": (int, None, None, None),
+    "limit": (int, None, None, "N for counts, P (the summand bound) for moments, "
+              "the weight domain n for weights"),
+    "zero-set": (bool, False, None, None),
+    "x-kind": (str, "square", ("square", "prime_square", "hth_power", "none"), None),
+    "natural": (bool, False, None, "restrict x and y to be at least 1"),
+    "eta": (float, 1.0, None, "smoothness exponent, R = ceil(P**eta)"),
+    "t": (float, None, None, "moment order (even, for moments) or slice parameter (check)"),
+    "Q": (float, None, None, None),
+    "region": (str, "full", ("full", "major", "slice"), None),
+    "grid-points": (int, None, None, None),
+    "mean-value": (bool, False, None,
+                   "also count the square-difference mean value at n = limit**k"),
+    "tolerance": (float, 1e-3, None, "allowed relative gap, quadrature against exact moment"),
+    "kind": (str, None, weights.KINDS, None),
+    "h": (int, None, None, None),
+    "slices": (int, 7, None, None),
+    "samples": (int, 250, None, None),
+    "seed": (int, 0, None, None),
+    "m": (int, None, None, None),
+    "q-cut": (int, 1000, None, None),
+    "integral": (bool, False, None, None),
+    "n": (int, None, None, "check local solubility at this n"),
+    "phi": (_parse_phi, None, None, "e.g. 1/8 or 0.125"),
+    "delta-source": (str, "table", constants.DELTA_SOURCES, None),
 }
 
 
-def _cmd_constants(opts: Options) -> Report:
+def _cmd_constants(o: argparse.Namespace) -> Report:
     rows = constants.c2_star_table()
     rep = constants.constants_report()
     data = [[float(r.phi), r.rhs, r.z_star, r.c2_star, r.c1_value] for r in rows]
@@ -215,7 +142,7 @@ def _cmd_constants(opts: Options) -> Report:
     )
 
 
-def _cmd_exponent_table(opts: Options) -> Report:
+def _cmd_exponent_table(o: argparse.Namespace) -> Report:
     rows = constants.exponent_table_check()
     data = [
         [r.k, r.r, float(r.delta_2r), r.s, r.t, float(r.delta_s_plus_t), r.delta_star,
@@ -235,15 +162,10 @@ def _cmd_exponent_table(opts: Options) -> Report:
     )
 
 
-def _cmd_counts(opts: Options) -> Report:
-    k = opts.require("k", int)
-    s = opts.require("s", int)
-    limit = opts.require("limit", int)
-    natural = bool(opts.get("natural", _bool_cast, False))
-    conventions = dict(
-        x_kind=opts.get("x-kind", str, "square"), x_nonneg=not natural, y_nonneg=not natural
-    )
-    if opts.get("zero-set", _bool_cast, False):
+def _cmd_counts(o: argparse.Namespace) -> Report:
+    k, s, limit = o.k, o.s, o.limit
+    conventions = dict(x_kind=o.x_kind, x_nonneg=not o.natural, y_nonneg=not o.natural)
+    if o.zero_set:
         zeros = counting.zero_set(k, s, limit, **conventions)
         return Report(
             name=f"zero-set k={k} s={s} limit={limit}",
@@ -261,35 +183,27 @@ def _cmd_counts(opts: Options) -> Report:
     )
 
 
-def _cmd_moments(opts: Options) -> Report:
-    k = opts.require("k", int)
-    r = opts.require("r", int)
-    P = opts.require("limit", int)
-    eta = opts.get("eta", float, 1.0)
-    tol = opts.get("tolerance", float, 1e-3)
-    R = arith.smooth_bound(P, eta)
+def _cmd_moments(o: argparse.Namespace) -> Report:
+    k, r, P = o.k, o.r, o.limit
+    R = arith.smooth_bound(P, o.eta)
     rows = []
     exact = counting.moment_exact(k, r, P, R)
     rows.append(["moment_exact", float(exact), ""])
     ok = True
-    t = opts.get("t", float, None)
-    if t is not None:
-        if not t.is_integer():
-            raise ConfigError(f"--t must be an integer, got {t}")
-        t = int(t)
+    if o.t is not None:
+        if not o.t.is_integer():
+            raise ConfigError(f"--t must be an integer, got {o.t}")
+        t = int(o.t)
         w = weights.make_weight("smooth_kth_powers", P**k, k=k, P=P, R=R)
-        region = opts.get("region", str, "full")
-        Q = opts.get("Q", float, None)
-        res = counting.quadrature_moment(
-            w, t, region=region, Q=Q, grid_points=opts.get("grid-points", int, None)
-        )
-        rows.append([f"quadrature[{region}] t={t}", res.value, f"rel_change={res.rel_change:.2e}"])
+        res = counting.quadrature_moment(w, t, region=o.region, Q=o.Q, grid_points=o.grid_points)
+        rows.append([f"quadrature[{o.region}] t={t}", res.value,
+                     f"rel_change={res.rel_change:.2e}"])
         ok &= res.rel_change is not None and res.rel_change < 5e-3
-        if region == "full" and t == 2 * r:
+        if o.region == "full" and t == 2 * r:
             rel = abs(res.value - exact) / exact
-            rows.append(["quadrature_vs_exact", rel, f"tolerance={tol}"])
-            ok &= rel <= tol
-    if opts.get("mean-value", _bool_cast, False):
+            rows.append(["quadrature_vs_exact", rel, f"tolerance={o.tolerance}"])
+            ok &= rel <= o.tolerance
+    if o.mean_value:
         n = P**k
         rows.append(["mean_value_N", float(counting.mean_value_N(k, r, n, R)), f"n={n}"])
     return Report(
@@ -300,22 +214,17 @@ def _cmd_moments(opts: Options) -> Report:
     )
 
 
-def _cmd_weights(opts: Options) -> Report:
-    kind = opts.require("kind", str)
-    n = opts.require("limit", int)
-    h = opts.get("h", int, None)
-    seed = opts.get("seed", int, 0)
-    n_slices = opts.get("slices", int, 7)
-    if n_slices < 1:
-        raise ConfigError(f"--slices must be at least 1, got {n_slices}")
-    samples = opts.get("samples", int, 250)
-    w = weights.make_weight(kind, n, h=h)
+def _cmd_weights(o: argparse.Namespace) -> Report:
+    kind, n = o.kind, o.limit
+    if o.slices < 1:
+        raise ConfigError(f"--slices must be at least 1, got {o.slices}")
+    w = weights.make_weight(kind, n, h=o.h)
     stats = weights.weight_stats(w) if w.is_nonnegative else None
     top = 2.0 * math.sqrt(n)
-    Q_list = sorted(top / 2**j for j in range(n_slices))
-    profile = sup_profile(w, n, Q_list, samples_per_slice=samples, seed=seed)
+    Q_list = sorted(top / 2**j for j in range(o.slices))
+    profile = sup_profile(w, n, Q_list, samples_per_slice=o.samples, seed=o.seed)
     rows = [[Q, sup, sup / w.norm if w.norm else 0.0] for Q, sup in profile]
-    meta: dict[str, Any] = {"kind": kind, "n": n, "norm": w.norm, "seed": seed}
+    meta: dict[str, Any] = {"kind": kind, "n": n, "norm": w.norm, "seed": o.seed}
     positive = [p for p in profile if p[1] > 0]
     if len(positive) >= 2 and w.norm > 0:
         fit = fit_decay(positive, w.norm)
@@ -330,29 +239,23 @@ def _cmd_weights(opts: Options) -> Report:
     )
 
 
-def _cmd_singular(opts: Options) -> Report:
-    k = opts.require("k", int)
-    s = opts.require("s", int)
+def _cmd_singular(o: argparse.Namespace) -> Report:
+    k, s, m = o.k, o.s, o.m
     rows = []
     ok = True
-    m = opts.get("m", int, None)
     if m is not None:
-        q_cut = opts.get("q-cut", int, 1000)
-        res = singular.singular_series(m, s, k, q_cut)
-        rows.append(["series_partial", res.partial, f"m={m} Q_cut={q_cut}"])
+        res = singular.singular_series(m, s, k, o.q_cut)
+        rows.append(["series_partial", res.partial, f"m={m} Q_cut={o.q_cut}"])
         rows.append(["series_last_block", res.last_block, ""])
         ok &= res.partial >= -1e-6
-        if opts.get("integral", _bool_cast, False):
+        if o.integral:
             exact, asym = singular.singular_integral(m, s, k)
             rows.append(["integral_exact", exact, ""])
             rows.append(["integral_asymptotic", asym, ""])
-    n = opts.get("n", int, None)
-    if n is not None:
-        loc = singular.local_solubility(k, s, n)
-        rows.append(
-            ["local_witness", 1.0 if loc.witness else 0.0,
-             f"witness={loc.witness} mod={loc.modulus}"]
-        )
+    if o.n is not None:
+        loc = singular.local_solubility(k, s, o.n)
+        rows.append(["local_witness", 1.0 if loc.witness else 0.0,
+                     f"witness={loc.witness} mod={loc.modulus}"])
         ok &= loc.n_minus_square_hits_R
     if not rows:
         raise ConfigError("singular needs --m and/or --n")
@@ -364,18 +267,13 @@ def _cmd_singular(opts: Options) -> Report:
     )
 
 
-def _cmd_check(opts: Options) -> Report:
-    k = opts.require("k", int)
-    s = opts.require("s", int)
-    phi = opts.require("phi", _parse_phi)
-    r = opts.get("r", int, None)
-    t = opts.get("t", float, None)
+def _cmd_check(o: argparse.Namespace) -> Report:
+    k, s, phi, t = o.k, o.s, o.phi, o.t
     if t is not None and not math.isfinite(t):
         raise ConfigError(f"--t must be finite, got {t}")
     if t is not None and t == int(t):
         t = int(t)
-    source = opts.get("delta-source", str, "table")
-    rep = constants.condition_check(k, s, phi, r=r, t=t, delta_source=source)
+    rep = constants.condition_check(k, s, phi, r=o.r, t=t, delta_source=o.delta_source)
     rows = [
         ["s_ge_3k_over_2", rep.s_ge_3k_over_2, ""],
         ["size_condition", rep.size_condition, ""],
@@ -387,20 +285,12 @@ def _cmd_check(opts: Options) -> Report:
             ["slice_condition", rep.slice_condition,
              f"delta_s_plus_t={rep.delta_s_plus_t} delta_star={rep.delta_star}"]
         )
-    cat = constants.bound_catalog(k, h=opts.get("h", int, None))
+    cat = constants.bound_catalog(k, h=o.h)
+    bounds = ("g_bound", "p_bound", "s0_bound", "s0_small", "t0_bound", "t0_small",
+              "s0_tilde", "s0_mobius", "mixed_power_bound")
     meta = {
         "delta_star": None if rep.delta_star is None else float(rep.delta_star),
-        "bounds": {
-            "g_bound": cat.g_bound,
-            "p_bound": cat.p_bound,
-            "s0_bound": cat.s0_bound,
-            "s0_small": cat.s0_small,
-            "t0_bound": cat.t0_bound,
-            "t0_small": cat.t0_small,
-            "s0_tilde": cat.s0_tilde,
-            "s0_mobius": cat.s0_mobius,
-            "mixed_power_bound": cat.mixed_power_bound,
-        },
+        "bounds": {name: getattr(cat, name) for name in bounds},
     }
     return Report(
         name=f"condition-check k={k} s={s} phi={phi}",
@@ -411,15 +301,82 @@ def _cmd_check(opts: Options) -> Report:
     )
 
 
+#: Every command once: name -> (handler, help, required options, other options).
+#: Each command also takes --format and --config.
 _COMMANDS = {
-    "constants": _cmd_constants,
-    "thm14-table": _cmd_exponent_table,
-    "counts": _cmd_counts,
-    "moments": _cmd_moments,
-    "weights": _cmd_weights,
-    "singular": _cmd_singular,
-    "check": _cmd_check,
+    "constants": (_cmd_constants, "pruning-constant table and headline constants", (), ()),
+    "thm14-table": (_cmd_exponent_table, "verify the stored exponent rows (phi = 1/8)", (), ()),
+    "counts": (_cmd_counts, "representation counts and zero sets",
+               ("k", "s", "limit"), ("zero-set", "x-kind", "natural")),
+    "moments": (_cmd_moments, "exact and quadrature moments of the smooth Weyl sum",
+                ("k", "r", "limit"),
+                ("eta", "t", "Q", "region", "grid-points", "mean-value", "tolerance")),
+    "weights": (_cmd_weights, "sup profile of |W| over dyadic slices, with decay fit",
+                ("kind", "limit"), ("h", "slices", "samples", "seed")),
+    "singular": (_cmd_singular, "singular series, exact integral, local solubility",
+                 ("k", "s"), ("m", "q-cut", "integral", "n")),
+    "check": (_cmd_check, "entry conditions and the bound catalogue",
+              ("k", "s", "phi"), ("r", "t", "delta-source", "h")),
 }
+
+
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """Built on first use, then shared: argparse keeps no state between parses."""
+    parser = argparse.ArgumentParser(
+        prog="partitio",
+        description="Desk-scale circle-method workbench: exact counts, "
+        "Weyl-sum profiles, singular series, constants engine.",
+    )
+    sub = parser.add_subparsers(dest="command")
+    for command, (_, help_text, required, optional) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for name in ("format", *required, *optional):
+            kind, _, choices, help_text = _OPTIONS[name]
+            how = (dict(action="store_true", default=None) if kind is bool
+                   else dict(type=kind, choices=choices))
+            p.add_argument(f"--{name}", help=help_text, **how)
+        p.add_argument("--config", help="key=value config file")
+    return parser
+
+
+def _cast(name: str, text: str, origin: str) -> Any:
+    """A config or environment value through the option's own type and choices."""
+    kind, _, choices, _ = _OPTIONS[name]
+    try:
+        value = (_switch if kind is bool else kind)(text)
+    except ValueError as exc:
+        raise ConfigError(f"{origin}: invalid value {text!r} for --{name}: {exc}") from None
+    if choices is not None and value not in choices:
+        raise ConfigError(f"{origin}: invalid choice {text!r} for --{name} "
+                          f"(choose from {', '.join(choices)})")
+    return value
+
+
+def _resolve(args: argparse.Namespace) -> argparse.Namespace:
+    """Fill every option of the command that no flag set, from the config
+    file, then PARTITIO_<NAME>, then the default."""
+    config = _parse_config_file(args.config) if args.config else {}
+    unknown = set(config) - set(_OPTIONS)
+    if unknown:
+        raise ConfigError(
+            f"{args.config}: unknown keys {sorted(unknown)} (allowed: {sorted(_OPTIONS)})"
+        )
+    _, _, required, optional = _COMMANDS[args.command]
+    for name in (*required, *optional, "format"):
+        dest = name.replace("-", "_")
+        if getattr(args, dest) is not None:
+            continue
+        env = "PARTITIO_" + dest.upper()
+        if name in config:
+            setattr(args, dest, _cast(name, config[name], f"{args.config}: {name}"))
+        elif env in os.environ:
+            setattr(args, dest, _cast(name, os.environ[env], env))
+        elif name in required:
+            raise ConfigError(f"missing required option --{name}")
+        else:
+            setattr(args, dest, _OPTIONS[name][1])
+    return args
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -429,12 +386,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         parser.print_usage(sys.stderr)
         return 2
     try:
-        opts = Options(args, _KNOWN_KEYS)
-        report = _COMMANDS[args.command](opts)
-        fmt = opts.get("format", str, "pretty")
-        if fmt not in FORMATS:
-            raise ConfigError(f"unknown format {fmt!r}")
-        sys.stdout.write(emit(report, fmt))
+        o = _resolve(args)
+        report = _COMMANDS[args.command][0](o)
+        sys.stdout.write(emit(report, o.format))
         return 0 if report.ok else 1
     except (ConfigError, OSError, ValueError, KeyError, PrecisionLimit) as exc:
         print(f"error: {exc}", file=sys.stderr)

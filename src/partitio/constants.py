@@ -327,6 +327,15 @@ DELTA_TABLE: dict[int, dict[int, Fraction]] = {
 }
 
 
+#: The ways an admissible exponent can be resolved; see admissible_exponent.
+DELTA_SOURCES = ("table", "large-k", "interpolate")
+
+
+def _check_source(source: str) -> None:
+    if source not in DELTA_SOURCES:
+        raise ValueError(f"unknown delta source {source!r} (one of {', '.join(DELTA_SOURCES)})")
+
+
 def admissible_exponent(k: int, t: Number, source: str = "table") -> float:
     """Resolve an admissible exponent Delta_t for exponent k.
 
@@ -334,6 +343,7 @@ def admissible_exponent(k: int, t: Number, source: str = "table") -> float:
     number); "table" looks up a stored value; "interpolate" averages the two
     stored neighbours Delta_{t-1} and Delta_{t+1}.
     """
+    _check_source(source)
     if source == "large-k":
         if t != int(t) or int(t) < 2 or int(t) % 2:
             raise ValueError(f"large-k source needs an even natural t, got {t}")
@@ -343,24 +353,24 @@ def admissible_exponent(k: int, t: Number, source: str = "table") -> float:
             return float(DELTA_TABLE[k][int(t)])
         except KeyError as exc:
             raise MissingTableEntry(f"no stored Delta_{t} for k={k}") from exc
-    if source == "interpolate":
-        try:
-            lo = DELTA_TABLE[k][int(t) - 1]
-            hi = DELTA_TABLE[k][int(t) + 1]
-        except KeyError as exc:
-            raise MissingTableEntry(
-                f"interpolation for Delta_{t} at k={k} needs both neighbours"
-            ) from exc
-        return float((lo + hi) / 2)
-    raise ValueError(f"unknown source {source!r}")
+    try:  # interpolate
+        lo = DELTA_TABLE[k][int(t) - 1]
+        hi = DELTA_TABLE[k][int(t) + 1]
+    except KeyError as exc:
+        raise MissingTableEntry(
+            f"interpolation for Delta_{t} at k={k} needs both neighbours"
+        ) from exc
+    return float((lo + hi) / 2)
 
 
 def _try_delta(k: int, t: Number, source: str) -> Optional[Number]:
-    """Like admissible_exponent but None where the source cannot resolve.
+    """Like admissible_exponent but None where a known source cannot resolve;
+    an unknown source is a ValueError.
 
     Table lookups return the stored exact Fraction so downstream comparisons
     can stay in rational arithmetic.
     """
+    _check_source(source)
     if source in ("table", "interpolate") and t != int(t):
         return None
     if source == "table":

@@ -21,7 +21,9 @@ from typing import Optional, Union
 import numpy as np
 
 from partitio.arcs import Dissection
-from partitio.arith import SmoothSet, coprime_mask, iroot, sieve_tables, smooth_set
+from partitio.arith import (
+    SmoothSet, _lpf_recurrence, coprime_mask, iroot, sieve_tables, smooth_set,
+)
 from partitio.expsums import exp_sum_grid, exp_sum_many
 from partitio.weights import Weight
 
@@ -349,18 +351,10 @@ def quadrature_moment(
 
 
 def _totients(N: int) -> np.ndarray:
-    lpf = sieve_tables(max(N, 2)).least_prime_factor
-    phi = np.arange(N + 1, dtype=np.int64)
-    # phi(m) = phi(c) * (p if p | c else p - 1) for p = lpf(m), c = m / p; on
-    # [2**i, 2**(i+1)) every c lies below 2**i, so each block reads finished entries
-    lo = 2
-    while lo <= N:
-        hi = min(2 * lo, N + 1)
-        p = lpf[lo:hi]
-        c = np.arange(lo, hi) // p
-        phi[lo:hi] = phi[c] * np.where(c % p == 0, p, p - 1)
-        lo = hi
-    return phi
+    # phi(m) = phi(c) * (p if p | c else p - 1) for p = lpf(m), c = m / p
+    return _lpf_recurrence(sieve_tables(max(N, 2)).least_prime_factor,
+                           np.arange(N + 1, dtype=np.int64),
+                           lambda phi_c, p, c: phi_c * np.where(c % p == 0, p, p - 1))
 
 
 def _arc_ugrid(U: float, inner_step: float = 0.25, per_decade: int = 16) -> np.ndarray:

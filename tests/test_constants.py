@@ -350,6 +350,16 @@ def test_condition_check_unresolvable():
         C.condition_check(6, 11, 0.5)
 
 
+def test_unknown_delta_source_is_rejected_up_front():
+    # a misspelt source is a ValueError naming it, not an unresolvable Delta
+    for call in (lambda: C.condition_check(7, 20, Fraction(1, 8), delta_source="tabel"),
+                 lambda: C.condition_check(7, 20, Fraction(1, 8), r=4, t=6, delta_source="tabel"),
+                 lambda: C.admissible_exponent(7, 26, "tabel")):
+        with pytest.raises(ValueError, match="tabel") as exc:
+            call()
+        assert not isinstance(exc.value, C.UnresolvableDelta)
+
+
 def test_exponent_table_check_rows():
     rows = C.exponent_table_check()
     assert len(rows) == 6

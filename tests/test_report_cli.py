@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -411,3 +412,141 @@ def test_shared_parser_output_matches_fresh_process(monkeypatch, capsys):
         assert run_cli(capsys, "thm14-table")[1].encode() == expected_env
         monkeypatch.delenv("PARTITIO_FORMAT")
     assert cli.build_parser.cache_info().misses == 1
+
+
+# ---------------------------------------------------------------------------
+# The option table: flags, config keys and PARTITIO_<NAME> resolve alike
+# ---------------------------------------------------------------------------
+
+# one cheap valid run per command; each of these options is also tested alone
+_BASE = {
+    "constants": {},
+    "thm14-table": {},
+    "counts": {"k": "3", "s": "3", "limit": "120"},
+    "moments": {"k": "3", "r": "1", "limit": "8"},
+    "weights": {"kind": "squares", "limit": "4000", "slices": "2", "samples": "20"},
+    "singular": {"k": "3", "s": "5", "m": "5", "q-cut": "40"},
+    "check": {"k": "7", "s": "20", "phi": "1/8", "r": "4", "t": "6"},
+}
+# a valid value, other than the default, for every other option (True: a switch)
+_VALUES = {
+    "format": "json", "zero-set": True, "x-kind": "none", "natural": True, "eta": "0.8",
+    "t": "2", "Q": "4", "region": "major", "grid-points": "1024", "mean-value": True,
+    "tolerance": "0.5", "h": "3", "seed": "5", "integral": True, "n": "37",
+    "delta-source": "large-k",
+}
+_PAIRS = [(command, name) for command, (_, _, required, optional) in cli._COMMANDS.items()
+          for name in ("format", *required, *optional)]
+
+
+def _clear_partitio_env(monkeypatch):
+    for name in [k for k in os.environ if k.startswith("PARTITIO_")]:
+        monkeypatch.delenv(name)
+
+
+def _as_flags(options):
+    argv = []
+    for name, value in options.items():
+        argv += [f"--{name}"] if value is True else [f"--{name}", value]
+    return argv
+
+
+@pytest.mark.parametrize("command, name", _PAIRS)
+def test_option_resolves_alike_from_flag_config_and_env(command, name, tmp_path, monkeypatch,
+                                                        capsys):
+    _clear_partitio_env(monkeypatch)
+    others = {k: v for k, v in _BASE[command].items() if k != name}
+    value = _BASE[command].get(name, _VALUES.get(name))
+    assert value is not None, f"no test value for --{name}"
+    argv = [command, *_as_flags(others)]
+    via_flag = run_cli(capsys, *argv, *_as_flags({name: value}))
+    assert via_flag[0] != 2, via_flag[2]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{name} = {'yes' if value is True else value}\n")
+    via_config = run_cli(capsys, *argv, "--config", str(cfg))
+    monkeypatch.setenv("PARTITIO_" + name.upper().replace("-", "_"),
+                       "On" if value is True else value)
+    via_env = run_cli(capsys, *argv)
+    assert via_config[:2] == via_flag[:2]
+    assert via_env[:2] == via_flag[:2]
+
+
+_CHOICE_OPTIONS = [(command, name) for command, name in _PAIRS
+                   if cli._OPTIONS[name][2] is not None]
+
+
+@pytest.mark.parametrize("command, name", _CHOICE_OPTIONS)
+def test_value_outside_choices_is_usage_error(command, name, tmp_path, monkeypatch, capsys):
+    _clear_partitio_env(monkeypatch)
+    argv = [command, *_as_flags({k: v for k, v in _BASE[command].items() if k != name})]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{name} = bogus\n")
+    code, out, err = run_cli(capsys, *argv, "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert f"--{name}" in err and "bogus" in err
+    monkeypatch.setenv("PARTITIO_" + name.upper().replace("-", "_"), "bogus")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert f"--{name}" in err and "bogus" in err
+
+
+def test_malformed_switch_is_usage_error(tmp_path, monkeypatch, capsys):
+    _clear_partitio_env(monkeypatch)
+    argv = ["counts", "--k", "3", "--s", "3", "--limit", "120"]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("natural = ture\n")
+    code, out, err = run_cli(capsys, *argv, "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert "--natural" in err and "ture" in err
+    monkeypatch.setenv("PARTITIO_ZERO_SET", "maybe")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "PARTITIO_ZERO_SET" in err and "--zero-set" in err
+    # every accepted spelling, in any case, reads as the switch's value
+    for text, zeros in (("1", True), ("TRUE", True), ("yes", True), ("On", True),
+                        ("0", False), ("false", False), ("NO", False), ("off", False)):
+        monkeypatch.setenv("PARTITIO_ZERO_SET", text)
+        code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+        assert code == 0
+        assert out.startswith("n\n" if zeros else "n,count\n"), text
+
+
+def test_unknown_delta_source_in_config_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("delta-source = tabel\n")
+    code, out, err = run_cli(capsys, "check", "--k", "7", "--s", "20", "--phi", "1/8",
+                             "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert "--delta-source" in err and "tabel" in err and "resolvable" not in err
+
+
+def test_bad_env_option_fails_before_the_command_runs(monkeypatch, capsys):
+    _clear_partitio_env(monkeypatch)
+    monkeypatch.setenv("PARTITIO_REGION", "everywhere")
+    code, out, err = run_cli(capsys, "moments", "--k", "3", "--r", "1", "--limit", "8")
+    assert (code, out) == (2, "")
+    assert "--region" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["constants", "--seed", "1"],
+    ["counts", "--k", "3", "--s", "3", "--limit", "120", "--tolerance", "1e-3"],
+])
+def test_options_a_command_does_not_read_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_help_lists_only_the_commands_own_options(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    text = capsys.readouterr().out
+    _, _, required, optional = cli._COMMANDS[command]
+    own = {"format", "config", *required, *optional}
+    for name in [*cli._OPTIONS, "config"]:
+        listed = re.search(rf"(?<![\w-])--{re.escape(name)}(?![\w-])", text) is not None
+        assert listed == (name in own), (command, name)
