@@ -19,9 +19,10 @@ class CapacityLimit(MemoryError):
 class SieveTables:
     """Least-prime-factor, Moebius and prime tables up to ``limit``.
 
-    ``least_prime_factor[m]`` is the smallest prime dividing m (index 0 and 1
-    are 0), ``mobius[m]`` is mu(m) with mu[0] = 0, and ``primes`` ascends.
-    Immutable once built; safe to share.
+    ``least_prime_factor[m]`` (int32) is the smallest prime dividing m (index
+    0 and 1 are 0), ``mobius[m]`` (int8) is mu(m) with mu[0] = 0, and
+    ``primes`` (int64, so squares of primes stay exact) ascends.  Limits from
+    2**31 up raise CapacityLimit.  Immutable once built; safe to share.
     """
 
     limit: int
@@ -61,28 +62,31 @@ def coprime_mask(q: int) -> np.ndarray:
 def sieve_tables(N: int, max_limit: int = DEFAULT_MAX_LIMIT) -> SieveTables:
     if N < 2:
         raise ValueError("N must be at least 2")
-    if N > max_limit:
-        raise CapacityLimit(f"sieve limit {N} exceeds budget {max_limit}")
+    budget = min(max_limit, 2**31 - 1)  # entries and indices must fit in int32
+    if N > budget:
+        raise CapacityLimit(f"sieve limit {N} exceeds budget {budget}")
 
-    lpf = np.zeros(N + 1, dtype=np.int64)
-    for p in range(2, math.isqrt(N) + 1):
-        if lpf[p] == 0:
-            view = lpf[p * p :: p]
-            view[view == 0] = p
-    untouched = lpf == 0
-    untouched[:2] = False
-    idx = np.arange(N + 1, dtype=np.int64)
-    lpf[untouched] = idx[untouched]  # remaining entries are prime
+    small = np.ones(math.isqrt(N) + 1, dtype=bool)  # primes up to sqrt(N)
+    small[:2] = False
+    for p in range(2, math.isqrt(len(small) - 1) + 1):
+        small[p * p :: p] = False
+    small_primes = np.flatnonzero(small).tolist()
 
-    primes = idx[2:][lpf[2:] == idx[2:]]
+    # a composite m has lpf(m)**2 <= m, so striding from p*p over the primes
+    # in descending order leaves the least prime factor written last
+    lpf = np.zeros(N + 1, dtype=np.int32)
+    for p in reversed(small_primes):
+        lpf[p * p :: p] = p
+    primes = np.flatnonzero(lpf == 0)[2:]  # untouched entries past 0 and 1 are prime
+    lpf[primes] = primes
 
     # every m <= N has at most one prime factor above sqrt(N): flip the sign
     # once per small prime factor, then once more where the cofactor left
     # after dividing out each small prime once is a large prime
-    mobius = np.ones(N + 1, dtype=np.int64)
+    mobius = np.ones(N + 1, dtype=np.int8)
     mobius[0] = 0
-    cofactor = idx
-    for p in primes[primes * primes <= N]:
+    cofactor = np.arange(N + 1, dtype=np.int32)
+    for p in small_primes:
         mobius[p::p] *= -1
         mobius[p * p :: p * p] = 0
         cofactor[p::p] //= p

@@ -348,6 +348,8 @@ def admissible_exponent(k: int, t: Number, source: str = "table") -> float:
         if t != int(t) or int(t) < 2 or int(t) % 2:
             raise ValueError(f"large-k source needs an even natural t, got {t}")
         return k * eta(float(t) / k)
+    if t != int(t):
+        raise ValueError(f"{source} source needs an integer t, got {t}")
     if source == "table":
         try:
             return float(DELTA_TABLE[k][int(t)])
@@ -371,10 +373,8 @@ def _try_delta(k: int, t: Number, source: str) -> Optional[Number]:
     can stay in rational arithmetic.
     """
     _check_source(source)
-    if source in ("table", "interpolate") and t != int(t):
-        return None
     if source == "table":
-        return DELTA_TABLE.get(k, {}).get(int(t))
+        return DELTA_TABLE.get(k, {}).get(int(t)) if t == int(t) else None
     try:
         return admissible_exponent(k, t, source)
     except (MissingTableEntry, ValueError):

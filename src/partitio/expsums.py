@@ -29,7 +29,11 @@ and runs whichever of two kernels its operation count says is cheaper:
   norm (squares, primes, Moebius at n up to 1e6), where the dense kernel
   was off by up to 1.3e-10.  The exponential-of-semicircle kernel (Barnett,
   Magland & af Klinteberg, SISC 41 (2019)) would need fewer reads per
-  point, but the reads are not what costs here.
+  point, but the reads are not what costs here.  The weight-only half
+  (offsets, deconvolution, binning, one real FFT per real part) is a plan,
+  built by the first NUFFT call on a weight and kept on that instance,
+  outside its dataclass fields, for one R; later calls at any points and
+  any j reuse it, with the same bits as a fresh transform.
 
 Cost model, in ns measured on one core of a 2-vCPU Intel Xeon with numpy
 2.4: dense ``_DENSE_NS`` per term (the cos and the sin: ~15 ns on regularly
@@ -40,7 +44,7 @@ support); NUFFT ``_FFT_NS`` per R log2 R for each real part of the weight
 NUFFT runs only when its estimate is the lower one and R <= ``_NUFFT_MAX_GRID``
 (its buffers then stay near 100 MB), never for a single point or a support
 of at most 2w terms.  The choice depends only on |support|, the support's
-span and the number of points, so equal calls give equal bits.
+span and the number of points, not on a plan, so equal calls give equal bits.
 
 Precision limit: off the grid, t m is an exact float product only while
 |m * j * phase| <= 2**53; past that ``float(m)`` is no longer m, and
@@ -49,6 +53,7 @@ Precision limit: off the grid, t m is an exact float product only while
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -95,7 +100,7 @@ def exp_sum_many(w: Weight, alphas: np.ndarray, j: int = 1) -> np.ndarray:
     t -= np.floor(t)
     grid = _nufft_grid(len(w.support), hi - lo, len(t), np.iscomplexobj(w.values))
     if grid:
-        return _nufft(w.support, w.values, t, grid)
+        return _nufft(w, t, grid)
     return _dense(w.support.astype(float), w.values, t)
 
 
@@ -111,6 +116,7 @@ def _nufft_grid(terms: int, span: int, points: int, is_complex: bool) -> int:
     return R if cost < _DENSE_NS * terms * points else 0
 
 
+@functools.lru_cache(maxsize=1024)
 def _smooth_length(n: int) -> int:
     """Least 2**a 3**b 5**c >= n."""
     best = 1 << max(0, (n - 1).bit_length())
@@ -153,14 +159,25 @@ def _frac_times(t: np.ndarray, m: int) -> np.ndarray:
     return x - np.rint(x)
 
 
-def _nufft(m: np.ndarray, values: np.ndarray, t: np.ndarray, R: int) -> np.ndarray:
-    lo = int(m.min())
-    span = int(m.max()) - lo
-    c = span // 2
-    idx = m - lo
-    k = (idx - c) / R
-    deconv = np.exp(2 * math.pi**2 * _GAUSS_VAR * k * k)
+def _plan(w: Weight, R: int) -> tuple:
+    """The NUFFT plan of w at grid length R as (lo, c, spectra), built once."""
+    plan = vars(w).get("_nufft_plan")
+    if plan is None or plan[0] != R:
+        lo = int(w.support.min())
+        span = int(w.support.max()) - lo
+        c = span // 2
+        idx = w.support - lo
+        k = (idx - c) / R
+        deconv = np.exp(2 * math.pi**2 * _GAUSS_VAR * k * k)
+        parts = (w.values.real, w.values.imag) if np.iscomplexobj(w.values) else (w.values,)
+        spectra = [np.fft.rfft(np.bincount(idx, weights=part * deconv, minlength=span + 1), R)
+                   for part in parts]
+        vars(w)["_nufft_plan"] = plan = (R, lo, c, spectra)
+    return plan[1:]
 
+
+def _nufft(w: Weight, t: np.ndarray, R: int) -> np.ndarray:
+    lo, c, spectra = _plan(w, R)
     # stencil around each point: grid cells l0 + o with |t R - l0 - o| <= w;
     # the mode shift e(-c l / R) splits into e(-c o / R) here and e(-c l0 / R)
     # in the point's phase below
@@ -177,8 +194,7 @@ def _nufft(m: np.ndarray, values: np.ndarray, t: np.ndarray, R: int) -> np.ndarr
     fold = np.minimum(L, R - L)
     lower = L < R - L
     grid = []
-    for part in (values.real, values.imag) if np.iscomplexobj(values) else (values,):
-        spectrum = np.fft.rfft(np.bincount(idx, weights=part * deconv, minlength=span + 1), R)
+    for spectrum in spectra:
         g = spectrum[fold]
         np.negative(g.imag, out=g.imag, where=lower)
         grid.append(g)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from partitio import arith
 from partitio.arith import CapacityLimit, coprime_mask, sieve_tables, smooth_bound, smooth_set
 
 
@@ -82,6 +83,38 @@ def test_lpf_properties():
 def test_capacity_limit():
     with pytest.raises(CapacityLimit):
         sieve_tables(10**7, max_limit=10**6)
+
+
+def _lpf_brute(m):
+    d = 2
+    while d * d <= m:
+        if m % d == 0:
+            return d
+        d += 1
+    return m
+
+
+def test_sieve_tables_match_brute_force():
+    # every N up to 400, then N around p*p, which decides the small primes
+    boundaries = [p * p + d for p in (23, 29, 31, 37, 41, 43, 47) for d in (-1, 0, 1)]
+    top = max(boundaries)
+    lpf = [0, 0] + [_lpf_brute(m) for m in range(2, top + 1)]
+    mu = [0] + [_mu_brute(m) for m in range(1, top + 1)]
+    for N in list(range(2, 401)) + boundaries:
+        t = sieve_tables(N)
+        assert (t.least_prime_factor.dtype, t.mobius.dtype, t.primes.dtype) == (
+            np.int32, np.int8, np.int64)
+        assert t.least_prime_factor.tolist() == lpf[: N + 1], N
+        assert t.mobius.tolist() == mu[: N + 1], N
+        assert t.primes.tolist() == [m for m in range(2, N + 1) if lpf[m] == m], N
+
+
+def test_capacity_limit_at_int32_range(monkeypatch):
+    # the tables are int32: 2**31 is refused whatever the budget, before any
+    # array exists (without numpy, any allocation would raise another error)
+    monkeypatch.setattr(arith, "np", None)
+    with pytest.raises(CapacityLimit):
+        sieve_tables(2**31, max_limit=2**32)
 
 
 def test_smooth_examples():

@@ -328,6 +328,15 @@ def test_admissible_interpolate():
         C.admissible_exponent(5, 8, "interpolate")
 
 
+@pytest.mark.parametrize("source", C.DELTA_SOURCES)
+@pytest.mark.parametrize("t", [5.5, 5.9, 6.5])
+def test_admissible_rejects_non_integer_t(source, t):
+    # truncating t = 5.5 or 5.9 would return the stored Delta_5
+    with pytest.raises(ValueError):
+        C.admissible_exponent(3, t, source)
+    assert C._try_delta(3, t, source) is None
+
+
 def test_condition_check_prime_square_rows():
     rep = C.condition_check(7, 20, Fraction(1, 8), r=4, t=6)
     assert rep.delta_star == Fraction(7, 32)

@@ -1,11 +1,12 @@
+import dataclasses
 import math
 from math import gcd
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from partitio import expsums
+from partitio import cli, expsums
 from partitio.arith import smooth_set
 from partitio.expsums import (
     DecayFit,
@@ -98,7 +99,7 @@ def test_exp_sum_many_and_nufft_match_dense_oracle(kind, log_n, j, q, a, nodes, 
     oracle = _dense_oracle(w, alphas, j)
     tol = 1e-10 * w.norm
     assert np.abs(exp_sum_many(w, alphas, j) - oracle).max() <= tol
-    forced = expsums._nufft(w.support, w.values, _reduced(w, alphas, j), R)
+    forced = expsums._nufft(w, _reduced(w, alphas, j), R)
     assert np.abs(forced - oracle).max() <= tol
 
 
@@ -117,9 +118,74 @@ def test_nufft_exact_phases_at_large_span(rng):
         num, den = float(alpha).as_integer_ratio()
         phases = np.array([(int(m) * num % den) / den for m in support])
         exact.append(np.sum(values * np.exp(2j * np.pi * phases)))
-    got = expsums._nufft(support, values, _reduced(w, alphas), _grid_length(w))
+    got = expsums._nufft(w, _reduced(w, alphas), _grid_length(w))
     assert np.abs(got - np.array(exact)).max() <= 1e-13 * w.norm
 
+
+
+@settings(max_examples=20)
+@given(
+    kind=st.sampled_from(("mobius", "primes_log", "complex")),
+    calls=st.lists(st.tuples(st.integers(min_value=2, max_value=300), st.sampled_from((1, 2)),
+                             st.integers(min_value=0, max_value=2**32 - 1)),
+                   min_size=1, max_size=4),
+    order=st.randoms(use_true_random=False),
+)
+def test_planned_weight_matches_fresh_weight_bitwise(kind, calls, order):
+    # one weight serves every call from its plan, in shuffled order and each
+    # call twice; a replace() copy starts without a plan and transforms anew
+    w = _test_weight(kind, 30000, 1)
+    points = [np.random.default_rng(seed).random(count) for count, _, seed in calls]
+    fresh = [exp_sum_many(dataclasses.replace(w), x, j) for x, (_, j, _) in zip(points, calls)]
+    schedule = list(range(len(calls))) * 2
+    order.shuffle(schedule)
+    for i in schedule:
+        assert exp_sum_many(w, points[i], calls[i][1]).tobytes() == fresh[i].tobytes()
+
+
+def _count_rfft(monkeypatch):
+    calls = []
+    rfft = np.fft.rfft
+
+    def spy(*args, **kwargs):
+        calls.append(len(args[0]))
+        return rfft(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft", spy)
+    return calls
+
+
+def test_plan_is_outside_the_dataclass_fields(monkeypatch):
+    w = make_weight("mobius", 10**5)
+    twin, text = dataclasses.replace(w), repr(w)
+    names = [f.name for f in dataclasses.fields(w)]
+    rffts = _count_rfft(monkeypatch)
+    rng = np.random.default_rng(1)
+    for j in (1, 2, 1):
+        exp_sum_many(w, rng.random(64), j)
+    assert len(rffts) == 1 and "_nufft_plan" in vars(w)
+    assert [f.name for f in dataclasses.fields(w)] == names
+    assert w == twin and repr(w) == text
+
+
+def test_cli_weights_transforms_the_weight_once(monkeypatch, capsys):
+    argv = ["weights", "--kind", "primes_log", "--limit", "200000", "--format", "csv"]
+    rffts = _count_rfft(monkeypatch)
+    assert cli.main(argv) == 0
+    planned = capsys.readouterr().out
+    assert len(rffts) == 1
+
+    # the per-call transform: drop the plan before every NUFFT call
+    plan = expsums._plan
+
+    def unplanned(w, R):
+        vars(w).pop("_nufft_plan", None)
+        return plan(w, R)
+
+    monkeypatch.setattr(expsums, "_plan", unplanned)
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == planned
+    assert len(rffts) > 2
 
 def _kernel_taken(monkeypatch, w, points):
     taken = []
