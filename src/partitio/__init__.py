@@ -18,7 +18,6 @@ from partitio.constants import (
     condition_check,
     constants_report,
     e_closed,
-    e_oracle,
     eta,
     eta_inverse,
     exponent_table_check,

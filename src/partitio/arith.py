@@ -59,18 +59,32 @@ def coprime_mask(q: int) -> np.ndarray:
     return mask
 
 
-def sieve_tables(N: int, max_limit: int = DEFAULT_MAX_LIMIT) -> SieveTables:
-    if N < 2:
-        raise ValueError("N must be at least 2")
-    budget = min(max_limit, 2**31 - 1)  # entries and indices must fit in int32
+def _check_budget(N: int, max_limit: int) -> None:
+    # one budget for every sieve; sieve_tables' entries and indices are int32
+    budget = min(max_limit, 2**31 - 1)
     if N > budget:
         raise CapacityLimit(f"sieve limit {N} exceeds budget {budget}")
 
-    small = np.ones(math.isqrt(N) + 1, dtype=bool)  # primes up to sqrt(N)
-    small[:2] = False
-    for p in range(2, math.isqrt(len(small) - 1) + 1):
-        small[p * p :: p] = False
-    small_primes = np.flatnonzero(small).tolist()
+
+def primes_up_to(N: int, max_limit: int = DEFAULT_MAX_LIMIT) -> np.ndarray:
+    """The primes up to N, ascending, as int64 (so their squares stay exact),
+    from a bool sieve over the odd numbers only; empty below 2."""
+    _check_budget(N, max_limit)
+    if N < 2:
+        return np.empty(0, dtype=np.int64)
+    odd = np.ones((N + 1) // 2, dtype=bool)  # odd[i] stands for 2i + 1
+    odd[0] = False
+    for p in range(3, math.isqrt(N) + 1, 2):
+        if odd[p // 2]:
+            odd[p * p // 2 :: p] = False  # the odd multiples of p from p*p
+    return np.concatenate(([2], 2 * np.flatnonzero(odd) + 1)).astype(np.int64)
+
+
+def sieve_tables(N: int, max_limit: int = DEFAULT_MAX_LIMIT) -> SieveTables:
+    if N < 2:
+        raise ValueError("N must be at least 2")
+    _check_budget(N, max_limit)
+    small_primes = primes_up_to(math.isqrt(N)).tolist()
 
     # a composite m has lpf(m)**2 <= m, so striding from p*p over the primes
     # in descending order leaves the least prime factor written last

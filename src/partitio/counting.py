@@ -22,7 +22,7 @@ import numpy as np
 
 from partitio.arcs import Dissection
 from partitio.arith import (
-    SmoothSet, _lpf_recurrence, coprime_mask, iroot, sieve_tables, smooth_set,
+    SmoothSet, _lpf_recurrence, coprime_mask, iroot, primes_up_to, sieve_tables, smooth_set,
 )
 from partitio.expsums import exp_sum_grid, exp_sum_many
 from partitio.weights import Weight
@@ -92,8 +92,7 @@ def _summands(
     if x_kind == "square":
         xv = np.arange(x_start, isqrt(N) + 1, dtype=np.int64) ** 2
     elif x_kind == "prime_square":
-        primes = sieve_tables(max(isqrt(N), 2)).primes
-        xv = primes[primes * primes <= N] ** 2
+        xv = primes_up_to(isqrt(N)) ** 2
     elif x_kind == "hth_power":
         if h is None or h < 1:
             raise ValueError("hth_power needs h >= 1")

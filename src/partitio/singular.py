@@ -2,9 +2,11 @@
 local solubility of the square-plus-k-th-powers congruences.
 
 One Gauss-sum path: ``_gauss_sums_all`` gives S(q, a) for every a from int64
-counts of x^k mod q, and ``_GaussSumCache`` turns it, by one length-q FFT per
-modulus, into a table of A_m(q) for every m mod q, which the series indexes;
-``gauss_sum`` and ``a_coeff`` are fronts of the two.
+counts of x^k mod q, and ``_GaussSumCache`` turns it, by one length-q FFT, into
+a table of A_m(q) for every m mod q; ``gauss_sum`` and ``a_coeff`` are fronts
+of the two.  A_m(q) is multiplicative in q, so the series takes tables at
+prime powers, products elsewhere: every other A_m(q) is the product of two
+earlier ones, found through the least-prime-factor table.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from partitio.arith import coprime_mask
+from partitio.arith import _lpf_recurrence, coprime_mask, sieve_tables
 
 
 def _gauss_sums_all(q: int, k: int) -> np.ndarray:
@@ -44,7 +46,7 @@ def a_coeff(m: int, q: int, s: int, k: int) -> float:
     """A_m(q) = sum over reduced residues a of S(q,a)^s e(-a m / q)."""
     if q < 1:
         raise ValueError("q must be at least 1")
-    return _GaussSumCache(k, s).a_coeff(m, q)
+    return float(_GaussSumCache(k, s).table(q)[m % q])
 
 
 @dataclass(frozen=True)
@@ -58,12 +60,14 @@ class SingularSeriesResult:
 
 
 class _GaussSumCache:
-    """Per-(k, s) cache of one float64 table of A_m(q) per modulus q."""
+    """Per-(k, s) cache of one float64 table of A_m(q) per modulus q; the
+    series asks for prime powers q only."""
 
     def __init__(self, k: int, s: int):
         self.k = k
         self.s = s
         self._tables: dict[int, np.ndarray] = {}
+        self._pp = self._cof = np.empty(0, dtype=np.int64)  # see series_coeffs
 
     def table(self, q: int) -> np.ndarray:
         """A_m(q), m = 0..q-1: the DFT of S(q, a)^s over a coprime to q.  It is
@@ -78,8 +82,27 @@ class _GaussSumCache:
             self._tables[q] = A.real.copy()  # a view would keep all 16 B per entry alive
         return self._tables[q]
 
-    def a_coeff(self, m: int, q: int) -> float:
-        return float(self.table(q)[m % q])
+    def series_coeffs(self, m: int, Q: int) -> np.ndarray:
+        """A_m(q) for q = 0..Q (entry 0 is 0), from tables at prime powers only:
+        A_m is multiplicative in q, so A_m(q) = A_m(pp(q)) A_m(q / pp(q)),
+        where pp(q) is the power of lpf(q) in q."""
+        if len(self._pp) <= Q:  # pp and q // pp, kept for the largest Q asked
+            lpf = sieve_tables(max(Q, 2)).least_prime_factor
+            self._pp = _lpf_recurrence(lpf, np.ones(Q + 1, dtype=np.int64),
+                                       lambda pp_c, p, c: np.where(c % p == 0, pp_c * p, p))
+            self._cof = np.arange(Q + 1) // self._pp
+        pp, cof = self._pp[: Q + 1], self._cof[: Q + 1]
+        A = np.zeros(Q + 1)
+        for q in np.flatnonzero(cof == 1).tolist():  # q = 1 and the prime powers
+            A[q] = self.table(q)[m % q]
+        # at a prime power the product is A_m(q) A_m(1); elsewhere both factors
+        # are at most q / 2, so the doubling block [lo, 2 lo) reads finished entries
+        lo = 2
+        while lo <= Q:
+            hi = min(2 * lo, Q + 1)
+            A[lo:hi] = A[pp[lo:hi]] * A[cof[lo:hi]]
+            lo = hi
+        return A
 
 
 def singular_series(
@@ -110,7 +133,10 @@ def singular_series_blocks(
     if s < 4:
         raise ValueError("series needs s >= 4 for absolute convergence")
     cache = cache or _GaussSumCache(k, s)
-    terms = [cache.a_coeff(m, q) / q**s for q in range(1, max(Q_cuts, default=0) + 1)]
+    if (cache.k, cache.s) != (k, s):
+        raise ValueError(f"cache holds (k, s) = {(cache.k, cache.s)}, not {(k, s)}")
+    A = cache.series_coeffs(m, max(Q_cuts, default=0)).tolist()
+    terms = [A[q] / q**s for q in range(1, len(A))]
     partials = [*accumulate(terms, initial=0.0)]
     last_blocks = [[*accumulate(terms[Q // 2 : Q], initial=0.0)][-1] for Q in Q_cuts]
     return [SingularSeriesResult(m, s, k, Q, partials[Q], b) for Q, b in zip(Q_cuts, last_blocks)]

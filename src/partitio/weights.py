@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from partitio.arith import SmoothSet, iroot, sieve_tables, smooth_set
+from partitio.arith import SmoothSet, iroot, primes_up_to, sieve_tables, smooth_set
 
 KINDS = (
     "squares",
@@ -76,16 +76,11 @@ def make_weight(
         support = np.arange(1, math.isqrt(n) + 1, dtype=np.int64) ** 2
         values = np.ones(len(support))
     elif kind == "prime_squares":
-        root = math.isqrt(n)
-        primes = sieve_tables(max(root, 2)).primes
-        primes = primes[primes <= root]
-        support = (primes * primes).astype(np.int64)
+        support = primes_up_to(math.isqrt(n)) ** 2
         values = np.ones(len(support))
     elif kind == "primes_log":
-        primes = sieve_tables(max(n, 2)).primes
-        primes = primes[primes <= n]
-        support = primes.astype(np.int64)
-        values = np.log(primes.astype(float))
+        support = primes_up_to(n)
+        values = np.log(support.astype(float))
     elif kind == "mobius":
         mu = sieve_tables(max(n, 2)).mobius[: n + 1]
         support = np.flatnonzero(mu != 0).astype(np.int64)
@@ -114,10 +109,10 @@ def make_weight(
             raise ValueError("phase multiplier j must be 1 or 2")
         params["j"] = j
         m1, m2 = iroot(n, 6), iroot(n, 3)
-        primes = sieve_tables(max(m2, 2)).primes
-        p1 = primes[(primes <= m1) & (primes % 3 == 1)]
-        p2 = primes[(primes <= m2) & (primes % 3 == 1)]
-        if len(p1) == 0 or len(p2) == 0:
+        p2 = primes_up_to(m2)
+        p2 = p2[p2 % 3 == 1]
+        p1 = p2[p2 <= m1]
+        if len(p1) == 0:  # p1 is a subset of p2
             support = np.empty(0, dtype=np.int64)
             values = np.empty(0)
         else:

@@ -16,6 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from constants_oracle import e_oracle
 from partitio import constants as C
 from partitio.arith import smooth_bound
 from partitio.counting import (
@@ -174,7 +175,7 @@ def test_criterion_06_e_machinery():
     for phi in np.linspace(0.05, 0.95 * kp.phi_k, 20):
         for sigma in np.linspace(kp.sigma_k, C.c1(phi), 20):
             closed = C.e_closed(sigma, phi, zeta).value
-            ok &= abs(closed - C.e_oracle(sigma, phi, zeta, 1e-4)) <= 1e-6
+            ok &= abs(closed - e_oracle(sigma, phi, zeta, 1e-4)) <= 1e-6
             dsig = C.e_closed(sigma + h, phi, zeta).value - C.e_closed(sigma - h, phi, zeta).value
             dphi = C.e_closed(sigma, phi + h, zeta).value - C.e_closed(sigma, phi - h, zeta).value
             ok &= dsig < 0 and dphi < 0

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from partitio import arith
-from partitio.arith import CapacityLimit, coprime_mask, sieve_tables, smooth_bound, smooth_set
+from partitio.arith import (
+    CapacityLimit, coprime_mask, primes_up_to, sieve_tables, smooth_bound, smooth_set,
+)
 
 
 def _trial_factor_smooth(m, R):
@@ -83,6 +85,21 @@ def test_lpf_properties():
 def test_capacity_limit():
     with pytest.raises(CapacityLimit):
         sieve_tables(10**7, max_limit=10**6)
+    with pytest.raises(CapacityLimit):
+        primes_up_to(10**7, max_limit=10**6)
+
+
+@given(st.integers(min_value=0, max_value=3000))
+def test_primes_up_to_matches_sieve_tables(N):
+    primes = primes_up_to(N)
+    assert primes.dtype == np.int64
+    assert primes.tolist() == [p for p in sieve_tables(max(N, 2)).primes.tolist() if p <= N]
+
+
+def test_primes_up_to_large_and_at_squares():
+    # odd-only striding starts at p*p: limits at and around odd prime squares
+    for N in [p * p + d for p in (3, 5, 7, 997) for d in (-1, 0, 1)] + [10**6]:
+        assert np.array_equal(primes_up_to(N), sieve_tables(N).primes), N
 
 
 def _lpf_brute(m):
@@ -115,6 +132,8 @@ def test_capacity_limit_at_int32_range(monkeypatch):
     monkeypatch.setattr(arith, "np", None)
     with pytest.raises(CapacityLimit):
         sieve_tables(2**31, max_limit=2**32)
+    with pytest.raises(CapacityLimit):
+        primes_up_to(2**31, max_limit=2**32)
 
 
 def test_smooth_examples():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from constants_oracle import e_oracle, eta_array
 from partitio import constants as C
 
 LOG2 = math.log(2)
@@ -78,8 +79,13 @@ def test_eta_residual(t):
 
 def test_eta_strictly_decreasing():
     ts = np.linspace(0.1, 20, 300)
-    ys = C.eta_array(ts)
+    ys = eta_array(ts)
     assert np.all(np.diff(ys) < 0)
+
+
+def test_eta_array_oracle_matches_eta():
+    ts = np.linspace(0.01, 30, 300)
+    assert eta_array(ts) == pytest.approx([C.eta(t) for t in ts], abs=1e-14)
 
 
 def test_eta_derivative_relation():
@@ -247,7 +253,7 @@ def test_e_closed_domain_error():
 
 def test_e_oracle_minimum_at_zero_on_eta_branch():
     # here the objective is increasing, so the grid minimum is the tau=0 value
-    val = C.e_oracle(4.0, 0.5, 1.2, 1e-3)
+    val = e_oracle(4.0, 0.5, 1.2, 1e-3)
     assert val == pytest.approx(2 * C.eta(4.0) / 0.5, abs=1e-9)
 
 
@@ -255,8 +261,8 @@ def test_e_oracle_refinement_never_increases():
     kp = C.k_params(7)
     z = float(kp.zeta_k)
     for sigma, phi in [(2.7, 0.2), (3.0, 0.1), (kp.sigma_k, kp.phi_k)]:
-        coarse = C.e_oracle(sigma, phi, z, 2e-3)
-        fine = C.e_oracle(sigma, phi, z, 1e-3)
+        coarse = e_oracle(sigma, phi, z, 2e-3)
+        fine = e_oracle(sigma, phi, z, 1e-3)
         assert fine <= coarse + 1e-15
 
 
@@ -267,7 +273,7 @@ def test_e_closed_matches_oracle_on_region():
         for sigma in np.linspace(kp.sigma_k, C.c1(phi), 6):
             closed = C.e_closed(sigma, phi, z)
             assert closed.branch == "F-branch"
-            oracle = C.e_oracle(sigma, phi, z, 1e-4)
+            oracle = e_oracle(sigma, phi, z, 1e-4)
             assert abs(closed.value - oracle) < 1e-6
 
 

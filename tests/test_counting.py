@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections import defaultdict
 
 import numpy as np
 import pytest
@@ -193,20 +194,22 @@ def test_doubling_map_is_a_bijection():
 
 
 def test_doubling_map_surjective_small_direct():
-    # independent full enumeration of the 16n side for tiny n
+    # independent full enumeration of the 16n side for tiny n: every 6-tuple
+    # of fourth powers up to 16N once, indexed by its sum (a tuple summing to
+    # at most v has every entry at most iroot(v, 4), so one index serves both
+    # sides of every n)
     N = 30
     Ymax = iroot(16 * N, 4)
+    by_sum = defaultdict(list)
+    for y in itertools.product(range(0, Ymax + 1), repeat=6):
+        by_sum[sum(t**4 for t in y)].append(y)
+
+    def solutions(v):
+        return {(x,) + y for x in range(0, math.isqrt(v) + 1) for y in by_sum[v - x * x]}
+
     for n in range(1, N + 1):
-        big = set()
-        for x in range(0, math.isqrt(16 * n) + 1):
-            for y in itertools.product(range(0, Ymax + 1), repeat=6):
-                if x * x + sum(t**4 for t in y) == 16 * n:
-                    big.add((x,) + y)
-        small = set()
-        for x in range(0, math.isqrt(n) + 1):
-            for y in itertools.product(range(0, iroot(n, 4) + 1), repeat=6):
-                if x * x + sum(t**4 for t in y) == n:
-                    small.add((x,) + y)
+        big = solutions(16 * n)
+        small = solutions(n)
         mapped = {(4 * s[0],) + tuple(2 * t for t in s[1:]) for s in small}
         assert mapped == big, n
 

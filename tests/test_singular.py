@@ -4,6 +4,7 @@ from math import gcd
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from partitio import singular
 from partitio.singular import (
@@ -125,7 +126,8 @@ def test_gauss_table_matches_brute():
 
 
 def test_a_coeff_multiplicative_crt(rng):
-    # CRT identity used as an oracle only; the implementation sums directly
+    # the CRT identity behind the series' product path, checked on the
+    # direct one-table a_coeff
     for _ in range(20):
         m = int(rng.integers(0, 1000))
         s = int(rng.integers(4, 8))
@@ -133,6 +135,70 @@ def test_a_coeff_multiplicative_crt(rng):
         lhs = a_coeff(m, 6, s, k)
         rhs = a_coeff(m, 2, s, k) * a_coeff(m, 3, s, k)
         assert lhs == pytest.approx(rhs, abs=1e-6 * max(1.0, abs(lhs), abs(rhs)))
+
+
+# ---------------------------------------------------------------------------
+# A_m(q) for all q <= Q: prime-power tables and products
+# ---------------------------------------------------------------------------
+
+_SERIES_CACHES: dict = {}
+_DIRECT_CACHES: dict = {}
+
+
+def _divisors(q):
+    return [d for d in range(1, q + 1) if q % d == 0]
+
+
+@given(
+    k=st.integers(2, 6),
+    s=st.integers(4, 9),
+    q=st.one_of(
+        # q = 1, 2; prime powers 2^10, 3^6, 7^3; products of three or more
+        # prime powers (1980 = 4 * 9 * 5 * 11)
+        st.sampled_from([1, 2, 1024, 729, 343, 210, 840, 1001, 1980, 1536, 2000]),
+        st.integers(1, 2000),
+    ),
+    m=st.one_of(st.integers(-10**6, 10**6), st.sampled_from([0, -1, 1, 2048, 10**12])),
+)
+def test_series_coeffs_match_direct_tables(k, s, q, m):
+    # the product path against the direct length-d table at every divisor d
+    # of q (so q's factors and the entries its products read), to a tolerance
+    # scaled by the table's magnitude
+    series = _SERIES_CACHES.setdefault((k, s), _GaussSumCache(k, s)).series_coeffs(m, q)
+    assert series.shape == (q + 1,) and series[0] == 0
+    direct = _DIRECT_CACHES.setdefault((k, s), _GaussSumCache(k, s))
+    for d in _divisors(q):
+        table = direct.table(d)
+        assert abs(series[d] - table[m % d]) <= 1e-11 * max(1.0, np.abs(table).max()), d
+
+
+def _is_prime_power(q):
+    p = next(d for d in range(2, q + 1) if q % d == 0)
+    while q % p == 0:
+        q //= p
+    return q == 1
+
+
+def test_series_coeffs_only_build_prime_power_tables():
+    cache = _GaussSumCache(3, 5)
+    cache.series_coeffs(5, 200)
+    assert sorted(cache._tables) == [1] + [q for q in range(2, 201) if _is_prime_power(q)]
+
+
+def test_series_coeffs_same_for_any_earlier_cutoff():
+    # the factor tables are built for the largest Q seen and sliced below it
+    cache = _GaussSumCache(4, 7)
+    for Q in (300, 50, 0, 1, 120, 301):
+        assert np.array_equal(cache.series_coeffs(9, Q), _GaussSumCache(4, 7).series_coeffs(9, Q)), Q
+
+
+def test_series_rejects_cache_for_other_k_s():
+    # a (3, 5) cache used for k = 4, s = 7 would give 0.98726 instead of 3.57101
+    with pytest.raises(ValueError):
+        singular_series(5, 7, 4, 100, cache=_GaussSumCache(3, 5))
+    with pytest.raises(ValueError):
+        singular_series_blocks(5, 7, 4, [10], cache=_GaussSumCache(4, 6))
+    assert singular_series(5, 7, 4, 100).partial == pytest.approx(3.57101, abs=1e-5)
 
 
 # ---------------------------------------------------------------------------
@@ -193,21 +259,27 @@ def test_series_insoluble_class_oscillates_to_zero():
 
 def test_series_blocks_equal_one_cutoff_loops():
     # one pass over q <= max(cuts) against the per-cutoff loop, bit for bit,
-    # with unsorted and repeated cutoffs (math.fsum differs at 13, 29 and 42)
+    # with unsorted and repeated cutoffs (math.fsum differs at 13, 29 and 42);
+    # the loop over the direct a_coeff agrees to rounding (at q = 28 and 36
+    # the direct tables leave 1e-11 and 5e-10 where the products give 0)
     m, s, k = 5, 5, 3
     cuts = [42, 1, 29, 42, 2, 13]
     blocks = singular_series_blocks(m, s, k, cuts)
+    A = _GaussSumCache(k, s).series_coeffs(m, max(cuts)).tolist()
     assert [b.Q_cut for b in blocks] == cuts
     for Q, b in zip(cuts, blocks):
         partial = 0.0
         last_block = 0.0
+        direct = 0.0
         for q in range(1, Q + 1):
-            term = a_coeff(m, q, s, k) / q**s
+            term = A[q] / q**s
             partial += term
             if q > Q / 2:
                 last_block += term
+            direct += a_coeff(m, q, s, k) / q**s
         assert (b.partial, b.last_block) == (partial, last_block)
         assert b == singular_series(m, s, k, Q)
+        assert b.partial == pytest.approx(direct, abs=1e-15)
 
 
 def test_series_requires_s_at_least_four():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from partitio.arith import smooth_set
+from partitio.arith import CapacityLimit, iroot, sieve_tables, smooth_set
 from partitio.expsums import exp_sum
 from partitio.weights import Weight, make_weight, phi_exponent, weight_stats
 
@@ -61,6 +61,28 @@ def test_e2_small_nonempty():
     assert w.phase == 1
     w2 = make_weight("e2", n, j=2)
     assert w2.phase == 2
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 9, 10, 7**6, 10**6 + 3])
+def test_prime_weights_from_primes_only_sieve(n):
+    # the primes-only kinds against the primes of the full sieve tables
+    primes = [p for p in sieve_tables(max(n, 2)).primes.tolist() if p <= n]
+    w = make_weight("primes_log", n)
+    assert w.support.dtype == np.int64 and w.support.tolist() == primes
+    assert np.array_equal(w.values, np.log(np.array(primes, dtype=float)))
+    w = make_weight("prime_squares", n)
+    assert w.support.dtype == np.int64
+    assert w.support.tolist() == [p * p for p in primes if p * p <= n]
+    m1, m2 = iroot(n, 6), iroot(n, 3)
+    p2 = [p for p in primes if p <= m2 and p % 3 == 1]
+    prods = sorted({(a * b) ** 2 for a in p2 if a <= m1 for b in p2})
+    assert make_weight("e2", n).support.tolist() == prods
+
+
+def test_primes_only_kinds_keep_the_sieve_budget():
+    for kind in ("primes_log", "prime_squares", "e2"):
+        with pytest.raises(CapacityLimit):
+            make_weight(kind, {"primes_log": 10**8, "prime_squares": 10**16, "e2": 10**24}[kind])
 
 
 def test_weight_stats_squares():
