@@ -66,10 +66,10 @@ def _check_budget(N: int, max_limit: int) -> None:
         raise CapacityLimit(f"sieve limit {N} exceeds budget {budget}")
 
 
-def primes_up_to(N: int, max_limit: int = DEFAULT_MAX_LIMIT) -> np.ndarray:
+def primes_up_to(N: int) -> np.ndarray:
     """The primes up to N, ascending, as int64 (so their squares stay exact),
     from a bool sieve over the odd numbers only; empty below 2."""
-    _check_budget(N, max_limit)
+    _check_budget(N, DEFAULT_MAX_LIMIT)
     if N < 2:
         return np.empty(0, dtype=np.int64)
     odd = np.ones((N + 1) // 2, dtype=bool)  # odd[i] stands for 2i + 1

@@ -67,7 +67,6 @@ class _GaussSumCache:
         self.k = k
         self.s = s
         self._tables: dict[int, np.ndarray] = {}
-        self._pp = self._cof = np.empty(0, dtype=np.int64)  # see series_coeffs
 
     def table(self, q: int) -> np.ndarray:
         """A_m(q), m = 0..q-1: the DFT of S(q, a)^s over a coprime to q.  It is
@@ -86,23 +85,16 @@ class _GaussSumCache:
         """A_m(q) for q = 0..Q (entry 0 is 0), from tables at prime powers only:
         A_m is multiplicative in q, so A_m(q) = A_m(pp(q)) A_m(q / pp(q)),
         where pp(q) is the power of lpf(q) in q."""
-        if len(self._pp) <= Q:  # pp and q // pp, kept for the largest Q asked
-            lpf = sieve_tables(max(Q, 2)).least_prime_factor
-            self._pp = _lpf_recurrence(lpf, np.ones(Q + 1, dtype=np.int64),
-                                       lambda pp_c, p, c: np.where(c % p == 0, pp_c * p, p))
-            self._cof = np.arange(Q + 1) // self._pp
-        pp, cof = self._pp[: Q + 1], self._cof[: Q + 1]
+        lpf = sieve_tables(max(Q, 2)).least_prime_factor
+        pp = _lpf_recurrence(lpf, np.ones(Q + 1, dtype=np.int64),
+                             lambda pp_c, p, c: np.where(c % p == 0, pp_c * p, p))
+        cof = np.arange(Q + 1) // pp
         A = np.zeros(Q + 1)
         for q in np.flatnonzero(cof == 1).tolist():  # q = 1 and the prime powers
             A[q] = self.table(q)[m % q]
-        # at a prime power the product is A_m(q) A_m(1); elsewhere both factors
-        # are at most q / 2, so the doubling block [lo, 2 lo) reads finished entries
-        lo = 2
-        while lo <= Q:
-            hi = min(2 * lo, Q + 1)
-            A[lo:hi] = A[pp[lo:hi]] * A[cof[lo:hi]]
-            lo = hi
-        return A
+        # at a prime power the product is A_m(q) A_m(1) = A_m(q); elsewhere both
+        # factors are at most q / 2, below the block being filled
+        return _lpf_recurrence(lpf, A, lambda _, p, c: A[pp[p * c]] * A[cof[p * c]])
 
 
 def singular_series(

@@ -6,7 +6,8 @@ from hypothesis import given, strategies as st
 
 from partitio import arith
 from partitio.arith import (
-    CapacityLimit, coprime_mask, primes_up_to, sieve_tables, smooth_bound, smooth_set,
+    DEFAULT_MAX_LIMIT, CapacityLimit, coprime_mask, primes_up_to, sieve_tables, smooth_bound,
+    smooth_set,
 )
 
 
@@ -85,8 +86,10 @@ def test_lpf_properties():
 def test_capacity_limit():
     with pytest.raises(CapacityLimit):
         sieve_tables(10**7, max_limit=10**6)
+    # raised before any array exists; the budget is below 2**31, so this also
+    # covers the int32 range of sieve_tables
     with pytest.raises(CapacityLimit):
-        primes_up_to(10**7, max_limit=10**6)
+        primes_up_to(DEFAULT_MAX_LIMIT + 1)
 
 
 @given(st.integers(min_value=0, max_value=3000))
@@ -132,8 +135,6 @@ def test_capacity_limit_at_int32_range(monkeypatch):
     monkeypatch.setattr(arith, "np", None)
     with pytest.raises(CapacityLimit):
         sieve_tables(2**31, max_limit=2**32)
-    with pytest.raises(CapacityLimit):
-        primes_up_to(2**31, max_limit=2**32)
 
 
 def test_smooth_examples():

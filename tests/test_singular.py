@@ -185,13 +185,6 @@ def test_series_coeffs_only_build_prime_power_tables():
     assert sorted(cache._tables) == [1] + [q for q in range(2, 201) if _is_prime_power(q)]
 
 
-def test_series_coeffs_same_for_any_earlier_cutoff():
-    # the factor tables are built for the largest Q seen and sliced below it
-    cache = _GaussSumCache(4, 7)
-    for Q in (300, 50, 0, 1, 120, 301):
-        assert np.array_equal(cache.series_coeffs(9, Q), _GaussSumCache(4, 7).series_coeffs(9, Q)), Q
-
-
 def test_series_rejects_cache_for_other_k_s():
     # a (3, 5) cache used for k = 4, s = 7 would give 0.98726 instead of 3.57101
     with pytest.raises(ValueError):
@@ -259,9 +252,10 @@ def test_series_insoluble_class_oscillates_to_zero():
 
 def test_series_blocks_equal_one_cutoff_loops():
     # one pass over q <= max(cuts) against the per-cutoff loop, bit for bit,
-    # with unsorted and repeated cutoffs (math.fsum differs at 13, 29 and 42);
-    # the loop over the direct a_coeff agrees to rounding (at q = 28 and 36
-    # the direct tables leave 1e-11 and 5e-10 where the products give 0)
+    # with unsorted and repeated cutoffs (math.fsum differs at 13, 29 and 42).
+    # The loop over the direct a_coeff cannot match bit for bit: at q = 28 and
+    # 36 the direct tables leave 1e-11 and 5e-10 where the products give 0.
+    # It agrees to rounding, scaled by the sum of |terms| as in direct_series.
     m, s, k = 5, 5, 3
     cuts = [42, 1, 29, 42, 2, 13]
     blocks = singular_series_blocks(m, s, k, cuts)
@@ -270,16 +264,17 @@ def test_series_blocks_equal_one_cutoff_loops():
     for Q, b in zip(cuts, blocks):
         partial = 0.0
         last_block = 0.0
-        direct = 0.0
+        direct = scale = 0.0
         for q in range(1, Q + 1):
             term = A[q] / q**s
             partial += term
             if q > Q / 2:
                 last_block += term
             direct += a_coeff(m, q, s, k) / q**s
+            scale += abs(term)
         assert (b.partial, b.last_block) == (partial, last_block)
         assert b == singular_series(m, s, k, Q)
-        assert b.partial == pytest.approx(direct, abs=1e-15)
+        assert abs(b.partial - direct) <= 1e-14 * scale
 
 
 def test_series_requires_s_at_least_four():
