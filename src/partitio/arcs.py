@@ -263,19 +263,13 @@ def arc_classify(alpha: Real, n: int, Q: float) -> ArcLabel:
     return ArcLabel(in_major=in_major, slice_q=slice_q, core=d.in_core(alpha))
 
 
-def _coprime_residues(q: int, rng: np.random.Generator, size: int = 4) -> np.ndarray:
-    """The a in [0, q] coprime to q, thinned to ``size`` random ones."""
+def _coprime_residues(q: int, rng: np.random.Generator) -> np.ndarray:
+    """The a in [0, q] coprime to q, thinned to 4 random ones."""
     a = np.flatnonzero(coprime_mask(q))
-    return rng.choice(a, size=size, replace=False) if len(a) > size else a
+    return rng.choice(a, size=4, replace=False) if len(a) > 4 else a
 
 
-def sample_slice_alphas(
-    n: int,
-    Q: float,
-    count: int,
-    rng: np.random.Generator,
-    uniform_share: float = 0.25,
-) -> np.ndarray:
+def sample_slice_alphas(n: int, Q: float, count: int, rng: np.random.Generator) -> np.ndarray:
     """Stratified sample from the slice N(Q).
 
     Mixes arc centres a/q for q in (Q/4, Q] with offsets j/8 of the arc
@@ -326,7 +320,7 @@ def sample_slice_alphas(
     out = cand[keep]
 
     # uniform stratum: the first accepted draws, up to count*4 points in all
-    draws = rng.random(max(8, int(count * uniform_share)) * 4)
+    draws = rng.random(max(8, int(count * 0.25)) * 4)
     need = count * 4 - len(out)
     if need > 0:
         out = np.concatenate([out, draws[d.in_slice_many(draws, Q)][:need]])

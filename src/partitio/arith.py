@@ -7,7 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-#: Hard cap on sieve size; anything above this raises CapacityLimit.
+#: Hard cap on sieve size; anything above this raises CapacityLimit.  It is
+#: below 2**31, so every entry and index of the int32 sieve tables fits.
 DEFAULT_MAX_LIMIT = 50_000_000
 
 
@@ -20,9 +21,11 @@ class SieveTables:
     """Least-prime-factor, Moebius and prime tables up to ``limit``.
 
     ``least_prime_factor[m]`` (int32) is the smallest prime dividing m (index
-    0 and 1 are 0), ``mobius[m]`` (int8) is mu(m) with mu[0] = 0, and
-    ``primes`` (int64, so squares of primes stay exact) ascends.  Limits from
-    2**31 up raise CapacityLimit.  Immutable once built; safe to share.
+    0 and 1 are 0), ``mobius[m]`` (int8) is mu(m) with mu[0] = 0, filled from
+    the least prime factors by ``_lpf_recurrence``, and ``primes`` (int64, so
+    squares of primes stay exact) ascends.  All three are built eagerly.
+    Limits above DEFAULT_MAX_LIMIT raise CapacityLimit.  Immutable once built;
+    safe to share.
     """
 
     limit: int
@@ -59,17 +62,17 @@ def coprime_mask(q: int) -> np.ndarray:
     return mask
 
 
-def _check_budget(N: int, max_limit: int) -> None:
-    # one budget for every sieve; sieve_tables' entries and indices are int32
-    budget = min(max_limit, 2**31 - 1)
-    if N > budget:
-        raise CapacityLimit(f"sieve limit {N} exceeds budget {budget}")
+def _check_budget(N: int) -> None:
+    """Raise CapacityLimit for N above DEFAULT_MAX_LIMIT, the one budget of
+    every sieve; each caller checks before it allocates any array."""
+    if N > DEFAULT_MAX_LIMIT:
+        raise CapacityLimit(f"sieve limit {N} exceeds budget {DEFAULT_MAX_LIMIT}")
 
 
 def primes_up_to(N: int) -> np.ndarray:
     """The primes up to N, ascending, as int64 (so their squares stay exact),
     from a bool sieve over the odd numbers only; empty below 2."""
-    _check_budget(N, DEFAULT_MAX_LIMIT)
+    _check_budget(N)
     if N < 2:
         return np.empty(0, dtype=np.int64)
     odd = np.ones((N + 1) // 2, dtype=bool)  # odd[i] stands for 2i + 1
@@ -80,10 +83,10 @@ def primes_up_to(N: int) -> np.ndarray:
     return np.concatenate(([2], 2 * np.flatnonzero(odd) + 1)).astype(np.int64)
 
 
-def sieve_tables(N: int, max_limit: int = DEFAULT_MAX_LIMIT) -> SieveTables:
+def sieve_tables(N: int) -> SieveTables:
     if N < 2:
         raise ValueError("N must be at least 2")
-    _check_budget(N, max_limit)
+    _check_budget(N)
     small_primes = primes_up_to(math.isqrt(N)).tolist()
 
     # a composite m has lpf(m)**2 <= m, so striding from p*p over the primes
@@ -94,17 +97,11 @@ def sieve_tables(N: int, max_limit: int = DEFAULT_MAX_LIMIT) -> SieveTables:
     primes = np.flatnonzero(lpf == 0)[2:]  # untouched entries past 0 and 1 are prime
     lpf[primes] = primes
 
-    # every m <= N has at most one prime factor above sqrt(N): flip the sign
-    # once per small prime factor, then once more where the cofactor left
-    # after dividing out each small prime once is a large prime
-    mobius = np.ones(N + 1, dtype=np.int8)
-    mobius[0] = 0
-    cofactor = np.arange(N + 1, dtype=np.int32)
-    for p in small_primes:
-        mobius[p::p] *= -1
-        mobius[p * p :: p * p] = 0
-        cofactor[p::p] //= p
-    np.negative(mobius, out=mobius, where=cofactor > 1)
+    # mu(m) = -mu(c) for p = lpf(m) and c = m / p, but 0 where p divides c
+    # again, that is where lpf(c) = p (lpf(1) = 0, so mu(p) = -1)
+    mobius = np.zeros(N + 1, dtype=np.int8)
+    mobius[1] = 1
+    _lpf_recurrence(lpf, mobius, lambda mu_c, p, c: np.where(lpf[c] == p, 0, -mu_c))
 
     return SieveTables(limit=N, least_prime_factor=lpf, mobius=mobius, primes=primes)
 
@@ -117,7 +114,7 @@ def _lpf_recurrence(lpf: np.ndarray, values: np.ndarray, step) -> np.ndarray:
     while lo < end:
         hi = min(2 * lo, end)
         p = lpf[lo:hi]
-        c = np.arange(lo, hi) // p
+        c = np.arange(lo, hi, dtype=lpf.dtype) // p  # int32 halves the block temporaries
         values[lo:hi] = step(values[c], p, c)
         lo = hi
     return values
@@ -142,16 +139,14 @@ class SmoothSet:
         return i < len(self.members) and int(self.members[i]) == m
 
 
-def smooth_set(P: int, R: int, max_limit: int = DEFAULT_MAX_LIMIT) -> SmoothSet:
+def smooth_set(P: int, R: int) -> SmoothSet:
     if not 2 <= R <= P:
         raise ValueError(f"need 2 <= R <= P, got R={R}, P={P}")
-    if P > max_limit:
-        raise CapacityLimit(f"smooth-set limit {P} exceeds budget {max_limit}")
+    lpf = sieve_tables(P).least_prime_factor  # checks the budget before keep exists
     keep = np.zeros(P + 1, dtype=bool)
     keep[1] = True
     # m > 1 is R-smooth iff lpf(m) <= R and m / lpf(m) is
-    _lpf_recurrence(sieve_tables(P, max_limit).least_prime_factor, keep,
-                    lambda smooth_c, p, c: (p <= R) & smooth_c)
+    _lpf_recurrence(lpf, keep, lambda smooth_c, p, c: (p <= R) & smooth_c)
     return SmoothSet(P=P, R=R, members=np.flatnonzero(keep).astype(np.int64))
 
 

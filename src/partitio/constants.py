@@ -32,7 +32,7 @@ class BracketError(ValueError):
 
 
 class NoConvergence(RuntimeError):
-    """Root finder exhausted max_iterations without meeting the tolerance."""
+    """Root finder exhausted ROOT_MAX_ITERATIONS without meeting ROOT_TOLERANCE."""
 
 
 class MissingTableEntry(KeyError):
@@ -48,15 +48,17 @@ class UnresolvableDelta(ValueError):
 # ---------------------------------------------------------------------------
 
 
+#: Absolute residual |g(x) - target| at which solve_monotone stops.
+ROOT_TOLERANCE = 1e-12
+#: Secant steps solve_monotone takes before it raises NoConvergence.
+ROOT_MAX_ITERATIONS = 200
+
+
 @dataclass(frozen=True)
 class RootFindConfig:
     bracket: tuple[float, float]
-    abs_tolerance: float = 1e-12
-    max_iterations: int = 200
 
     def __post_init__(self):
-        if not self.abs_tolerance > 0:
-            raise ValueError("abs_tolerance must be positive")
         lo, hi = self.bracket
         if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
             raise ValueError(f"bad bracket {self.bracket!r}")
@@ -67,14 +69,14 @@ def solve_monotone(g: Callable[[float], float], target: float, cfg: RootFindConf
 
     Safeguarded secant iteration (Illinois variant); the bracket never grows,
     so termination is guaranteed.  Returns x with |g(x) - target| within
-    cfg.abs_tolerance.
+    ROOT_TOLERANCE.
     """
     lo, hi = cfg.bracket
     flo = g(lo) - target
     fhi = g(hi) - target
-    if abs(flo) <= cfg.abs_tolerance:
+    if abs(flo) <= ROOT_TOLERANCE:
         return lo
-    if abs(fhi) <= cfg.abs_tolerance:
+    if abs(fhi) <= ROOT_TOLERANCE:
         return hi
     if (flo > 0) == (fhi > 0):
         raise BracketError(
@@ -83,13 +85,13 @@ def solve_monotone(g: Callable[[float], float], target: float, cfg: RootFindConf
         )
     side = 0
     x, fx = lo, flo
-    for _ in range(cfg.max_iterations):
+    for _ in range(ROOT_MAX_ITERATIONS):
         if fhi != flo:
             x = (lo * fhi - hi * flo) / (fhi - flo)
         if not (min(lo, hi) < x < max(lo, hi)):
             x = 0.5 * (lo + hi)
         fx = g(x) - target
-        if abs(fx) <= cfg.abs_tolerance:
+        if abs(fx) <= ROOT_TOLERANCE:
             return x
         if (fx > 0) == (flo > 0):
             lo, flo = x, fx
@@ -104,7 +106,7 @@ def solve_monotone(g: Callable[[float], float], target: float, cfg: RootFindConf
         if hi == lo:
             break
     raise NoConvergence(
-        f"no root to tolerance {cfg.abs_tolerance} in {cfg.max_iterations} iterations "
+        f"no root to tolerance {ROOT_TOLERANCE} in {ROOT_MAX_ITERATIONS} iterations "
         f"(best residual {fx:.3g})"
     )
 

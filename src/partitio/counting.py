@@ -88,15 +88,13 @@ def _summands(
     if x_kind == "none":
         return kernel, base_tag, None
 
-    x_start = 0 if x_nonneg else 1
-    if x_kind == "square":
-        xv = np.arange(x_start, isqrt(N) + 1, dtype=np.int64) ** 2
-    elif x_kind == "prime_square":
+    if x_kind == "prime_square":
         xv = primes_up_to(isqrt(N)) ** 2
-    elif x_kind == "hth_power":
+    elif x_kind in ("square", "hth_power"):
+        h = 2 if x_kind == "square" else h  # a square is the h = 2 power
         if h is None or h < 1:
             raise ValueError("hth_power needs h >= 1")
-        xv = np.arange(x_start, iroot(N, h) + 1, dtype=np.int64) ** h
+        xv = np.arange(0 if x_nonneg else 1, iroot(N, h) + 1, dtype=np.int64) ** h
     else:
         raise ValueError(f"unknown x_kind {x_kind!r}")
     if len(xv) == 0:
@@ -356,15 +354,15 @@ def _totients(N: int) -> np.ndarray:
                            lambda phi_c, p, c: phi_c * np.where(c % p == 0, p, p - 1))
 
 
-def _arc_ugrid(U: float, inner_step: float = 0.25, per_decade: int = 16) -> np.ndarray:
-    """Symmetric grid in u = n|alpha - a/q|: uniform near the centre where
-    the integrand peaks, logarithmic out to the arc edge."""
+def _arc_ugrid(U: float) -> np.ndarray:
+    """Symmetric grid in u = n|alpha - a/q|: steps of 1/4 near the centre
+    where the integrand peaks, 16 points a decade out to the arc edge."""
     u0 = min(4.0, U)
-    pts = list(np.arange(0.0, u0 + 1e-12, inner_step))
+    pts = list(np.arange(0.0, u0 + 1e-12, 0.25))
     if pts[-1] < u0:
         pts.append(u0)
     if U > u0 * (1 + 1e-12):
-        n_log = max(2, int(math.ceil(per_decade * math.log10(U / u0))))
+        n_log = max(2, int(math.ceil(16 * math.log10(U / u0))))
         pts.extend(np.geomspace(u0, U, n_log + 1)[1:])
     pos = np.array(pts)
     return np.concatenate([-pos[:0:-1], pos])

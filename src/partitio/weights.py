@@ -141,10 +141,10 @@ class WeightStats:
     is_empty: bool
 
 
-def weight_stats(w: Weight, threshold: float = 0.25) -> WeightStats:
+def weight_stats(w: Weight) -> WeightStats:
     """Mass on [1, n/2] relative to the whole domain, for nonnegative weights.
 
-    A weight counts as regular when the ratio clears ``threshold``.  Empty
+    A weight counts as regular when the ratio is at least 1/4.  Empty
     weights report ratio 0 with the norm-0 flag set rather than erroring.
     """
     if np.iscomplexobj(w.values):
@@ -158,7 +158,7 @@ def weight_stats(w: Weight, threshold: float = 0.25) -> WeightStats:
     return WeightStats(
         norm=w.norm,
         half_mass_ratio=ratio,
-        is_regular=ratio >= threshold,
+        is_regular=ratio >= 0.25,
         is_empty=False,
     )
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from partitio.arith import (
     DEFAULT_MAX_LIMIT, CapacityLimit, coprime_mask, primes_up_to, sieve_tables, smooth_bound,
     smooth_set,
 )
+from partitio.weights import make_weight
 
 
 def _trial_factor_smooth(m, R):
@@ -85,9 +87,7 @@ def test_lpf_properties():
 
 def test_capacity_limit():
     with pytest.raises(CapacityLimit):
-        sieve_tables(10**7, max_limit=10**6)
-    # raised before any array exists; the budget is below 2**31, so this also
-    # covers the int32 range of sieve_tables
+        sieve_tables(DEFAULT_MAX_LIMIT + 1)
     with pytest.raises(CapacityLimit):
         primes_up_to(DEFAULT_MAX_LIMIT + 1)
 
@@ -115,8 +115,10 @@ def _lpf_brute(m):
 
 
 def test_sieve_tables_match_brute_force():
-    # every N up to 400, then N around p*p, which decides the small primes
+    # every N up to 400, then N around p*p, which decides the small primes,
+    # and N around 2**j, where the recurrence's doubling blocks end
     boundaries = [p * p + d for p in (23, 29, 31, 37, 41, 43, 47) for d in (-1, 0, 1)]
+    boundaries += [2**j + d for j in (10, 11, 12) for d in (-1, 0, 1)]
     top = max(boundaries)
     lpf = [0, 0] + [_lpf_brute(m) for m in range(2, top + 1)]
     mu = [0] + [_mu_brute(m) for m in range(1, top + 1)]
@@ -130,11 +132,37 @@ def test_sieve_tables_match_brute_force():
 
 
 def test_capacity_limit_at_int32_range(monkeypatch):
-    # the tables are int32: 2**31 is refused whatever the budget, before any
-    # array exists (without numpy, any allocation would raise another error)
+    # the tables are int32 and the budget is below 2**31, so 2**31 is refused
+    # before any array exists (without numpy, any allocation would raise
+    # another error); smooth sets and the mobius weight sieve under the same
+    # budget
+    assert DEFAULT_MAX_LIMIT < 2**31
     monkeypatch.setattr(arith, "np", None)
     with pytest.raises(CapacityLimit):
-        sieve_tables(2**31, max_limit=2**32)
+        sieve_tables(2**31)
+    with pytest.raises(CapacityLimit):
+        smooth_set(DEFAULT_MAX_LIMIT + 1, 2)
+    with pytest.raises(CapacityLimit):
+        make_weight("mobius", DEFAULT_MAX_LIMIT + 1)
+
+
+def test_mobius_at_scale():
+    # Mertens M(10**6) = 212 and 607,926 squarefree m <= 10**6
+    mu = sieve_tables(10**6).mobius
+    assert int(mu.sum(dtype=np.int64)) == 212
+    assert int(np.count_nonzero(mu)) == 607_926
+
+
+def test_sieve_tables_memory_ceiling():
+    # the fill may hold at most as much again as the tables it returns
+    tracemalloc.start()
+    try:
+        t = sieve_tables(10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    tables = t.least_prime_factor.nbytes + t.mobius.nbytes + t.primes.nbytes
+    assert peak <= 2 * tables, (peak, tables)
 
 
 def test_smooth_examples():

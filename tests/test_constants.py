@@ -41,6 +41,19 @@ def test_solve_bad_bracket():
         C.solve_monotone(lambda x: x, 0.5, cfg)
 
 
+def test_solve_no_convergence_after_the_iteration_cap():
+    # a step has no root: the bracket shrinks round x = 0.3 until the cap
+    calls = []
+
+    def step(x):
+        calls.append(x)
+        return -1.0 if x < 0.3 else 1.0
+
+    with pytest.raises(C.NoConvergence):
+        C.solve_monotone(step, 0.0, C.RootFindConfig(bracket=(0.0, 1.0)))
+    assert len(calls) == 2 + C.ROOT_MAX_ITERATIONS == 202  # both ends, then the cap
+
+
 def test_solve_decreasing_function():
     cfg = C.RootFindConfig(bracket=(0.1, 5.0))
     x = C.solve_monotone(lambda x: -x + 1 / x, -1.0, cfg)
