@@ -9,7 +9,6 @@ the circle method needs.
 from partitio.constants import (
     ConstantsReport,
     KParams,
-    RootFindConfig,
     admissible_exponent,
     bound_catalog,
     c1,

@@ -73,7 +73,7 @@ _OPTIONS: dict[str, tuple[Any, Any, Optional[tuple], Optional[str]]] = {
     "limit": (int, None, None, "N for counts, P (the summand bound) for moments, "
               "the weight domain n for weights"),
     "zero-set": (bool, False, None, None),
-    "x-kind": (str, "square", ("square", "prime_square", "hth_power", "none"), None),
+    "x-kind": (str, "square", ("square", "prime_square", "none"), None),
     "natural": (bool, False, None, "restrict x and y to be at least 1"),
     "eta": (float, 1.0, None, "smoothness exponent, R = ceil(P**eta)"),
     "t": (float, None, None, "moment order (even, for moments) or slice parameter (check)"),

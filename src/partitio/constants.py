@@ -54,24 +54,18 @@ ROOT_TOLERANCE = 1e-12
 ROOT_MAX_ITERATIONS = 200
 
 
-@dataclass(frozen=True)
-class RootFindConfig:
-    bracket: tuple[float, float]
+def solve_monotone(
+    g: Callable[[float], float], target: float, bracket: tuple[float, float]
+) -> float:
+    """Solve g(x) = target for strictly monotone g on bracket = (lo, hi).
 
-    def __post_init__(self):
-        lo, hi = self.bracket
-        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-            raise ValueError(f"bad bracket {self.bracket!r}")
-
-
-def solve_monotone(g: Callable[[float], float], target: float, cfg: RootFindConfig) -> float:
-    """Solve g(x) = target for strictly monotone g on cfg.bracket.
-
-    Safeguarded secant iteration (Illinois variant); the bracket never grows,
-    so termination is guaranteed.  Returns x with |g(x) - target| within
-    ROOT_TOLERANCE.
+    The bracket must be finite with lo < hi.  Safeguarded secant iteration
+    (Illinois variant); the bracket never grows, so termination is
+    guaranteed.  Returns x with |g(x) - target| within ROOT_TOLERANCE.
     """
-    lo, hi = cfg.bracket
+    lo, hi = bracket
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ValueError(f"bad bracket {bracket!r}")
     flo = g(lo) - target
     fhi = g(hi) - target
     if abs(flo) <= ROOT_TOLERANCE:
@@ -200,19 +194,15 @@ class ConstantsReport:
 
 
 def _solve_z_minus_log_z(target: float) -> float:
-    """Root z > 1 of z - log z = target (target >= 1; increasing branch)."""
-    hi = target + abs(math.log(target)) + 3.0 if target > 0 else 4.0
-    return solve_monotone(lambda z: z - math.log(z), target, RootFindConfig(bracket=(1.0, hi)))
+    """Root z > 1 of z - log z = target (target > 1; increasing branch)."""
+    hi = target + math.log(target) + 3.0
+    return solve_monotone(lambda z: z - math.log(z), target, (1.0, hi))
 
 
 def constants_report() -> ConstantsReport:
     phi_star = eta(1.5)
     theta = _solve_z_minus_log_z(11.0 / 8.0 + math.log(4.0))
-    c = solve_monotone(
-        lambda x: 2 * x - math.log(5 * x - 1),
-        2.0,
-        RootFindConfig(bracket=(1.0, 3.0)),
-    )
+    c = solve_monotone(lambda x: 2 * x - math.log(5 * x - 1), 2.0, (1.0, 3.0))
     return ConstantsReport(
         zeta_star=ZETA_STAR,
         phi_star=phi_star,
@@ -297,7 +287,7 @@ DELTA_TABLE: dict[int, dict[int, Fraction]] = {
 
 
 #: The ways an admissible exponent can be resolved; see admissible_exponent.
-DELTA_SOURCES = ("table", "large-k", "interpolate")
+DELTA_SOURCES = ("table", "large-k")
 
 
 def _check_source(source: str) -> None:
@@ -305,33 +295,30 @@ def _check_source(source: str) -> None:
         raise ValueError(f"unknown delta source {source!r} (one of {', '.join(DELTA_SOURCES)})")
 
 
-def admissible_exponent(k: int, t: Number, source: str = "table") -> float:
-    """Resolve an admissible exponent Delta_t for exponent k.
-
-    source "large-k" evaluates k * eta(t/k) (t must be an even natural
-    number); "table" looks up a stored value; "interpolate" averages the two
-    stored neighbours Delta_{t-1} and Delta_{t+1}.
-    """
+def _lookup(k: int, t: Number, source: str) -> Number:
+    """Delta_t for exponent k: the stored exact Fraction for source "table",
+    k * eta(t/k) for "large-k" (t an even natural number)."""
     _check_source(source)
     if source == "large-k":
         if t != int(t) or int(t) < 2 or int(t) % 2:
             raise ValueError(f"large-k source needs an even natural t, got {t}")
         return k * eta(float(t) / k)
     if t != int(t):
-        raise ValueError(f"{source} source needs an integer t, got {t}")
-    if source == "table":
-        try:
-            return float(DELTA_TABLE[k][int(t)])
-        except KeyError as exc:
-            raise MissingTableEntry(f"no stored Delta_{t} for k={k}") from exc
-    try:  # interpolate
-        lo = DELTA_TABLE[k][int(t) - 1]
-        hi = DELTA_TABLE[k][int(t) + 1]
+        raise ValueError(f"table source needs an integer t, got {t}")
+    try:
+        return DELTA_TABLE[k][int(t)]
     except KeyError as exc:
-        raise MissingTableEntry(
-            f"interpolation for Delta_{t} at k={k} needs both neighbours"
-        ) from exc
-    return float((lo + hi) / 2)
+        raise MissingTableEntry(f"no stored Delta_{t} for k={k}") from exc
+
+
+def admissible_exponent(k: int, t: Number, source: str = "table") -> float:
+    """Resolve an admissible exponent Delta_t for exponent k.
+
+    source "table" looks up a stored value (MissingTableEntry where none is
+    stored); "large-k" evaluates k * eta(t/k) (t must be an even natural
+    number).
+    """
+    return float(_lookup(k, t, source))
 
 
 def _try_delta(k: int, t: Number, source: str) -> Optional[Number]:
@@ -342,10 +329,8 @@ def _try_delta(k: int, t: Number, source: str) -> Optional[Number]:
     can stay in rational arithmetic.
     """
     _check_source(source)
-    if source == "table":
-        return DELTA_TABLE.get(k, {}).get(int(t)) if t == int(t) else None
     try:
-        return admissible_exponent(k, t, source)
+        return _lookup(k, t, source)
     except (MissingTableEntry, ValueError):
         return None
 
@@ -540,11 +525,6 @@ class C2TableRow:
     display: tuple[str, str, str, str]
     reference: tuple[str, str, str, str]
 
-    @property
-    def matches(self) -> bool:
-        """Strict digit-for-digit agreement with the printed reference."""
-        return self.display == self.reference
-
     def cell_status(self) -> tuple[str, str, str, str]:
         """Per-cell comparison: 'exact', 'erratum' (documented one-ulp
         deviation of the printed source digit) or 'mismatch'."""
@@ -587,16 +567,16 @@ def c2_star_table() -> list[C2TableRow]:
 
 
 #: Verification rows for the prime-square weight (phi = 1/8): per k the
-#: smallest usable r, the stored Delta_{2r}, the chosen (s, t), the stored
-#: Delta_{s+t} (rounded up in the source) and the printed Delta*_{s,t}(r)
-#: (rounded down in the source).
-EXPONENT_CHECK_ROWS: list[tuple[int, int, str, int, int, str, str]] = [
-    (7, 4, "3.27", 20, 6, "0.1926", "0.2187"),
-    (8, 5, "3.50", 24, 8, "0.1892", "0.2142"),
-    (9, 5, "4.42", 27, 9, "0.2521", "0.2647"),
-    (10, 6, "4.65", 31, 11, "0.2450", "0.2631"),
-    (11, 7, "4.89", 35, 13, "0.2414", "0.2619"),
-    (12, 7, "5.80", 38, 12, "0.3469", "0.3750"),
+#: smallest usable r, the chosen (s, t) and the printed Delta*_{s,t}(r)
+#: (rounded down in the source).  Delta_{2r} and Delta_{s+t} (rounded up in
+#: the source) are read from DELTA_TABLE.
+EXPONENT_CHECK_ROWS: list[tuple[int, int, int, int, str]] = [
+    (7, 4, 20, 6, "0.2187"),
+    (8, 5, 24, 8, "0.2142"),
+    (9, 5, 27, 9, "0.2647"),
+    (10, 6, 31, 11, "0.2631"),
+    (11, 7, 35, 13, "0.2619"),
+    (12, 7, 38, 12, "0.3750"),
 ]
 
 
@@ -619,9 +599,9 @@ class ExponentCheckRow:
 def exponent_table_check() -> list[ExponentCheckRow]:
     """Exact-rational verification of the stored prime-square exponent rows."""
     rows = []
-    for k, r, d2r, s, t, dst, star_ref in EXPONENT_CHECK_ROWS:
-        delta_2r = Fraction(d2r)
-        delta_st = Fraction(dst)
+    for k, r, s, t, star_ref in EXPONENT_CHECK_ROWS:
+        delta_2r = DELTA_TABLE[k][2 * r]
+        delta_st = DELTA_TABLE[k][s + t]
         star = Fraction(k, 16) * (1 - Fraction(t, s - 2 * r))
         display = round_down_str(star, 4)
         rows.append(

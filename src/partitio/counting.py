@@ -21,9 +21,7 @@ from typing import Optional, Union
 import numpy as np
 
 from partitio.arcs import Dissection
-from partitio.arith import (
-    SmoothSet, _lpf_recurrence, coprime_mask, iroot, primes_up_to, sieve_tables, smooth_set,
-)
+from partitio.arith import SmoothSet, coprime_mask, iroot, primes_up_to, smooth_set
 from partitio.expsums import exp_sum_grid, exp_sum_many
 from partitio.weights import Weight
 
@@ -212,7 +210,7 @@ def nu_convolution(w: Weight, rho: CountTable, n: int) -> Union[int, float]:
     ms = w.support[mask]
     vals = w.values[mask]
     rho_vals = rho.counts[n - ms]
-    if np.allclose(vals, np.rint(vals)):
+    if np.all(vals == np.rint(vals)):
         return int(sum(int(round(v)) * int(c) for v, c in zip(vals, rho_vals)))
     return float(np.dot(vals, rho_vals.astype(float)))
 
@@ -347,13 +345,6 @@ def quadrature_moment(
 # ---------------------------------------------------------------------------
 
 
-def _totients(N: int) -> np.ndarray:
-    # phi(m) = phi(c) * (p if p | c else p - 1) for p = lpf(m), c = m / p
-    return _lpf_recurrence(sieve_tables(max(N, 2)).least_prime_factor,
-                           np.arange(N + 1, dtype=np.int64),
-                           lambda phi_c, p, c: phi_c * np.where(c % p == 0, p, p - 1))
-
-
 def _arc_ugrid(U: float) -> np.ndarray:
     """Symmetric grid in u = n|alpha - a/q|: steps of 1/4 near the centre
     where the integrand peaks, 16 points a decade out to the arc edge."""
@@ -399,6 +390,10 @@ def major_arc_moment(
     half-width-1/(2 sqrt(n)) intervals, a slight overcount on a region where
     the integrand is already tiny.
     """
+    for name, value in (("exact_q", exact_q), ("band_q_samples", band_q_samples),
+                        ("band_a_samples", band_a_samples)):
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
     d = Dissection(n)
     qmax = int(math.floor(min(Q, d.full_height)))
     cap = min(Q, 0.5 * math.sqrt(n))
@@ -409,7 +404,6 @@ def major_arc_moment(
         a_values = np.flatnonzero(coprime_mask(q))
         total += float(_arc_integrals(w, t, n, q, a_values, cap / q).sum())
 
-    totient = _totients(qmax) if qmax > exact_q else None
     lo = exact_q
     while lo < qmax:
         hi = min(qmax, 2 * lo)
@@ -420,10 +414,11 @@ def major_arc_moment(
         per_q = []
         for q in qs.tolist():
             coprime = np.flatnonzero(coprime_mask(q))  # q >= 2: no a = 0 or q
-            if len(coprime) > band_a_samples:
+            totient = len(coprime)
+            if totient > band_a_samples:
                 coprime = sorted(rng.choice(coprime, size=band_a_samples, replace=False))
             vals = _arc_integrals(w, t, n, q, coprime, cap / q)
-            per_q.append(int(totient[q]) * float(vals.mean()))
+            per_q.append(totient * float(vals.mean()))
         total += float(np.mean(per_q)) * len(qs_all)
         lo = hi
     return total

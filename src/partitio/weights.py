@@ -112,13 +112,9 @@ def make_weight(
         p2 = primes_up_to(m2)
         p2 = p2[p2 % 3 == 1]
         p1 = p2[p2 <= m1]
-        if len(p1) == 0:  # p1 is a subset of p2
-            support = np.empty(0, dtype=np.int64)
-            values = np.empty(0)
-        else:
-            prods = (np.outer(p1, p2).ravel().astype(np.int64)) ** 2
-            support, counts = np.unique(prods, return_counts=True)
-            values = counts.astype(float)
+        prods = (np.outer(p1, p2).ravel().astype(np.int64)) ** 2
+        support, counts = np.unique(prods, return_counts=True)
+        values = counts.astype(float)
     else:
         raise ValueError(f"unknown weight kind {kind!r}")
 

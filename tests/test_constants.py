@@ -17,28 +17,37 @@ LOG2 = math.log(2)
 
 
 def test_solve_identity():
-    cfg = C.RootFindConfig(bracket=(0.0, 1.0))
-    assert C.solve_monotone(lambda x: x, 0.5, cfg) == pytest.approx(0.5, abs=1e-12)
+    assert C.solve_monotone(lambda x: x, 0.5, (0.0, 1.0)) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_solve_theta_equation():
     # x - log x = 11/8 + log 4 on [1, 10]
     target = 11 / 8 + math.log(4)
-    cfg = C.RootFindConfig(bracket=(1.0, 10.0))
-    theta = C.solve_monotone(lambda x: x - math.log(x), target, cfg)
+    theta = C.solve_monotone(lambda x: x - math.log(x), target, (1.0, 10.0))
     assert abs(theta - math.log(theta) - target) < 1e-12
 
 
 def test_solve_c_equation():
-    cfg = C.RootFindConfig(bracket=(1.0, 3.0))
-    c = C.solve_monotone(lambda x: 2 * x - math.log(5 * x - 1), 2.0, cfg)
+    c = C.solve_monotone(lambda x: 2 * x - math.log(5 * x - 1), 2.0, (1.0, 3.0))
     assert c == pytest.approx(2.134693, abs=1e-6)
 
 
 def test_solve_bad_bracket():
-    cfg = C.RootFindConfig(bracket=(2.0, 3.0))
     with pytest.raises(C.BracketError):
-        C.solve_monotone(lambda x: x, 0.5, cfg)
+        C.solve_monotone(lambda x: x, 0.5, (2.0, 3.0))
+
+
+@pytest.mark.parametrize("bracket", [(1.0, 1.0), (2.0, 1.0), (math.nan, 1.0), (0.0, math.inf)])
+def test_solve_rejects_an_empty_or_unbounded_bracket(bracket):
+    calls = []
+
+    def g(x):
+        calls.append(x)
+        return x
+
+    with pytest.raises(ValueError, match="bad bracket"):
+        C.solve_monotone(g, 0.5, bracket)
+    assert calls == []  # rejected before g is evaluated
 
 
 def test_solve_no_convergence_after_the_iteration_cap():
@@ -50,13 +59,12 @@ def test_solve_no_convergence_after_the_iteration_cap():
         return -1.0 if x < 0.3 else 1.0
 
     with pytest.raises(C.NoConvergence):
-        C.solve_monotone(step, 0.0, C.RootFindConfig(bracket=(0.0, 1.0)))
+        C.solve_monotone(step, 0.0, (0.0, 1.0))
     assert len(calls) == 2 + C.ROOT_MAX_ITERATIONS == 202  # both ends, then the cap
 
 
 def test_solve_decreasing_function():
-    cfg = C.RootFindConfig(bracket=(0.1, 5.0))
-    x = C.solve_monotone(lambda x: -x + 1 / x, -1.0, cfg)
+    x = C.solve_monotone(lambda x: -x + 1 / x, -1.0, (0.1, 5.0))
     assert -x + 1 / x == pytest.approx(-1.0, abs=1e-12)
 
 
@@ -342,9 +350,13 @@ def test_admissible_large_k():
 
 
 def test_admissible_interpolate():
-    # both neighbours must be stored
-    with pytest.raises(C.MissingTableEntry):
-        C.admissible_exponent(5, 8, "interpolate")
+    # "interpolate" is no source: no k stores Delta at both t - 1 and t + 1
+    assert C.DELTA_SOURCES == ("table", "large-k")
+    for call in (lambda: C.admissible_exponent(5, 8, "interpolate"),
+                 lambda: C._try_delta(5, 8, "interpolate")):
+        with pytest.raises(ValueError, match="unknown delta source 'interpolate'") as exc:
+            call()
+        assert not isinstance(exc.value, C.MissingTableEntry)
 
 
 @pytest.mark.parametrize("source", C.DELTA_SOURCES)

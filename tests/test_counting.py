@@ -11,8 +11,8 @@ from partitio.counting import (
     CountTable,
     _autocorrelation_int,
     _fold,
-    _totients,
     iroot,
+    major_arc_moment,
     mean_value_N,
     moment_exact,
     nu_convolution,
@@ -317,6 +317,14 @@ def test_nu_zero_weight():
     assert nu_convolution(w, rho, 100) == 0
 
 
+def test_nu_keeps_a_non_integer_weight_unrounded():
+    # within allclose's rtol of an integer, but not an integer
+    w = Weight(n=10, kind="custom", support=np.array([1, 2]),
+               values=np.array([100000.5, 3.0]), norm=100003.5)
+    rho = power_convolution(1, 1, 10)  # one way to write each m >= 1
+    assert nu_convolution(w, rho, 10) == 100003.5
+
+
 def test_nu_mobius_cancellation():
     # cancellation diagnostic, frozen as a regression bound
     n = 10**4
@@ -403,20 +411,6 @@ def test_autocorrelation_bound_boundary(seed):
         _autocorrelation_int(np.full(m, A + 1, dtype=np.int64))
 
 
-def test_totients_match_trial_division():
-    def phi(m):
-        result, rest, p = m, m, 2
-        while p * p <= rest:
-            if rest % p == 0:
-                while rest % p == 0:
-                    rest //= p
-                result -= result // p
-            p += 1
-        return result - result // rest if rest > 1 else result
-
-    assert _totients(1999).tolist() == [0] + [phi(m) for m in range(1, 2000)]
-
-
 def test_mean_value_growth():
     k, r = 3, 1
     vals = {}
@@ -497,3 +491,12 @@ def test_arc_integrals_batch_matches_arc_by_arc():
             alphas = a / q + grid / n
             alone = _trapezoid(np.abs(exp_sum_many(w, alphas)) ** t, alphas)
             assert value == pytest.approx(alone, rel=1e-12)
+
+
+@pytest.mark.parametrize("bad", [dict(exact_q=0), dict(exact_q=-3), dict(band_q_samples=0),
+                                 dict(band_a_samples=0)])
+def test_major_arc_moment_rejects_empty_samples(bad):
+    # exact_q < 1 never left the band loop; zero samples gave nan or a numpy error
+    w = make_weight("smooth_kth_powers", 20**3, k=3, P=20, R=5)
+    with pytest.raises(ValueError, match=next(iter(bad))):
+        major_arc_moment(w, 2, 400.0, 20**3, **bad)

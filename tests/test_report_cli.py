@@ -539,6 +539,14 @@ def test_options_a_command_does_not_read_are_usage_errors(argv, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+def test_counts_rejects_the_hth_power_x_kind(capsys):
+    # counts takes no --h, so an h-th power x could never be built
+    with pytest.raises(SystemExit) as exc:
+        main(["counts", "--k", "3", "--s", "3", "--limit", "120", "--x-kind", "hth_power"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'hth_power'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", list(cli._COMMANDS))
 def test_help_lists_only_the_commands_own_options(command, capsys):
     with pytest.raises(SystemExit) as exc:
