@@ -13,7 +13,7 @@ DEFAULT_MAX_LIMIT = 50_000_000
 
 
 class CapacityLimit(MemoryError):
-    """Requested sieve limit exceeds the configured memory budget."""
+    """Requested sieve or count-table limit exceeds the memory budget."""
 
 
 @dataclass(frozen=True)
@@ -64,9 +64,10 @@ def coprime_mask(q: int) -> np.ndarray:
 
 def _check_budget(N: int) -> None:
     """Raise CapacityLimit for N above DEFAULT_MAX_LIMIT, the one budget of
-    every sieve; each caller checks before it allocates any array."""
+    every sieve and count table; each caller checks before it allocates any
+    array."""
     if N > DEFAULT_MAX_LIMIT:
-        raise CapacityLimit(f"sieve limit {N} exceeds budget {DEFAULT_MAX_LIMIT}")
+        raise CapacityLimit(f"limit {N} exceeds budget {DEFAULT_MAX_LIMIT}")
 
 
 def primes_up_to(N: int) -> np.ndarray:

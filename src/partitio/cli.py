@@ -6,7 +6,8 @@ check.  Each option is declared once in ``_OPTIONS`` and each command once in
 order: explicit flag, config file (key=value lines, '#' comments),
 environment (PARTITIO_<NAME>), built-in default, and every value passes the
 option's own type and choices.  Exit codes: 0 success, 1 verification
-failure, 2 usage or config error.
+failure, 2 usage or config error, or an input past a precision or capacity
+limit.
 """
 
 from __future__ import annotations
@@ -390,7 +391,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         report = _COMMANDS[args.command][0](o)
         sys.stdout.write(emit(report, o.format))
         return 0 if report.ok else 1
-    except (ConfigError, OSError, ValueError, KeyError, PrecisionLimit) as exc:
+    except (ConfigError, OSError, ValueError, KeyError, PrecisionLimit,
+            arith.CapacityLimit) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

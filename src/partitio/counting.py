@@ -4,11 +4,13 @@ Counts are additive convolutions of power-value indicators in int64.  Each
 fold out[m] = sum_v acc[m - v] is bounded entry by entry by max(acc) times
 the number of summands v <= N, and the partial sums rise toward that bound,
 so a fold whose bound fits in 2**63 - 1 cannot wrap; a fold whose bound does
-not is done on Python big integers instead.  Zero sets need reachability
-only: boolean folds of the y-summands, then a sieve of the candidates by the
-x-values, with no integer table.  Moments of the smooth Weyl sum come either
-exactly from Parseval (sum of squared convolution counts) or numerically from
-grid or per-arc quadrature.
+not is done on Python big integers instead; a finished int64 table with a
+negative entry raises ArithmeticError.  N is held to the sieve budget,
+arith.DEFAULT_MAX_LIMIT.  Zero sets need reachability only: boolean folds of
+the y-summands, then a sieve of the candidates by the x-values, with no
+integer table.  Moments of the smooth Weyl sum come either exactly from
+Parseval (sum of squared convolution counts) or numerically from grid or
+per-arc quadrature.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import Optional, Union
 import numpy as np
 
 from partitio.arcs import Dissection
-from partitio.arith import SmoothSet, coprime_mask, iroot, primes_up_to, smooth_set
+from partitio.arith import SmoothSet, _check_budget, coprime_mask, iroot, primes_up_to, smooth_set
 from partitio.expsums import exp_sum_grid, exp_sum_many
 from partitio.weights import Weight
 
@@ -30,23 +32,12 @@ _INT64_MAX = 2**63 - 1
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
 
-@dataclass(frozen=True)
-class Provenance:
-    k: int
-    s: int
-    base: str                    # "all" or "smooth(P,R)"
-    allow_zero: bool
-    x_kind: Optional[str] = None
-    x_nonneg: Optional[bool] = None
-
-
 @dataclass
 class CountTable:
-    """Nonnegative integer counts indexed 0..limit with provenance."""
+    """Nonnegative integer counts indexed 0..limit."""
 
     limit: int
     counts: np.ndarray
-    provenance: Provenance
 
     def total(self) -> int:
         """Exact sum of the counts, also when it passes 2**63."""
@@ -63,28 +54,28 @@ class CountTable:
 def _summands(
     k: int, s: int, N: int, x_kind: str = "square", x_nonneg: bool = True,
     y_nonneg: bool = True, h: Optional[int] = None, base: Union[str, SmoothSet] = "all",
-) -> tuple[np.ndarray, str, Optional[np.ndarray]]:
+) -> tuple[np.ndarray, Optional[np.ndarray]]:
     """The ascending y-values (k-th powers of the base, 0 first when
-    y_nonneg), the base tag, and the ascending x-values (None for x_kind
-    "none"), all at most N, under the conventions of representation_counts."""
+    y_nonneg) and the ascending x-values (None for x_kind "none"), all at
+    most N, under the conventions of representation_counts.  N is held to
+    the sieve budget before any array exists."""
+    _check_budget(N)
     if s < 1 or N < 1 or k < 1:
         raise ValueError("need s >= 1, N >= 1, k >= 1")
     ymax = iroot(N, k)
     if isinstance(base, SmoothSet):
         ys = base.members[base.members <= ymax]
-        base_tag = f"smooth({base.P},{base.R})"
-    else:
-        if base != "all":
-            raise ValueError(f"unknown base {base!r}")
+    elif base == "all":
         ys = np.arange(1, ymax + 1, dtype=np.int64)
-        base_tag = "all"
+    else:
+        raise ValueError(f"unknown base {base!r}")
     kernel = ys ** k
     if y_nonneg:
         kernel = np.concatenate([np.zeros(1, dtype=np.int64), kernel])
     if len(kernel) == 0:
         raise ValueError("empty summand set")
     if x_kind == "none":
-        return kernel, base_tag, None
+        return kernel, None
 
     if x_kind == "prime_square":
         xv = primes_up_to(isqrt(N)) ** 2
@@ -97,7 +88,7 @@ def _summands(
         raise ValueError(f"unknown x_kind {x_kind!r}")
     if len(xv) == 0:
         raise ValueError("empty x summand set")
-    return kernel, base_tag, xv
+    return kernel, xv
 
 
 def _fold(acc: np.ndarray, values: np.ndarray, N: int) -> np.ndarray:
@@ -117,6 +108,18 @@ def _fold(acc: np.ndarray, values: np.ndarray, N: int) -> np.ndarray:
     return out
 
 
+def _count_table(ys: np.ndarray, s: int, N: int, xs: Optional[np.ndarray]) -> CountTable:
+    """Counts of m <= N as s y-values plus one x-value (none when xs is None):
+    s folds by ys, then one by xs, and one overflow backstop on the result."""
+    acc = np.zeros(N + 1, dtype=np.int64)
+    acc[0] = 1
+    for values in [ys] * s + ([] if xs is None else [xs]):
+        acc = _fold(acc, values, N)
+    if acc.dtype != object and np.any(acc < 0):
+        raise ArithmeticError("count overflow slipped past the guard")
+    return CountTable(limit=N, counts=acc)
+
+
 def power_convolution(
     k: int,
     s: int,
@@ -129,18 +132,8 @@ def power_convolution(
     base "all" uses x in [1, floor(N**(1/k))]; a SmoothSet restricts x to its
     members.  allow_zero adds x = 0 as a summand.
     """
-    kernel, base_tag, _ = _summands(k, s, N, "none", y_nonneg=allow_zero, base=base)
-    acc = np.zeros(N + 1, dtype=np.int64)
-    acc[0] = 1
-    for _ in range(s):
-        acc = _fold(acc, kernel, N)
-    if acc.dtype != object and np.any(acc < 0):
-        raise ArithmeticError("count overflow slipped past the guard")
-    return CountTable(
-        limit=N,
-        counts=acc,
-        provenance=Provenance(k=k, s=s, base=base_tag, allow_zero=allow_zero),
-    )
+    ys, _ = _summands(k, s, N, "none", y_nonneg=allow_zero, base=base)
+    return _count_table(ys, s, N, None)
 
 
 def representation_counts(
@@ -161,18 +154,8 @@ def representation_counts(
     non-negative k-th powers; prime_square with y_nonneg=False counts the
     prime-square variant over natural-number y.
     """
-    _, _, xv = _summands(k, s, N, x_kind, x_nonneg, y_nonneg, h, base)
-    table = power_convolution(k, s, N, base=base, allow_zero=y_nonneg)
-    if xv is None:
-        return table
-    return CountTable(
-        limit=N,
-        counts=_fold(table.counts, xv, N),
-        provenance=Provenance(
-            k=k, s=s, base=table.provenance.base, allow_zero=y_nonneg,
-            x_kind=x_kind, x_nonneg=x_nonneg,
-        ),
-    )
+    ys, xs = _summands(k, s, N, x_kind, x_nonneg, y_nonneg, h, base)
+    return _count_table(ys, s, N, xs)
 
 
 def zero_set(k: int, s: int, N: int, **kwargs) -> list[int]:
@@ -180,7 +163,7 @@ def zero_set(k: int, s: int, N: int, **kwargs) -> list[int]:
     of representation_counts.  Builds no count table: the sums of s y-values
     are marked in a boolean array, then each x-value in ascending order
     strikes the candidates n >= x with n - x marked."""
-    kernel, _, xv = _summands(k, s, N, **kwargs)
+    kernel, xv = _summands(k, s, N, **kwargs)
     reach = np.zeros(N + 1, dtype=bool)
     reach[0] = True
     for _ in range(s):

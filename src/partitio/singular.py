@@ -37,6 +37,8 @@ def gauss_sum(q: int, a: int, k: int) -> complex:
     """S(q, a) = sum_{x=1..q} e(a x^k / q), with (a, q) = 1."""
     if q < 1:
         raise ValueError("q must be at least 1")
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
     if gcd(a, q) != 1:
         raise ValueError(f"a and q must be coprime, got ({a}, {q})")
     return complex(_gauss_sums_all(q, k)[a % q])
@@ -64,6 +66,8 @@ class _GaussSumCache:
     series asks for prime powers q only."""
 
     def __init__(self, k: int, s: int):
+        if k < 1:
+            raise ValueError(f"k must be at least 1, got {k}")
         self.k = k
         self.s = s
         self._tables: dict[int, np.ndarray] = {}
@@ -144,8 +148,9 @@ def singular_integral(m: int, s: int, k: int) -> tuple[float, float]:
     Gamma(1/k) = k * Gamma(1 + 1/k)).  The ratio exact/asymptotic tends to 1
     from below, at the slow rate set by the u^(1/k-1) endpoint corrections.
     """
-    if s < 1 or k < 1 or m < 0:
-        raise ValueError
+    for name, value, least in (("s", s, 1), ("k", k, 1), ("m", m, 0)):
+        if value < least:
+            raise ValueError(f"singular integral needs {name} >= {least}, got {value}")
     if s > 6 or m > 10**4:
         raise ValueError("exact path is guarded to s <= 6, m <= 10**4")
     asymptotic = math.gamma(1 / k) ** s / math.gamma(s / k) * m ** (s / k - 1) if m > 0 else 0.0
@@ -176,8 +181,10 @@ def local_solubility(k: int, s: int, n: int) -> LocalSolubility:
     preferred (they realise the squares-of-odd-numbers classes 1 + 8l), with
     even x0 as a fallback.
     """
+    if k < 1 or s < 1:
+        raise ValueError(f"need k >= 1 and s >= 1, got k={k}, s={s}")
     mod = 4 * k
-    if k >= 1 and (k & (k - 1)) == 0:
+    if k & (k - 1) == 0:
         R = frozenset(j % mod for j in range(1, min(s, mod) + 1))
     else:
         R = frozenset(range(mod))

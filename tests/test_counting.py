@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from partitio.arith import smooth_set
+from partitio import counting
+from partitio.arith import DEFAULT_MAX_LIMIT, CapacityLimit, smooth_set
 from partitio.counting import (
     CountTable,
     _autocorrelation_int,
@@ -107,6 +108,28 @@ def test_wide_int64_table_keeps_exact_entries_and_total():
     assert t.counts.dtype == np.int64
     assert t.counts.tolist() == [math.comb(m + 7, 7) for m in range(1001)]
     assert t.total() == math.comb(1008, 8) > 2**64
+
+
+def test_backstop_covers_the_x_fold(monkeypatch):
+    # with the widening bound lifted, the nine y folds stay in int64 (entries
+    # near 2**61) and the square fold then wraps; the backstop on the
+    # finished table must see it
+    monkeypatch.setattr(counting, "_INT64_MAX", 2**80)
+    with pytest.raises(ArithmeticError, match="overflow"):
+        representation_counts(1, 9, 700)
+
+
+def test_count_tables_under_the_sieve_budget(monkeypatch):
+    # refused before any array exists: without numpy, any allocation would
+    # raise another error
+    monkeypatch.setattr(counting, "np", None)
+    N = DEFAULT_MAX_LIMIT + 1
+    with pytest.raises(CapacityLimit):
+        representation_counts(3, 2, N)
+    with pytest.raises(CapacityLimit):
+        zero_set(3, 2, N)
+    with pytest.raises(CapacityLimit):
+        moment_exact(1, N // 3, 3, 3)  # the 3-smooth set {1, 2, 3}: N = r * 3
 
 
 # ---------------------------------------------------------------------------

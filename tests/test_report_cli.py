@@ -220,6 +220,26 @@ def test_precision_limit_is_usage_error(capsys):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("singular", "--k", "0", "--s", "5", "--m", "5"),
+        ("singular", "--k", "-2", "--s", "5", "--n", "37"),
+        ("singular", "--k", "3", "--s", "5", "--m", "-1", "--integral"),
+        ("weights", "--kind", "mobius", "--limit", "100000000"),  # CapacityLimit of the sieve
+        ("moments", "--k", "3", "--r", "2", "--limit", "400"),  # a 2 * 400**3 entry table
+    ],
+)
+def test_refused_inputs_are_usage_errors(capsys, monkeypatch, argv):
+    # budgets are checked before any array exists: without numpy in counting,
+    # an allocation there would raise another error
+    monkeypatch.setattr(cli.counting, "np", None)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err[len("error: "):].strip()
+
+
 def test_empty_command_is_usage_error(capsys):
     code, out, err = run_cli(capsys)
     assert code == 2

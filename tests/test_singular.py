@@ -330,6 +330,24 @@ def test_integral_guard():
         singular_integral(20000, 4, 3)
     with pytest.raises(ValueError):
         singular_integral(100, 7, 3)
+    with pytest.raises(ValueError, match="m >= 0"):
+        singular_integral(-1, 5, 3)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: gauss_sum(5, 1, 0),
+        lambda: a_coeff(1, 5, 5, 0),
+        lambda: singular_series(5, 5, -2, 10),
+        lambda: local_solubility(0, 5, 37),
+        lambda: local_solubility(4, 0, 37),
+    ],
+    ids=["gauss_sum", "a_coeff", "singular_series", "local_k", "local_s"],
+)
+def test_k_and_s_below_one_are_refused(call):
+    with pytest.raises(ValueError, match="at least 1|>= 1"):
+        call()
 
 
 # ---------------------------------------------------------------------------
