@@ -24,6 +24,8 @@ from partitio.counting import (
 )
 from partitio.weights import Weight, make_weight
 
+from phase_oracle import exact_arcs
+
 
 def test_iroot():
     assert iroot(26, 3) == 2 and iroot(27, 3) == 3 and iroot(28, 3) == 3
@@ -493,13 +495,25 @@ def test_quadrature_major_monotone_in_Q():
     assert values[-1] <= full + 1e-9
 
 
+def _exact_arc_integrals(w, t, n, q, a_values, U):
+    """The trapezoid in u of |W(a/q + u/n)|^t from exact phases, arc by arc."""
+    from partitio.counting import _arc_ugrid, _trapezoid
+
+    us = _arc_ugrid(U)
+    values = []
+    for a in a_values:
+        grid = us[us >= 0] if a == 0 else us[us <= 0] if a == q else us
+        integrand = np.abs(exact_arcs(w, q, [a], grid / n)[0]) ** t
+        values.append(_trapezoid(integrand, grid) / n)
+    return np.array(values)
+
+
 def test_arc_integrals_batch_matches_arc_by_arc():
-    # one exp-sum call per q over all its arcs; each arc's trapezoid must
-    # equal the one taken on its own grid, endpoint half-arcs included
+    # one evaluation per q over all its arcs; each arc's trapezoid must equal
+    # the one taken on its own grid from exact phases, endpoint half-arcs included
     from math import gcd
 
-    from partitio.counting import _arc_integrals, _arc_ugrid, _trapezoid
-    from partitio.expsums import exp_sum_many
+    from partitio.counting import _arc_integrals
 
     P = 40
     n = P**3
@@ -507,13 +521,27 @@ def test_arc_integrals_batch_matches_arc_by_arc():
     for q, t in ((1, 2), (1, 4), (7, 2), (7, 4)):
         a_values = [a for a in range(0, q + 1) if gcd(a, q) == 1]
         U = 0.5 * math.sqrt(n) / q
-        us = _arc_ugrid(U)
         batch = _arc_integrals(w, t, n, q, a_values, U)
-        for a, value in zip(a_values, batch):
-            grid = us[us >= 0] if a == 0 else us[us <= 0] if a == q else us
-            alphas = a / q + grid / n
-            alone = _trapezoid(np.abs(exp_sum_many(w, alphas)) ** t, alphas)
-            assert value == pytest.approx(alone, rel=1e-12)
+        exact = _exact_arc_integrals(w, t, n, q, a_values, U)
+        assert batch == pytest.approx(exact, rel=1e-13)
+
+
+def test_major_arc_moment_past_2_53():
+    # 3-smooth cubes up to 210000**3: the top term 9.25e15 passes 2**53, but
+    # |beta m| stays at most 40, and a/q comes from exact residues, so no
+    # phase is off by more than 2**-53 * 40 (float points a/q + beta raise)
+    from partitio.counting import _arc_integrals
+
+    P = 210000
+    n = P**3
+    w = make_weight("smooth_kth_powers", n, k=3, P=P, R=3)
+    assert len(w.support) == 114 and int(w.support.max()) > 2**53
+    value = major_arc_moment(w, 2, 40.0, n, exact_q=8, band_q_samples=4, band_a_samples=4)
+    assert value > 0
+    for q, a_values in ((1, [0, 1]), (2, [1])):
+        got = _arc_integrals(w, 2, n, q, a_values, 40.0 / q)
+        exact = _exact_arc_integrals(w, 2, n, q, a_values, 40.0 / q)
+        assert got == pytest.approx(exact, rel=1e-12)
 
 
 @pytest.mark.parametrize("bad", [dict(exact_q=0), dict(exact_q=-3), dict(band_q_samples=0),

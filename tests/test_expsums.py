@@ -1,6 +1,7 @@
 import dataclasses
 import math
 from math import gcd
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,6 +20,8 @@ from partitio.expsums import (
     sup_profile,
 )
 from partitio.weights import Weight, make_weight
+
+from phase_oracle import exact_arcs
 
 
 def test_exp_sum_at_zero_counts_support():
@@ -328,6 +331,84 @@ def test_exp_sum_grid_empty_support():
     w = make_weight("e2", 100)
     assert len(w.support) == 0
     assert not exp_sum_grid(w, 5).any() and exp_sum_rational(w, 3, 7) == 0
+
+
+def _arc_weight(kind, size):
+    if kind == "cubes":  # smooth cubes: sparse, wide span
+        return make_weight("smooth_kth_powers", size**3, k=3, P=size, R=max(2, size // 7))
+    if kind == "e2":  # phase 2
+        return make_weight("e2", max(size**3, 7**6), j=2)
+    if kind == "prime_squares":  # given phase 2
+        return dataclasses.replace(make_weight("prime_squares", size**2), phase=2)
+    if kind == "primes_log":  # dense with a small span: the flat NUFFT can win
+        return make_weight("primes_log", 10 * size)
+    return _test_weight("complex", 5 * size, 1)
+
+
+@given(
+    kind=st.sampled_from(("cubes", "e2", "prime_squares", "primes_log", "complex")),
+    size=st.integers(min_value=12, max_value=400),
+    q=st.integers(min_value=1, max_value=60),
+    picks=st.lists(st.integers(min_value=0, max_value=60), max_size=5),
+    us=st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=1, max_size=6),
+    U=st.floats(min_value=0.25, max_value=300.0),
+)
+@example(kind="cubes", size=400, q=7, picks=[3], us=[0.0, -1.0, 0.3, 1.0], U=57.0)
+@example(kind="e2", size=300, q=60, picks=[59, 7], us=[0.0, 0.5], U=300.0)
+@example(kind="prime_squares", size=400, q=1, picks=[], us=[-1.0, 1.0], U=1.0)
+@example(kind="primes_log", size=400, q=13, picks=[1, 2, 3, 4, 5],
+         us=[-1.0, -0.5, 0.0, 0.5, 1.0, 0.7], U=40.0)
+@example(kind="complex", size=400, q=5, picks=[1, 2, 3, 4, 5],
+         us=[-1.0, -0.5, 0.0, 0.5, 1.0, 0.7], U=9.0)
+def test_exp_sum_arcs_matches_exact_phases(kind, size, q, picks, us, U):
+    # a/q + beta for a in 0..q (both ends included) and |beta| <= U/n
+    w = _arc_weight(kind, size)
+    a_values = [0, q] + [p % (q + 1) for p in picks]
+    betas = np.array(us) * U / w.n
+    with mock.patch.object(expsums, "exp_sum_many", wraps=expsums.exp_sum_many) as many:
+        got = expsums.exp_sum_arcs(w, q, a_values, betas)
+    assert got.shape == (len(a_values), len(betas))
+    alphas = np.add.outer(np.array(a_values) / q, betas).ravel()
+    flat = exp_sum_many(w, alphas).reshape(got.shape)
+    exact = exact_arcs(w, q, a_values, betas)
+    # the flat kernels' own bound: each float phase t m is off by 2**-53 |t m|
+    flat_bound = 2 * np.pi * 2.0**-53 * np.abs(alphas * w.phase).max() * w.support.max() * w.norm
+    sep_bound = 1e-13 * w.norm
+    assert np.abs(got - flat).max() <= flat_bound + sep_bound
+    if many.called:  # the flat NUFFT: exp_sum_many's bits
+        assert np.array_equal(got, flat)
+        assert np.abs(got - exact).max() <= flat_bound + sep_bound
+    else:
+        assert np.abs(got - exact).max() <= sep_bound
+
+
+def test_exp_sum_arcs_takes_the_flat_nufft_only_where_it_wins(monkeypatch):
+    taken = []
+    monkeypatch.setattr(expsums, "exp_sum_many", lambda w, alphas: taken.append(len(alphas))
+                        or np.zeros(len(alphas), dtype=complex))
+    us = np.linspace(-1.0, 1.0, 41)
+    dense = make_weight("primes_log", 10**4)  # 1229 terms on a span of 1e4
+    expsums.exp_sum_arcs(dense, 13, range(1, 13), us * 40 / dense.n)
+    assert taken == [12 * 41]
+    sparse = make_weight("smooth_kth_powers", 500**3, k=3, P=500, R=60)
+    expsums.exp_sum_arcs(sparse, 13, range(1, 13), us * 40 / sparse.n)
+    expsums.exp_sum_arcs(dense, 13, [5], us[:3] * 40 / dense.n)  # 3 points: the FFT dominates
+    assert taken == [12 * 41]
+
+
+def test_exp_sum_arcs_precision_limit():
+    w = Weight(n=2**60, kind="ones", support=np.array([2**60], dtype=np.int64),
+               values=np.ones(1), norm=1.0)
+    # exact residues carry a/q; beta m stays small, so 2**60 is no limit here
+    got = expsums.exp_sum_arcs(w, 3, [0, 1, 2], np.array([0.0, 2.0**-62]))
+    roots = np.exp(2j * np.pi * (np.arange(3) * (2**60 % 3) / 3))
+    assert np.allclose(got, np.stack([roots, roots * 1j], axis=1), atol=1e-15)
+    with pytest.raises(PrecisionLimit):
+        expsums.exp_sum_arcs(w, 3, [1], np.array([2.0**-6]))
+    with pytest.raises(ValueError):
+        expsums.exp_sum_arcs(w, 0, [1], np.array([0.0]))
+    empty = expsums.exp_sum_arcs(make_weight("e2", 100), 5, [1, 2], np.zeros(3))
+    assert empty.shape == (2, 3) and not empty.any()
 
 
 def test_norm_bound_sampled(rng):

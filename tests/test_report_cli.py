@@ -455,6 +455,10 @@ _VALUES = {
     "tolerance": "0.5", "h": "3", "seed": "5", "integral": True, "n": "37",
     "delta-source": "large-k",
 }
+# what an option needs beside it to be read at all (cli._NEEDS)
+_WITH = {("weights", "h"): {"kind": "hth_powers"},
+         **{("moments", name): {"t": "2"} for name in ("Q", "grid-points", "tolerance")},
+         ("moments", "region"): {"t": "2", "Q": "4"}}
 _PAIRS = [(command, name) for command, (_, _, required, optional) in cli._COMMANDS.items()
           for name in ("format", *required, *optional)]
 
@@ -475,7 +479,8 @@ def _as_flags(options):
 def test_option_resolves_alike_from_flag_config_and_env(command, name, tmp_path, monkeypatch,
                                                         capsys):
     _clear_partitio_env(monkeypatch)
-    others = {k: v for k, v in _BASE[command].items() if k != name}
+    others = {k: v for k, v in {**_BASE[command], **_WITH.get((command, name), {})}.items()
+              if k != name}
     value = _BASE[command].get(name, _VALUES.get(name))
     assert value is not None, f"no test value for --{name}"
     argv = [command, *_as_flags(others)]
@@ -508,6 +513,28 @@ def test_value_outside_choices_is_usage_error(command, name, tmp_path, monkeypat
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
     assert f"--{name}" in err and "bogus" in err
+
+
+@pytest.mark.parametrize("command, name", list(cli._NEEDS))
+def test_option_without_what_it_needs_is_usage_error(command, name, tmp_path, monkeypatch,
+                                                     capsys):
+    # these options used to be accepted and printed the bytes of a run without them
+    _clear_partitio_env(monkeypatch)
+    assert set(_WITH) == set(cli._NEEDS)
+    argv = [command, *_as_flags(_BASE[command])]
+    value = _VALUES[name]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{name} = {value}\n")
+    for extra in (_as_flags({name: value}), ["--config", str(cfg)]):
+        code, out, err = run_cli(capsys, *argv, *extra)
+        assert (code, out) == (2, "")
+        assert f"--{name}" in err
+    monkeypatch.setenv("PARTITIO_" + name.upper().replace("-", "_"), value)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "") and f"--{name}" in err
+    # beside what it needs, the same setting runs
+    needed = {**_BASE[command], **_WITH[(command, name)]}
+    assert run_cli(capsys, command, *_as_flags(needed))[0] != 2
 
 
 def test_malformed_switch_is_usage_error(tmp_path, monkeypatch, capsys):
