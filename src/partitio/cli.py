@@ -321,8 +321,9 @@ _COMMANDS = {
 }
 
 #: Options a command reads only beside another setting: (command, option) ->
-#: (what it needs, test on the resolved options).  Setting one without the
-#: other, by flag, config or environment, is a usage error; a default is not.
+#: (what it needs, test on the resolved options).  Passing one as a flag
+#: without the other is a usage error; a config file or PARTITIO_<NAME> may
+#: serve several commands, so a value from there is only left unread.
 _NEEDS = {
     ("weights", "h"): ("--kind hth_powers", lambda o: o.kind == "hth_powers"),
     **{("moments", name): ("--t", lambda o: o.t is not None)
@@ -365,8 +366,8 @@ def _cast(name: str, text: str, origin: str) -> Any:
 
 def _resolve(args: argparse.Namespace) -> argparse.Namespace:
     """Fill every option of the command that no flag set, from the config
-    file, then PARTITIO_<NAME>, then the default; then refuse a set option
-    whose ``_NEEDS`` do not hold."""
+    file, then PARTITIO_<NAME>, then the default; then refuse a flag whose
+    ``_NEEDS`` do not hold."""
     config = _parse_config_file(args.config) if args.config else {}
     unknown = set(config) - set(_OPTIONS)
     if unknown:
@@ -374,22 +375,21 @@ def _resolve(args: argparse.Namespace) -> argparse.Namespace:
             f"{args.config}: unknown keys {sorted(unknown)} (allowed: {sorted(_OPTIONS)})"
         )
     _, _, required, optional = _COMMANDS[args.command]
-    given = []
+    flags = [name for name in optional if getattr(args, name.replace("-", "_")) is not None]
     for name in (*required, *optional, "format"):
         dest = name.replace("-", "_")
+        if getattr(args, dest) is not None:
+            continue
         env = "PARTITIO_" + dest.upper()
-        if getattr(args, dest) is None:
-            if name in config:
-                setattr(args, dest, _cast(name, config[name], f"{args.config}: {name}"))
-            elif env in os.environ:
-                setattr(args, dest, _cast(name, os.environ[env], env))
-            elif name in required:
-                raise ConfigError(f"missing required option --{name}")
-            else:
-                setattr(args, dest, _OPTIONS[name][1])
-                continue
-        given.append(name)
-    for name in given:
+        if name in config:
+            setattr(args, dest, _cast(name, config[name], f"{args.config}: {name}"))
+        elif env in os.environ:
+            setattr(args, dest, _cast(name, os.environ[env], env))
+        elif name in required:
+            raise ConfigError(f"missing required option --{name}")
+        else:
+            setattr(args, dest, _OPTIONS[name][1])
+    for name in flags:
         needs, holds = _NEEDS.get((args.command, name), (None, None))
         if needs and not holds(args):
             raise ConfigError(f"--{name} is read only with {needs}")

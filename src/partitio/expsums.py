@@ -120,19 +120,14 @@ def exp_sum_many(w: Weight, alphas: np.ndarray, j: int = 1) -> np.ndarray:
 
 def _nufft_grid(terms: int, span: int, points: int, is_complex: bool) -> int:
     """The NUFFT grid length R if that kernel is the cheaper one, else 0."""
-    R, cost = _nufft_estimate(terms, span, points, is_complex)
-    return R if cost < _DENSE_NS * terms * points else 0
-
-
-def _nufft_estimate(terms: int, span: int, points: int, is_complex: bool) -> tuple[int, float]:
-    """The NUFFT grid length R and its modelled cost in ns; (0, inf) where it cannot run."""
     if points < 2 or terms <= 2 * _HALF_WIDTH:
-        return 0, math.inf
+        return 0
     R = _smooth_length(2 * (span + 1))
     if R > _NUFFT_MAX_GRID:
-        return 0, math.inf
+        return 0
     fft = _FFT_NS * R * math.log2(R) * (2 if is_complex else 1)
-    return R, fft + _SPREAD_NS * terms + _GATHER_NS * 2 * _HALF_WIDTH * points
+    cost = fft + _SPREAD_NS * terms + _GATHER_NS * 2 * _HALF_WIDTH * points
+    return R if cost < _DENSE_NS * terms * points else 0
 
 
 @functools.lru_cache(maxsize=1024)
@@ -243,26 +238,15 @@ def exp_sum_rational(w: Weight, a: int, q: int) -> complex:
 
 def exp_sum_arcs(w: Weight, q: int, a_values: Sequence[int], betas: np.ndarray) -> np.ndarray:
     """W(a/q + beta), one row per a and one column per beta, with the
-    weight's own phase folded in: the separable kernel (module docstring),
-    or ``exp_sum_many`` on the flattened points where its NUFFT is modelled
-    cheaper than the dense kernel on every point and than the separable
-    kernel, and no |m phase| passes 2**53.  The choice depends on sizes
-    only, so equal calls give equal bits."""
+    weight's own phase folded in, by the separable kernel (module docstring)."""
     if not 1 <= q <= 2**31:
         raise ValueError(f"q must be in 1..2**31, got {q}")
-    a_int = np.asarray(a_values, dtype=np.int64)
-    a = a_int % q
+    a = np.asarray(a_values, dtype=np.int64) % q
     betas = np.asarray(betas, dtype=float)
     terms = len(w.support)
     if terms == 0 or a.size == 0 or betas.size == 0:
         return np.zeros((a.size, betas.size), dtype=complex)
-    lo, hi = int(w.support.min()), int(w.support.max())
-    top = max(-lo, hi) * abs(w.phase)
-    points = a.size * betas.size
-    _, cost = _nufft_estimate(terms, hi - lo, points, np.iscomplexobj(w.values))
-    if top <= _PHASE_LIMIT and cost < _DENSE_NS * terms * min(points, a.size + betas.size):
-        alphas = np.add.outer(a_int / q, betas).ravel()
-        return exp_sum_many(w, alphas).reshape(a.size, betas.size)
+    top = max(-int(w.support.min()), int(w.support.max())) * abs(w.phase)
     reach = top * float(np.abs(betas).max())
     if reach > _PHASE_LIMIT:
         raise PrecisionLimit(f"|beta * m * phase| up to {reach:.3g} exceeds 2**53")

@@ -1,7 +1,6 @@
 import dataclasses
 import math
 from math import gcd
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -340,7 +339,7 @@ def _arc_weight(kind, size):
         return make_weight("e2", max(size**3, 7**6), j=2)
     if kind == "prime_squares":  # given phase 2
         return dataclasses.replace(make_weight("prime_squares", size**2), phase=2)
-    if kind == "primes_log":  # dense with a small span: the flat NUFFT can win
+    if kind == "primes_log":  # dense with a small span
         return make_weight("primes_log", 10 * size)
     return _test_weight("complex", 5 * size, 1)
 
@@ -365,8 +364,7 @@ def test_exp_sum_arcs_matches_exact_phases(kind, size, q, picks, us, U):
     w = _arc_weight(kind, size)
     a_values = [0, q] + [p % (q + 1) for p in picks]
     betas = np.array(us) * U / w.n
-    with mock.patch.object(expsums, "exp_sum_many", wraps=expsums.exp_sum_many) as many:
-        got = expsums.exp_sum_arcs(w, q, a_values, betas)
+    got = expsums.exp_sum_arcs(w, q, a_values, betas)
     assert got.shape == (len(a_values), len(betas))
     alphas = np.add.outer(np.array(a_values) / q, betas).ravel()
     flat = exp_sum_many(w, alphas).reshape(got.shape)
@@ -375,25 +373,7 @@ def test_exp_sum_arcs_matches_exact_phases(kind, size, q, picks, us, U):
     flat_bound = 2 * np.pi * 2.0**-53 * np.abs(alphas * w.phase).max() * w.support.max() * w.norm
     sep_bound = 1e-13 * w.norm
     assert np.abs(got - flat).max() <= flat_bound + sep_bound
-    if many.called:  # the flat NUFFT: exp_sum_many's bits
-        assert np.array_equal(got, flat)
-        assert np.abs(got - exact).max() <= flat_bound + sep_bound
-    else:
-        assert np.abs(got - exact).max() <= sep_bound
-
-
-def test_exp_sum_arcs_takes_the_flat_nufft_only_where_it_wins(monkeypatch):
-    taken = []
-    monkeypatch.setattr(expsums, "exp_sum_many", lambda w, alphas: taken.append(len(alphas))
-                        or np.zeros(len(alphas), dtype=complex))
-    us = np.linspace(-1.0, 1.0, 41)
-    dense = make_weight("primes_log", 10**4)  # 1229 terms on a span of 1e4
-    expsums.exp_sum_arcs(dense, 13, range(1, 13), us * 40 / dense.n)
-    assert taken == [12 * 41]
-    sparse = make_weight("smooth_kth_powers", 500**3, k=3, P=500, R=60)
-    expsums.exp_sum_arcs(sparse, 13, range(1, 13), us * 40 / sparse.n)
-    expsums.exp_sum_arcs(dense, 13, [5], us[:3] * 40 / dense.n)  # 3 points: the FFT dominates
-    assert taken == [12 * 41]
+    assert np.abs(got - exact).max() <= sep_bound
 
 
 def test_exp_sum_arcs_precision_limit():

@@ -518,23 +518,38 @@ def test_value_outside_choices_is_usage_error(command, name, tmp_path, monkeypat
 @pytest.mark.parametrize("command, name", list(cli._NEEDS))
 def test_option_without_what_it_needs_is_usage_error(command, name, tmp_path, monkeypatch,
                                                      capsys):
-    # these options used to be accepted and printed the bytes of a run without them
+    # as a flag these options used to be accepted and printed the bytes of a
+    # run without them; a config or environment value may be meant for
+    # another command, so there it is left unread, as before
     _clear_partitio_env(monkeypatch)
     assert set(_WITH) == set(cli._NEEDS)
     argv = [command, *_as_flags(_BASE[command])]
     value = _VALUES[name]
+    code, out, err = run_cli(capsys, *argv, *_as_flags({name: value}))
+    assert (code, out) == (2, "") and f"--{name}" in err
+    plain = run_cli(capsys, *argv)
+    assert plain[0] == 0
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"{name} = {value}\n")
-    for extra in (_as_flags({name: value}), ["--config", str(cfg)]):
-        code, out, err = run_cli(capsys, *argv, *extra)
-        assert (code, out) == (2, "")
-        assert f"--{name}" in err
+    assert run_cli(capsys, *argv, "--config", str(cfg)) == plain
     monkeypatch.setenv("PARTITIO_" + name.upper().replace("-", "_"), value)
-    code, out, err = run_cli(capsys, *argv)
-    assert (code, out) == (2, "") and f"--{name}" in err
-    # beside what it needs, the same setting runs
+    assert run_cli(capsys, *argv) == plain
+    # beside what it needs, the same flag runs
     needed = {**_BASE[command], **_WITH[(command, name)]}
     assert run_cli(capsys, command, *_as_flags(needed))[0] != 2
+
+
+def test_one_config_serves_check_and_weights(tmp_path, monkeypatch, capsys):
+    # `h` is read by check and by weights --kind hth_powers; a file written
+    # for check must not stop a weights run of another kind
+    _clear_partitio_env(monkeypatch)
+    cfg = tmp_path / "shared.cfg"
+    cfg.write_text("h = 3\n")
+    check = ["check", *_as_flags(_BASE["check"])]
+    assert run_cli(capsys, *check, "--config", str(cfg)) == run_cli(capsys, *check, "--h", "3")
+    weights = ["weights", *_as_flags(_BASE["weights"])]
+    code, out, err = run_cli(capsys, *weights, "--config", str(cfg))
+    assert code == 0 and (code, out, err) == run_cli(capsys, *weights)
 
 
 def test_malformed_switch_is_usage_error(tmp_path, monkeypatch, capsys):
