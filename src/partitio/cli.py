@@ -101,7 +101,7 @@ _OPTIONS: dict[str, tuple[Any, Any, Optional[tuple], Optional[str]]] = {
 def _cmd_constants(o: argparse.Namespace) -> Report:
     rows = constants.c2_star_table()
     rep = constants.constants_report()
-    data = [[float(r.phi), r.rhs, r.z_star, r.c2_star, r.c1_value] for r in rows]
+    data = list(zip(*([float(r.phi), r.rhs, r.z_star, r.c2_star, r.c1_value] for r in rows)))
     kparams = {
         str(k): {
             "r": kp.r,
@@ -137,7 +137,7 @@ def _cmd_constants(o: argparse.Namespace) -> Report:
             Column("c2_star", 6, "ceil"),
             Column("c1", 6, "ceil"),
         ],
-        rows=data,
+        values=data,
         meta=meta,
         ok=ok,
     )
@@ -145,11 +145,11 @@ def _cmd_constants(o: argparse.Namespace) -> Report:
 
 def _cmd_exponent_table(o: argparse.Namespace) -> Report:
     rows = constants.exponent_table_check()
-    data = [
+    data = list(zip(*(
         [r.k, r.r, float(r.delta_2r), r.s, r.t, float(r.delta_s_plus_t), r.delta_star,
          r.half_condition, r.bound_holds, r.display_matches]
         for r in rows
-    ]
+    )))
     ok = all(r.half_condition and r.bound_holds and r.display_matches for r in rows)
     return Report(
         name="prime-square-exponent-rows",
@@ -158,7 +158,7 @@ def _cmd_exponent_table(o: argparse.Namespace) -> Report:
             Column("delta_s_plus_t", 4), Column("delta_star", 4, "floor"),
             Column("half_condition"), Column("bound_holds"), Column("display_matches"),
         ],
-        rows=data,
+        values=data,
         ok=ok,
     )
 
@@ -171,15 +171,14 @@ def _cmd_counts(o: argparse.Namespace) -> Report:
         return Report(
             name=f"zero-set k={k} s={s} limit={limit}",
             columns=[Column("n")],
-            rows=[[z] for z in zeros],
+            values=[zeros],
             meta={"count": len(zeros)},
         )
     table = counting.representation_counts(k, s, limit, **conventions)
-    rows = [[n, c] for n, c in enumerate(table.counts[1:limit + 1].tolist(), start=1)]
     return Report(
         name=f"representation-counts k={k} s={s}",
         columns=[Column("n"), Column("count")],
-        rows=rows,
+        values=[range(1, limit + 1), table.counts[1:limit + 1].tolist()],
         meta={"total": table.total()},
     )
 
@@ -210,7 +209,7 @@ def _cmd_moments(o: argparse.Namespace) -> Report:
     return Report(
         name=f"moments k={k} r={r} P={P} R={R}",
         columns=[Column("quantity"), Column("value"), Column("detail")],
-        rows=rows,
+        values=list(zip(*rows)),
         ok=ok,
     )
 
@@ -224,7 +223,8 @@ def _cmd_weights(o: argparse.Namespace) -> Report:
     top = 2.0 * math.sqrt(n)
     Q_list = sorted(top / 2**j for j in range(o.slices))
     profile = sup_profile(w, n, Q_list, samples_per_slice=o.samples, seed=o.seed)
-    rows = [[Q, sup, sup / w.norm if w.norm else 0.0] for Q, sup in profile]
+    sups = [sup for _, sup in profile]
+    values = [[Q for Q, _ in profile], sups, [sup / w.norm if w.norm else 0.0 for sup in sups]]
     meta: dict[str, Any] = {"kind": kind, "n": n, "norm": w.norm, "seed": o.seed}
     positive = [p for p in profile if p[1] > 0]
     if len(positive) >= 2 and w.norm > 0:
@@ -235,7 +235,7 @@ def _cmd_weights(o: argparse.Namespace) -> Report:
     return Report(
         name=f"sup-profile {kind} n={n}",
         columns=[Column("Q"), Column("sup"), Column("sup_over_norm")],
-        rows=rows,
+        values=values,
         meta=meta,
     )
 
@@ -263,7 +263,7 @@ def _cmd_singular(o: argparse.Namespace) -> Report:
     return Report(
         name=f"singular k={k} s={s}",
         columns=[Column("quantity"), Column("value"), Column("detail")],
-        rows=rows,
+        values=list(zip(*rows)),
         ok=ok,
     )
 
@@ -296,7 +296,7 @@ def _cmd_check(o: argparse.Namespace) -> Report:
     return Report(
         name=f"condition-check k={k} s={s} phi={phi}",
         columns=[Column("condition"), Column("holds"), Column("detail")],
-        rows=rows,
+        values=list(zip(*rows)),
         meta=meta,
         ok=rep.all_passed(),
     )
@@ -326,8 +326,11 @@ _COMMANDS = {
 #: serve several commands, so a value from there is only left unread.
 _NEEDS = {
     ("weights", "h"): ("--kind hth_powers", lambda o: o.kind == "hth_powers"),
-    **{("moments", name): ("--t", lambda o: o.t is not None)
-       for name in ("Q", "region", "grid-points", "tolerance")},
+    **{("moments", name): ("--t", lambda o: o.t is not None) for name in ("region", "grid-points")},
+    ("moments", "Q"): ("--t and --region major|slice",
+                       lambda o: o.t is not None and o.region != "full"),
+    ("moments", "tolerance"): ("--region full and --t equal to 2r",
+                               lambda o: o.region == "full" and o.t == 2 * o.r),
 }
 
 

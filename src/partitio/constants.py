@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from decimal import ROUND_CEILING, ROUND_FLOOR, Decimal
+from decimal import Decimal
 from fractions import Fraction
 from typing import Callable, Optional, Union
 
@@ -473,18 +473,16 @@ def bound_catalog(k: int, h: Optional[int] = None) -> BoundCatalog:
 # ---------------------------------------------------------------------------
 
 
-def round_up_str(x: float, digits: int) -> str:
-    """Decimal string of x rounded up in the last digit displayed."""
-    return str(Decimal(x).quantize(Decimal(1).scaleb(-digits), rounding=ROUND_CEILING))
+def round_up_str(x: Number, digits: int) -> str:
+    """Fixed-point string of x rounded up in the last digit displayed, exactly."""
+    n, d = x.as_integer_ratio()
+    return format(Decimal(f"{-(-n * 10**digits // d)}E-{digits}"), "f")
 
 
 def round_down_str(x: Number, digits: int) -> str:
-    """Decimal string of x rounded down in the last digit displayed."""
-    if isinstance(x, Fraction):
-        scaled = x * 10**digits
-        floored = scaled.numerator // scaled.denominator
-        return str(Decimal(floored).scaleb(-digits))
-    return str(Decimal(x).quantize(Decimal(1).scaleb(-digits), rounding=ROUND_FLOOR))
+    """Fixed-point string of x rounded down in the last digit displayed, exactly."""
+    n, d = x.as_integer_ratio()
+    return format(Decimal(f"{n * 10**digits // d}E-{digits}"), "f")
 
 
 #: Printed reference rows for the pruning-constant table: phi -> (rhs of the

@@ -1,9 +1,11 @@
 """Report assembly and serialisation (csv, json, pretty).
 
-Reports are plain column/row structures with optional per-column display
-conventions (digit count plus "ceil"/"floor" rounding, mirroring how the
-reference tables print their last digit).  Emission is deterministic: fixed
-row order, '.' decimal separator, no locale, stable JSON layout.
+A report holds its table as columns, one sequence of values per column, each
+with an optional display convention (digit count plus "ceil"/"floor"
+rounding, mirroring how the reference tables print their last digit).  The
+emitters format each column once and zip the formatted columns into rows.
+Emission is deterministic: fixed row order, '.' decimal separator, no locale,
+stable JSON layout.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, repeat
-from typing import Any, Optional
+from typing import Any, Optional, Sequence
 
 from partitio.constants import round_down_str, round_up_str
 
@@ -28,20 +30,18 @@ class Column:
 class Report:
     name: str
     columns: list[Column]
-    rows: list[list[Any]]  # each row holds one value per column
+    values: list[Sequence[Any]]  # one sequence per column, parallel to `columns`
     meta: dict = field(default_factory=dict)
     ok: bool = True
 
 
 def _display(value: Any, col: Column) -> str:
-    if isinstance(value, Fraction):
-        value = float(value) if col.digits is not None else value
-    if col.digits is not None and isinstance(value, float):
+    if col.digits is not None and isinstance(value, (float, Fraction)):
         if col.convention == "ceil":
             return round_up_str(value, col.digits)
         if col.convention == "floor":
             return round_down_str(value, col.digits)
-        return f"{value:.{col.digits}f}"
+        return f"{float(value):.{col.digits}f}"
     if isinstance(value, float):
         return repr(value)
     if isinstance(value, bool):
@@ -53,7 +53,7 @@ def _columns(report: Report) -> list[list[str]]:
     """`_display` of every cell, column by column.  Without digits `_display` is
     `str` except on bools and on float subclasses (numpy's repr differs)."""
     columns = []
-    for col, values in zip(report.columns, list(zip(*report.rows)) or repeat(())):
+    for col, values in zip(report.columns, report.values, strict=True):
         if col.digits is not None:
             columns.append([_display(v, col) for v in values])
         else:
@@ -62,13 +62,9 @@ def _columns(report: Report) -> list[list[str]]:
     return columns
 
 
-def _rows(columns: list[list[str]], n_rows: int) -> list[tuple[str, ...]]:
-    return list(zip(*columns)) or [()] * n_rows
-
-
 def emit_csv(report: Report) -> str:
     lines = [",".join(c.name for c in report.columns)]
-    lines.extend(map(",".join, _rows(_columns(report), len(report.rows))))
+    lines.extend(map(",".join, zip(*_columns(report))))
     return "\n".join(lines) + "\n"
 
 
@@ -95,12 +91,12 @@ def emit_json(report: Report) -> str:
         if c.convention is not None:
             entry["convention"] = c.convention
         cols.append(entry)
-    rows = report.rows
-    kinds = set(map(type, chain.from_iterable(rows)))
+    values = report.values
+    kinds = set(map(type, chain.from_iterable(values)))
     if any(issubclass(t, Fraction) for t in kinds):
-        rows = [[float(v) if isinstance(v, Fraction) else v for v in row] for row in rows]
+        values = [[float(v) if isinstance(v, Fraction) else v for v in col] for col in values]
     payload = {"name": report.name, "ok": report.ok, "columns": cols, "meta": report.meta,
-               "rows": rows, "display": _rows(_columns(report), len(rows))}
+               "rows": list(zip(*values)), "display": list(zip(*_columns(report)))}
     scalars = (str, int, float, type(None), Fraction)
     if not report.columns or not all(issubclass(t, scalars) for t in kinds):
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
@@ -123,7 +119,7 @@ def emit_pretty(report: Report) -> str:
     out.append("  ".join(h.ljust(w) for h, w in zip(headers, widths)))
     out.append("  ".join("-" * w for w in widths))
     padded = [list(map(str.ljust, col, repeat(w))) for col, w in zip(columns, widths)]
-    out.extend(map("  ".join, _rows(padded, len(report.rows))))
+    out.extend(map("  ".join, zip(*padded)))
     if report.meta:
         out.append("")
         for key in report.meta:

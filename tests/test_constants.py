@@ -435,3 +435,21 @@ def test_round_conventions():
     assert C.round_down_str(Fraction(7, 32), 4) == "0.2187"
     assert C.round_down_str(Fraction(3, 8), 4) == "0.3750"
     assert C.round_up_str(5.15736789271855, 7) == "5.1573679"
+    # fixed point, never exponent form
+    assert C.round_down_str(5e-8, 8) == "0.00000004"
+    assert C.round_up_str(5e-8, 8) == "0.00000005"
+    assert C.round_down_str(0.0, 8) == "0.00000000"
+
+
+@given(st.fractions(max_denominator=10**9).filter(lambda f: abs(f) < 10**9), st.integers(0, 12))
+def test_round_conventions_are_exact_on_fractions(x, digits):
+    # a Fraction is rounded as itself, not as the nearest float: 3/10 rounds
+    # down to 0.3000, where the float 0.3 rounds down to 0.2999
+    step = Fraction(1, 10**digits)
+    down, up = C.round_down_str(x, digits), C.round_up_str(x, digits)
+    for text in (down, up):
+        assert "E" not in text and len(text.partition(".")[2]) == digits
+    assert Fraction(down) <= x < Fraction(down) + step
+    assert Fraction(up) - step < x <= Fraction(up)
+    assert C.round_down_str(Fraction(3, 10), 4) == "0.3000"
+    assert C.round_up_str(Fraction(1, 10), 4) == "0.1000"

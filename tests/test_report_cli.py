@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -13,8 +14,8 @@ from hypothesis import example, given, strategies as st
 
 import partitio
 from partitio import cli
-from partitio.cli import main
-from partitio.counting import zero_set
+from partitio.cli import FORMATS, main
+from partitio.counting import representation_counts, zero_set
 from partitio.expsums import sup_profile
 from partitio.report import Column, Report, _display, emit, emit_json, reemit_json
 from partitio.weights import make_weight
@@ -35,7 +36,7 @@ def _sample_report():
     return Report(
         name="sample",
         columns=[Column("x"), Column("value", 6, "ceil"), Column("note")],
-        rows=[[0.125, 3.3532704041, "a"], [0.375, 2.4816912479, "b"]],
+        values=[[0.125, 0.375], [3.3532704041, 2.4816912479], ["a", "b"]],
         meta={"alpha": 1, "beta": [1, 2]},
     )
 
@@ -72,9 +73,11 @@ def test_emit_pretty_golden():
 
 
 def _reference_emit(report, fmt):
-    """The per-cell emitters: `_display` on every cell, and the JSON payload
-    through `json.dumps(..., indent=2, sort_keys=True)`."""
-    cells = [[_display(v, c) for v, c in zip(row, report.columns)] for row in report.rows]
+    """The per-cell emitters: `_display` on every cell of the rows zipped from
+    the columns, and the JSON payload through `json.dumps(..., indent=2,
+    sort_keys=True)`."""
+    rows = [list(row) for row in zip(*report.values)]
+    cells = [[_display(v, c) for v, c in zip(row, report.columns)] for row in rows]
     if fmt == "csv":
         return "\n".join([",".join(c.name for c in report.columns)]
                          + [",".join(r) for r in cells]) + "\n"
@@ -91,8 +94,7 @@ def _reference_emit(report, fmt):
             "name": report.name,
             "ok": report.ok,
             "columns": cols,
-            "rows": [[float(v) if isinstance(v, Fraction) else v for v in row]
-                     for row in report.rows],
+            "rows": [[float(v) if isinstance(v, Fraction) else v for v in row] for row in rows],
             "display": cells,
             "meta": report.meta,
         }
@@ -150,17 +152,31 @@ def _reports(draw):
         | st.builds(Column, _texts, st.integers(0, 8), st.sampled_from([None, "ceil", "floor"])),
         max_size=4,
     ))
-    column = [_cells if c.digits is None else _digit_cells for c in columns]
     n_rows = draw(st.integers(0, 5))
-    rows = [[draw(strategy) for strategy in column] for _ in range(n_rows)]
-    return Report(name=draw(_texts), columns=columns, rows=rows, meta=draw(_meta),
+    # a column is a list of cells, a range (as `counts` passes n) or an int64
+    # array's `.tolist()` (as `counts` passes the counts)
+    start = draw(st.integers(-10**6, 10**6))
+    ints = st.lists(st.integers(-2**63, 2**63 - 1), min_size=n_rows, max_size=n_rows)
+    values = [draw(st.one_of(
+        st.lists(_cells if c.digits is None else _digit_cells, min_size=n_rows, max_size=n_rows),
+        st.just(range(start, start + n_rows)),
+        ints.map(lambda v: np.array(v, dtype=np.int64).tolist()),
+    )) for c in columns]
+    return Report(name=draw(_texts), columns=columns, values=values, meta=draw(_meta),
                   ok=draw(st.booleans()))
 
 
 @given(_reports(), st.sampled_from(["csv", "json", "pretty"]))
-@example(Report("no columns", [], [[], []]), "json")
+@example(Report("no columns", [], []), "json")
 def test_emit_matches_per_cell_reference(report, fmt):
     assert _outcome(emit, report, fmt) == _outcome(_reference_emit, report, fmt)
+
+
+def test_digit_conventions_round_a_fraction_exactly():
+    assert _display(Fraction(3, 10), Column("x", 4, "floor")) == "0.3000"
+    assert _display(Fraction(1, 10), Column("x", 4, "ceil")) == "0.1000"
+    assert _display(5e-8, Column("x", 8, "floor")) == "0.00000004"
+    assert _display(Fraction(3, 10), Column("x", 4)) == "0.3000"
 
 
 def test_emit_unknown_format():
@@ -434,6 +450,66 @@ def test_shared_parser_output_matches_fresh_process(monkeypatch, capsys):
     assert cli.build_parser.cache_info().misses == 1
 
 
+def test_counts_via_cli_prints_the_library_table(capsys):
+    argv = ["counts", "--k", "3", "--s", "4", "--limit", "2000"]
+    table = representation_counts(3, 4, 2000)
+    rows = [[n, c] for n, c in enumerate(table.counts[1:2001].tolist(), start=1)]
+    assert 0 < sum(c for _, c in rows) < table.total()  # n = 0 is counted, not printed
+    code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0
+    assert out.splitlines() == ["n,count", *(f"{n},{c}" for n, c in rows)]
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    payload = json.loads(out)
+    assert payload["rows"] == rows
+    assert payload["display"] == [[str(n), str(c)] for n, c in rows]
+    assert payload["meta"] == {"total": table.total()}
+    code, out, _ = run_cli(capsys, *argv, "--format", "pretty")
+    lines = out.splitlines()
+    assert lines[2].split() == ["n", "count"]
+    assert [[int(v) for v in line.split()] for line in lines[4:4 + len(rows)]] == rows
+    assert lines[4 + len(rows):] == ["", f"total: {table.total()}", "", "status: ok"]
+
+
+# sha256 of stdout; integer or closed-form output, so the same on every
+# platform.  A change to the layout of any table or format shows here.
+_PINNED = {
+    "constants": {
+        "csv": "53c508faad014ab953d3a67f13ab50ba76f0ff0a4f96eb466302164bf43a1f85",
+        "json": "630f30d2a8ece64384f3eeb34d9079e35a0324791580cae6ac69bea9b1039bb7",
+        "pretty": "a030167cae339506dfd3cb0afdf46529b9d0f5eb6553cb564a5b507f59ea326f",
+    },
+    "thm14-table": {
+        "csv": "f6062b782c11505f100744e4116b248db5ab28d5c99b29666889a9f3c145d35c",
+        "json": "d482a296205d3caf0eaa88781923258abc7b3e965f500045e559589dfc3627e1",
+        "pretty": "7dab8576e58c229596bd759cf1d949fc26ee7b9651721fee18f720ac6f689a12",
+    },
+    "counts --k 4 --s 6 --limit 200 --zero-set": {
+        "csv": "8f891b382c4bb578f0e773fe455858181cd2347be1e943fda5cfdf9df9732e21",
+        "json": "b3aaac27feda38f79ab3282f0c59177a1461b149e94ac6cfc0d8846e042c247b",
+        "pretty": "97cc8cc79ff58a4e60d1bbb38c2f1c46026c3dd1954e77d6de7d57d117c302cc",
+    },
+    "counts --k 3 --s 4 --limit 500": {
+        "csv": "637213c42ecb80fe11c135dc4d5024c1ab86a86bcfb752ccfa95cd747035f729",
+        "json": "6ea49963aee0b0a305b6c3b7174759d26f9772ac0a8449f01da9491525e7a136",
+        "pretty": "6e2113193fe647dca0ae3e7b4604b6c7f14b9a97e81c730f4c31149be9ffbbcc",
+    },
+    "check --k 7 --s 20 --phi 1/8 --r 4 --t 6": {
+        "csv": "6e3675a39580cfcf6cadb36f7e8d79298d5dc9b0cd580b74bcacd5a3b9c1eacb",
+        "json": "fdd470ec63c0d13b21ea5dfa8fe3e4742875521b20f28fd5dec003113880ab4d",
+        "pretty": "ceea7a32b367b5387c85c7cb509a9b9efe99e9a70d4bf4f98c4f38f61d926320",
+    },
+}
+
+
+@pytest.mark.parametrize("command", list(_PINNED))
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_cli_stdout_is_pinned(command, fmt, monkeypatch, capsys):
+    _clear_partitio_env(monkeypatch)
+    code, out, _ = run_cli(capsys, *command.split(), "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _PINNED[command][fmt]
+
+
 # ---------------------------------------------------------------------------
 # The option table: flags, config keys and PARTITIO_<NAME> resolve alike
 # ---------------------------------------------------------------------------
@@ -457,7 +533,9 @@ _VALUES = {
 }
 # what an option needs beside it to be read at all (cli._NEEDS)
 _WITH = {("weights", "h"): {"kind": "hth_powers"},
-         **{("moments", name): {"t": "2"} for name in ("Q", "grid-points", "tolerance")},
+         ("moments", "grid-points"): {"t": "2"},
+         ("moments", "tolerance"): {"t": "2"},  # t = 2r, region full
+         ("moments", "Q"): {"t": "2", "region": "major"},
          ("moments", "region"): {"t": "2", "Q": "4"}}
 _PAIRS = [(command, name) for command, (_, _, required, optional) in cli._COMMANDS.items()
           for name in ("format", *required, *optional)]
@@ -537,6 +615,27 @@ def test_option_without_what_it_needs_is_usage_error(command, name, tmp_path, mo
     # beside what it needs, the same flag runs
     needed = {**_BASE[command], **_WITH[(command, name)]}
     assert run_cli(capsys, command, *_as_flags(needed))[0] != 2
+
+
+@pytest.mark.parametrize("name, flags", [
+    ("Q", {"t": "2", "Q": "4"}),  # region full: the full circle reads no Q
+    ("Q", {"t": "2", "region": "full", "Q": "4"}),
+    ("tolerance", {"t": "4", "tolerance": "0.5"}),  # t != 2r: nothing to compare
+    ("tolerance", {"t": "2", "region": "major", "Q": "4", "tolerance": "0.5"}),
+])
+def test_moments_option_with_t_but_the_wrong_region_or_t_is_usage_error(name, flags, tmp_path,
+                                                                          monkeypatch, capsys):
+    # each of these printed the bytes of the same run without the option
+    _clear_partitio_env(monkeypatch)
+    argv = ["moments", *_as_flags(_BASE["moments"])]
+    code, out, err = run_cli(capsys, *argv, *_as_flags(flags))
+    assert (code, out) == (2, "") and f"--{name} is read only with" in err
+    plain = run_cli(capsys, *argv, *_as_flags({k: v for k, v in flags.items() if k != name}))
+    assert plain[0] != 2
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{name} = {flags[name]}\n")
+    assert run_cli(capsys, *argv, *_as_flags({k: v for k, v in flags.items() if k != name}),
+                   "--config", str(cfg)) == plain
 
 
 def test_one_config_serves_check_and_weights(tmp_path, monkeypatch, capsys):
