@@ -183,6 +183,11 @@ def _cmd_counts(o: argparse.Namespace) -> Report:
     )
 
 
+def _compares_exact(o: argparse.Namespace) -> bool:
+    """moments checks its quadrature against the exact moment: full circle, t = 2r."""
+    return o.region == "full" and o.t == 2 * o.r
+
+
 def _cmd_moments(o: argparse.Namespace) -> Report:
     k, r, P = o.k, o.r, o.limit
     R = arith.smooth_bound(P, o.eta)
@@ -199,7 +204,7 @@ def _cmd_moments(o: argparse.Namespace) -> Report:
         rows.append([f"quadrature[{o.region}] t={t}", res.value,
                      f"rel_change={res.rel_change:.2e}"])
         ok &= res.rel_change is not None and res.rel_change < 5e-3
-        if o.region == "full" and t == 2 * r:
+        if _compares_exact(o):
             rel = abs(res.value - exact) / exact
             rows.append(["quadrature_vs_exact", rel, f"tolerance={o.tolerance}"])
             ok &= rel <= o.tolerance
@@ -282,10 +287,8 @@ def _cmd_check(o: argparse.Namespace) -> Report:
     if rep.height_condition is not None:
         rows.append(["height_condition", rep.height_condition, f"delta_s={rep.delta_s}"])
     if rep.slice_condition is not None:
-        rows.append(
-            ["slice_condition", rep.slice_condition,
-             f"delta_s_plus_t={rep.delta_s_plus_t} delta_star={rep.delta_star}"]
-        )
+        rows.append(["slice_condition", rep.slice_condition,
+                     f"delta_s_plus_t={rep.delta_s_plus_t} delta_star={rep.delta_star}"])
     cat = constants.bound_catalog(k, h=o.h)
     bounds = ("g_bound", "p_bound", "s0_bound", "s0_small", "t0_bound", "t0_small",
               "s0_tilde", "s0_mobius", "mixed_power_bound")
@@ -329,8 +332,7 @@ _NEEDS = {
     **{("moments", name): ("--t", lambda o: o.t is not None) for name in ("region", "grid-points")},
     ("moments", "Q"): ("--t and --region major|slice",
                        lambda o: o.t is not None and o.region != "full"),
-    ("moments", "tolerance"): ("--region full and --t equal to 2r",
-                               lambda o: o.region == "full" and o.t == 2 * o.r),
+    ("moments", "tolerance"): ("--region full and --t equal to 2r", _compares_exact),
 }
 
 

@@ -121,11 +121,8 @@ def emit_pretty(report: Report) -> str:
     padded = [list(map(str.ljust, col, repeat(w))) for col, w in zip(columns, widths)]
     out.extend(map("  ".join, zip(*padded)))
     if report.meta:
-        out.append("")
-        for key in report.meta:
-            out.append(f"{key}: {report.meta[key]}")
-    out.append("")
-    out.append(f"status: {'ok' if report.ok else 'FAILED'}")
+        out += ["", *(f"{key}: {value}" for key, value in report.meta.items())]
+    out += ["", f"status: {'ok' if report.ok else 'FAILED'}"]
     return "\n".join(out) + "\n"
 
 

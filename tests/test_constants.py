@@ -439,6 +439,9 @@ def test_round_conventions():
     assert C.round_down_str(5e-8, 8) == "0.00000004"
     assert C.round_up_str(5e-8, 8) == "0.00000005"
     assert C.round_down_str(0.0, 8) == "0.00000000"
+    # a Fraction is rounded as itself, not as the nearest float
+    assert C.round_down_str(Fraction(3, 10), 4) == "0.3000"
+    assert C.round_up_str(Fraction(1, 10), 4) == "0.1000"
 
 
 @given(st.fractions(max_denominator=10**9).filter(lambda f: abs(f) < 10**9), st.integers(0, 12))
@@ -451,5 +454,3 @@ def test_round_conventions_are_exact_on_fractions(x, digits):
         assert "E" not in text and len(text.partition(".")[2]) == digits
     assert Fraction(down) <= x < Fraction(down) + step
     assert Fraction(up) - step < x <= Fraction(up)
-    assert C.round_down_str(Fraction(3, 10), 4) == "0.3000"
-    assert C.round_up_str(Fraction(1, 10), 4) == "0.1000"

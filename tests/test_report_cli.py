@@ -613,7 +613,7 @@ def test_option_without_what_it_needs_is_usage_error(command, name, tmp_path, mo
     monkeypatch.setenv("PARTITIO_" + name.upper().replace("-", "_"), value)
     assert run_cli(capsys, *argv) == plain
     # beside what it needs, the same flag runs
-    needed = {**_BASE[command], **_WITH[(command, name)]}
+    needed = {**_BASE[command], **_WITH[(command, name)], name: value}
     assert run_cli(capsys, command, *_as_flags(needed))[0] != 2
 
 
