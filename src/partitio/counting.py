@@ -10,12 +10,14 @@ arith.DEFAULT_MAX_LIMIT.  Zero sets need reachability only: boolean folds of
 the y-summands, then a sieve of the candidates by the x-values, with no
 integer table.  Moments of the smooth Weyl sum come either exactly from
 Parseval (sum of squared convolution counts) or numerically from grid or
-per-arc quadrature.
+per-arc quadrature.  The mean value of the square and smooth Weyl sums is
+the same Parseval sum over the table of one square plus r smooth powers.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from math import isqrt
 from typing import Optional, Union
@@ -99,24 +101,24 @@ def _fold(acc: np.ndarray, values: np.ndarray, N: int) -> np.ndarray:
     With acc >= 0 every out[m], and every partial sum on the way to it, is at
     most max(acc) times the number of values v <= N.  The fold stays in int64
     while that bound fits in 2**63 - 1 and runs on Python integers (object
-    dtype) otherwise.
+    dtype) otherwise.  acc may stop short of N + 1 where the rest is zero.
     """
     values = values[values <= N]
     if acc.dtype != object and int(acc.max()) * len(values) > _INT64_MAX:
         acc = acc.astype(object)
     out = np.zeros(N + 1, dtype=acc.dtype)
     for v in values.tolist():
-        out[v:] += acc[: N + 1 - v]
+        out[v : v + len(acc)] += acc[: N + 1 - v]
     return out
 
 
 def _count_table(ys: np.ndarray, s: int, N: int, xs: Optional[np.ndarray]) -> CountTable:
     """Counts of m <= N as s y-values plus one x-value (none when xs is None):
     s folds by ys, then one by xs, and one overflow backstop on the result."""
-    acc = np.zeros(N + 1, dtype=np.int64)
-    acc[0] = 1
+    acc, top = np.ones(1, dtype=np.int64), 1  # acc[top:] is zero: no fold shifts it
     for values in [ys] * s + ([] if xs is None else [xs]):
-        acc = _fold(acc, values, N)
+        acc = _fold(acc[:top], values, N)
+        top += int(values.max())
     if acc.dtype != object and np.any(acc < 0):
         raise ArithmeticError("count overflow slipped past the guard")
     return CountTable(limit=N, counts=acc)
@@ -200,6 +202,13 @@ def nu_convolution(w: Weight, rho: CountTable, n: int) -> Union[int, float]:
     return float(np.dot(vals, rho_vals.astype(float)))
 
 
+def _sum_of_squares(counts: np.ndarray) -> int:
+    """Exact sum of counts[m]**2, also past 2**63 and on object dtype, over
+    Python integers made from one fixed chunk of the table at a time."""
+    chunks = (counts[i : i + 2**16].tolist() for i in range(0, len(counts), 2**16))
+    return sum(sum(map(operator.mul, c, c)) for c in chunks)
+
+
 def moment_exact(k: int, r: int, P: int, R: int) -> int:
     """Number of 2r-tuples from the R-smooth integers in [1, P] whose k-th
     powers balance; equals the full-interval 2r-th power moment exactly."""
@@ -207,60 +216,21 @@ def moment_exact(k: int, r: int, P: int, R: int) -> int:
         raise ValueError("r must be at least 1")
     sm = smooth_set(P, R)
     N = r * int(sm.members[-1]) ** k
-    table = power_convolution(k, r, N, base=sm, allow_zero=False)
-    return int(sum(int(c) * int(c) for c in table.counts))
-
-
-def _autocorrelation_int(counts: np.ndarray) -> np.ndarray:
-    """Exact D[v] = sum_m counts[m] counts[m+v] via zero-padded FFT.
-
-    Raises ArithmeticError unless an a-priori bound on the float error is
-    below 1/2, so that rounding recovers every D[v].
-    """
-    m = len(counts)
-    size = 1
-    while size < 2 * m:
-        size <<= 1
-    x = counts.astype(float)
-    # Percival, Math. Comp. 72 (2003), Thm. 5.1: an FFT convolution of length
-    # 2**n in precision eps = 2**-53, with twiddle factors accurate to eps, is
-    # off by at most |x| |y| ((1+eps)**6n (1+eps sqrt(5))**(3n+1) - 1), below
-    # eps |x| |y| (13n + 3); here |x| |y| = sum(c**2) = D[0].  numpy's real
-    # transforms use other radices and one more twiddle pass, so the constant
-    # is doubled; random and spiked tables stay below 1/25 of the undoubled one
-    n = size.bit_length() - 1
-    bound = float(np.dot(x, x)) * 2.0**-53 * 2 * (13 * n + 3)
-    if bound >= 0.5:
-        raise ArithmeticError("counts too large for an exact FFT autocorrelation")
-    f = np.fft.rfft(x, size)
-    ac = np.fft.irfft(f * np.conj(f), size)[:m]
-    rounded = np.rint(ac)
-    # second guard: the observed rounding error may not exceed the bound
-    if np.max(np.abs(ac - rounded)) > bound:
-        raise ArithmeticError("autocorrelation lost integrality; counts too large for FFT path")
-    return rounded.astype(np.int64)
+    return _sum_of_squares(power_convolution(k, r, N, base=sm, allow_zero=False).counts)
 
 
 def mean_value_N(k: int, r: int, n: int, R: int) -> int:
     """Exact count of x1^2 - x2^2 = sum_j (y_j^k - z_j^k) with 1 <= x_i <=
-    sqrt(n) and y, z drawn from the R-smooth integers up to n**(1/k)."""
+    sqrt(n) and y, z drawn from the R-smooth integers up to n**(1/k): by
+    Parseval, the sum of rho(m)^2, where rho(m) counts the ways to write
+    m = x^2 + y_1^k + ... + y_r^k over the same ranges."""
     P = iroot(n, k)
     sm = smooth_set(P, min(R, P))
-    table = power_convolution(k, r, r * int(sm.members[-1]) ** k, base=sm, allow_zero=False)
-    if table.counts.dtype == object:
-        raise ArithmeticError("counts exceeded the int64 range; reduce r or n")
-    D = _autocorrelation_int(table.counts)
-
     X = isqrt(n)
+    N = r * int(sm.members[-1]) ** k + X * X
+    ys, _ = _summands(k, r, N, "none", y_nonneg=False, base=sm)
     squares = np.arange(1, X + 1, dtype=np.int64) ** 2
-    diffs = (squares[:, None] - squares[None, :]).ravel()
-    pos = diffs[diffs > 0]
-    if len(pos) == 0:
-        return X * int(D[0])
-    S = np.bincount(pos)
-    vmax = min(len(D) - 1, len(S) - 1)
-    cross = sum(int(S[v]) * int(D[v]) for v in range(1, vmax + 1) if S[v])
-    return X * int(D[0]) + 2 * cross
+    return _sum_of_squares(_count_table(ys, r, N, squares).counts)
 
 
 @dataclass(frozen=True)

@@ -74,6 +74,7 @@ from typing import Sequence
 import numpy as np
 
 from partitio.arcs import sample_slice_alphas
+from partitio.arith import _check_budget
 from partitio.weights import Weight
 
 TWO_PI = 2.0 * math.pi
@@ -221,7 +222,9 @@ def _nufft(w: Weight, t: np.ndarray, R: int) -> np.ndarray:
 
 def exp_sum_grid(w: Weight, G: int) -> np.ndarray:
     """W(j/G) for j = 0..G-1: the length-G DFT of the weight binned by its
-    exact phase residue m * phase mod G, so no phase is rounded."""
+    exact phase residue m * phase mod G, so no phase is rounded.  G is held
+    to the sieve budget before any array exists."""
+    _check_budget(G)
     if G < 1:
         raise ValueError(f"G must be at least 1, got {G}")
     r = (w.support % G) * (w.phase % G) % G

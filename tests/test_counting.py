@@ -1,16 +1,15 @@
 import itertools
 import math
-from collections import defaultdict
+from collections import Counter, defaultdict
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from partitio import counting
 from partitio.arith import DEFAULT_MAX_LIMIT, CapacityLimit, smooth_set
 from partitio.counting import (
     CountTable,
-    _autocorrelation_int,
     _fold,
     iroot,
     major_arc_moment,
@@ -132,6 +131,8 @@ def test_count_tables_under_the_sieve_budget(monkeypatch):
         zero_set(3, 2, N)
     with pytest.raises(CapacityLimit):
         moment_exact(1, N // 3, 3, 3)  # the 3-smooth set {1, 2, 3}: N = r * 3
+    with pytest.raises(CapacityLimit):
+        mean_value_N(1, N // 3, 3, 3)  # the same y-values and x = 1: N = r * 3 + 1
 
 
 # ---------------------------------------------------------------------------
@@ -396,44 +397,51 @@ def test_parseval_identity():
     assert int((t.counts.astype(object) ** 2).sum()) == moment_exact(3, 2, 9, 9)
 
 
-def test_mean_value_small_oracle():
-    def brute(k, r, n, members):
-        X = math.isqrt(n)
-        cnt = 0
-        for x1 in range(1, X + 1):
-            for x2 in range(1, X + 1):
-                target = x1 * x1 - x2 * x2
-                for ys in itertools.product(members, repeat=r):
-                    for zs in itertools.product(members, repeat=r):
-                        if sum(y**k for y in ys) - sum(z**k for z in zs) == target:
-                            cnt += 1
-        return cnt
+def _square_difference_count(k, r, n, R):
+    """x1^2 - x2^2 = sum y^k - sum z^k counted from the differences of every
+    two r-fold sums, with no count table and no Parseval sum."""
+    P, X = iroot(n, k), math.isqrt(n)
 
-    sm = smooth_set(4, 4)
-    members = [int(m) for m in sm.members]
-    assert mean_value_N(3, 1, 64, 4) == brute(3, 1, 64, members)
-    sm2 = smooth_set(3, 3)
-    assert mean_value_N(4, 1, 81, 3) == brute(4, 1, 81, [int(m) for m in sm2.members])
+    def smooth(m):
+        for p in range(2, R + 1):
+            while m % p == 0:
+                m //= p
+        return m == 1
+
+    members = [m for m in range(1, P + 1) if smooth(m)]
+    sums = Counter(sum(y**k for y in ys) for ys in itertools.product(members, repeat=r))
+    diffs = Counter()
+    for a, ca in sums.items():
+        for b, cb in sums.items():
+            diffs[a - b] += ca * cb
+    return sum(diffs[x1 * x1 - x2 * x2] for x1 in range(1, X + 1) for x2 in range(1, X + 1))
+
+
+@st.composite
+def _mean_value_inputs(draw):
+    k, r = draw(st.integers(2, 4)), draw(st.integers(1, 3))
+    # P**r stays at most 300, so the oracle pairs few r-fold sums
+    P = draw(st.integers(2, min(iroot(2000, k), iroot(300, r))))
+    n = draw(st.integers(P**k, min(2000, (P + 1) ** k - 1)))
+    return k, r, n, draw(st.integers(2, P))
+
+
+@given(_mean_value_inputs())
+@example((3, 1, 64, 4))
+@example((4, 1, 81, 3))
+def test_mean_value_small_oracle(case):
+    assert mean_value_N(*case) == _square_difference_count(*case)
+
+
+def test_mean_value_past_the_int64_range():
+    # sum(rho**2) is about 2.5e19, past 2**64
+    assert mean_value_N(3, 10, 1000, 10) == 25420972793156919140
 
 
 def test_mean_value_diagonal_lower_bound():
     n, k, r, R = 10**4, 3, 1, 21
     P = iroot(n, k)
     assert mean_value_N(k, r, n, R) >= math.isqrt(n) * moment_exact(k, r, P, R)
-
-
-@pytest.mark.parametrize("seed", [0, 1])
-def test_autocorrelation_bound_boundary(seed):
-    # FFT length 128 = 2**7: the a-priori bound eps * sum(c**2) * 2 * (13*7 + 3)
-    # stays below 1/2 while sum(c**2) < 2**51 / 94
-    m = 64
-    A = math.isqrt(2**51 // 94 // m)
-    inside = np.full(m, A, dtype=np.int64)
-    inside[: 32 * seed] = np.random.default_rng(seed).integers(0, A, size=32 * seed)
-    exact = [sum(int(inside[i]) * int(inside[i + v]) for i in range(m - v)) for v in range(m)]
-    assert _autocorrelation_int(inside).tolist() == exact
-    with pytest.raises(ArithmeticError, match="exact FFT"):
-        _autocorrelation_int(np.full(m, A + 1, dtype=np.int64))
 
 
 def test_mean_value_growth():

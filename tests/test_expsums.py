@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from partitio import cli, expsums
-from partitio.arith import smooth_set
+from partitio.arith import DEFAULT_MAX_LIMIT, CapacityLimit, smooth_set
 from partitio.expsums import (
     DecayFit,
     PrecisionLimit,
@@ -330,6 +330,15 @@ def test_exp_sum_grid_empty_support():
     w = make_weight("e2", 100)
     assert len(w.support) == 0
     assert not exp_sum_grid(w, 5).any() and exp_sum_rational(w, 3, 7) == 0
+
+
+def test_exp_sum_grid_under_the_sieve_budget(monkeypatch):
+    # refused before any array exists: without numpy, any allocation would
+    # raise another error
+    w = make_weight("squares", 100)
+    monkeypatch.setattr(expsums, "np", None)
+    with pytest.raises(CapacityLimit):
+        exp_sum_grid(w, DEFAULT_MAX_LIMIT + 1)
 
 
 def _arc_weight(kind, size):

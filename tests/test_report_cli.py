@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import partitio
-from partitio import cli
+from partitio import cli, expsums
 from partitio.cli import FORMATS, main
 from partitio.counting import representation_counts, zero_set
 from partitio.expsums import sup_profile
@@ -256,6 +256,25 @@ def test_refused_inputs_are_usage_errors(capsys, monkeypatch, argv):
     assert err.startswith("error: ") and err[len("error: "):].strip()
 
 
+def test_oversized_quadrature_grid_is_usage_error(capsys, monkeypatch):
+    # moment_exact runs first and needs numpy in counting, so only expsums
+    # loses it: the grid is refused before exp_sum_grid allocates
+    monkeypatch.setattr(expsums, "np", None)
+    argv = ("moments", "--k", "3", "--r", "1", "--limit", "5", "--t", "2",
+            "--grid-points", "50000001")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err[len("error: "):].strip()
+
+
+def test_mean_value_past_the_int64_range_cli(capsys):
+    code, out, _ = run_cli(capsys, "moments", "--k", "3", "--r", "10", "--limit", "10",
+                           "--mean-value", "--format", "csv")
+    assert code == 0
+    assert "mean_value_N,2.542097279315692e+19" in out
+
+
 def test_empty_command_is_usage_error(capsys):
     code, out, err = run_cli(capsys)
     assert code == 2
@@ -492,6 +511,11 @@ _PINNED = {
         "csv": "637213c42ecb80fe11c135dc4d5024c1ab86a86bcfb752ccfa95cd747035f729",
         "json": "6ea49963aee0b0a305b6c3b7174759d26f9772ac0a8449f01da9491525e7a136",
         "pretty": "6e2113193fe647dca0ae3e7b4604b6c7f14b9a97e81c730f4c31149be9ffbbcc",
+    },
+    "moments --k 3 --r 2 --limit 12 --mean-value": {
+        "csv": "6e7f256a7f5408188c7942a67f5587fa287f70c9a11095a6c5cb477578e80cbc",
+        "json": "66a2c9985429039d3edaf4e31af880361b6aee6cee1c38f824a30c34bdb1ecda",
+        "pretty": "9e5dfce488b6e74555cf9d421953cfee5562ea3bd50a8a4a37f6118898b0c6a4",
     },
     "check --k 7 --s 20 --phi 1/8 --r 4 --t 6": {
         "csv": "6e3675a39580cfcf6cadb36f7e8d79298d5dc9b0cd580b74bcacd5a3b9c1eacb",
