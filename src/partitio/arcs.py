@@ -32,8 +32,7 @@ num < 2**53; for alpha >= 2**-10 (and alpha = 0) the exponent is e <= 62, so
 
 Points 0 < alpha < 2**-10 have binary denominators above 2**62; they, and
 exact ``Fraction`` arguments, take the scalar ``Fraction`` walk
-``dirichlet_approx``, which is also the test oracle of the int64 walk.  The
-scalar ``Dissection`` methods are one-element wrappers of the array methods.
+``dirichlet_approx``, which is also the test oracle of the int64 walk.
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -158,24 +157,18 @@ def _int64_walk(x: np.ndarray, q_max: int) -> tuple[np.ndarray, np.ndarray, np.n
 
 @dataclass(frozen=True)
 class ArcLabel:
-    in_major: bool
-    slice_q: Optional[float]  # smallest dyadic level Q/4**j still containing alpha
-    core: bool
+    in_major: np.ndarray  # bool per point: in M(Q)
+    slice_q: np.ndarray   # smallest level Q/4**j still containing the point, nan outside M(Q)
+    core: np.ndarray      # bool per point: in the core arc
 
 
 @dataclass(frozen=True)
 class Dissection:
-    """Arc families of the order-2*sqrt(n) dissection for one fixed n.
-
-    The ``*_many`` methods classify a 1-D array of points at once; the scalar
-    methods are their one-element wrappers.
-    """
+    """Arc families of the order-2*sqrt(n) dissection for one fixed n, on 1-D
+    point arrays.  ``assign`` and ``in_major`` are one-element wrappers kept for
+    the benchmark: its tracer self-test wraps both, its oracle calls ``assign``."""
 
     n: int
-
-    @property
-    def L(self) -> float:
-        return math.log(self.n)
 
     @property
     def half_height(self) -> int:
@@ -200,10 +193,6 @@ class Dissection:
         a, q, err = self.assign_many(alpha)
         return RationalApprox(a=int(a[0]), q=int(q[0]), err=float(err[0]))
 
-    def upsilon(self, alpha: Real) -> float:
-        b = self.assign(alpha)
-        return 1.0 / (b.q + self.n * b.err)
-
     def in_major_many(self, alphas: Points, Q: float) -> np.ndarray:
         """Boolean mask of the points lying in M(Q)."""
         if not 1 <= Q <= 2 * math.sqrt(self.n) + 1e-9:
@@ -226,41 +215,37 @@ class Dissection:
             inside[hit] = ~self.in_major_many(x[hit], Q / 4)
         return inside
 
-    def in_slice(self, alpha: Real, Q: float) -> bool:
-        """Membership in N(Q) = M(Q) minus M(Q/4)."""
-        return bool(self.in_slice_many(alpha, Q)[0])
-
-    def in_core(self, alpha: Real) -> bool:
-        B = self.L ** (1.0 / 15.0)
-        x = float(alpha)
-        for q in range(1, int(math.floor(B)) + 1):
-            a = round(q * x)
-            if 0 <= a <= q and abs(x - a / q) <= B / self.n:
-                return True
-        return False
-
     def arc_halfwidth(self, q: int, Q: float) -> float:
         """Half-width (in alpha) of the height-Q arc around a/q."""
         return min(Q, 0.5 * math.sqrt(self.n)) / (q * self.n)
 
 
-def upsilon(alpha: Real, n: int) -> float:
-    """(q + n|q*alpha - a|)**-1 for the Farey cell of alpha; lies in (0, 1]."""
+def upsilon(alphas: Points, n: int) -> np.ndarray:
+    """(q + n|q*alpha - a|)**-1 over the Farey cells of the points; each lies in (0, 1]."""
     if n < 2:
         raise ValueError("n must be at least 2")
-    return Dissection(n).upsilon(alpha)
+    _, q, err = Dissection(n).assign_many(alphas)
+    return 1.0 / (q + n * err)
 
 
-def arc_classify(alpha: Real, n: int, Q: float) -> ArcLabel:
-    """Locate alpha relative to M(Q), its dyadic refinements, and the core."""
-    d = Dissection(n)
-    in_major = d.in_major(alpha, Q)
-    slice_q: Optional[float] = None
-    if in_major:
-        slice_q = Q
-        while slice_q / 4 >= 1 and d.in_major(alpha, slice_q / 4):
-            slice_q /= 4
-    return ArcLabel(in_major=in_major, slice_q=slice_q, core=d.in_core(alpha))
+def arc_classify(alphas: Points, n: int, Q: float) -> ArcLabel:
+    """Locate the points relative to M(Q), its dyadic levels and the core.
+
+    Each level Q/4**j >= 1 takes one ``in_major_many`` call over the points
+    still inside.  The core is |alpha - a/q| <= B/n over q <= B =
+    (log n)**(1/15); every n the dissection accepts has a float sqrt(n), so
+    log n < 710, B < 1.55 and only the q = 1 arc occurs (none at n = 2).
+    """
+    d, x = Dissection(n), _points(alphas)
+    in_major = d.in_major_many(x, Q)
+    slice_q, inside, level = np.where(in_major, Q, np.nan), np.flatnonzero(in_major), Q
+    while level / 4 >= 1 and inside.size:
+        level /= 4
+        inside = inside[d.in_major_many(x[inside], level)]
+        slice_q[inside] = level
+    B, x = math.log(n) ** (1.0 / 15.0), x.astype(float)
+    core = (B >= 1) & (np.minimum(x, 1 - x) <= B / n)
+    return ArcLabel(in_major=in_major, slice_q=slice_q, core=core)
 
 
 def _coprime_residues(q: int, rng: np.random.Generator) -> np.ndarray:

@@ -37,7 +37,7 @@ class SieveTables:
 def iroot(n: int, k: int) -> int:
     """Largest r >= 0 with r**k <= n."""
     if n < 0 or k < 1:
-        raise ValueError
+        raise ValueError(f"iroot needs n >= 0 and k >= 1, got n={n}, k={k}")
     r = round(n ** (1.0 / k))
     while r > 0 and r**k > n:
         r -= 1

@@ -52,6 +52,8 @@ class CountTable:
         return (int((c >> 31).sum()) << 31) + int((c & (2**31 - 1)).sum())
 
     def __getitem__(self, m: int) -> int:
+        if not 0 <= m <= self.limit:
+            raise IndexError(f"m={m} outside 0..{self.limit}")
         return int(self.counts[m])
 
 
@@ -247,10 +249,6 @@ class QuadratureResult:
 def _grid_integral(w: Weight, t: int, G: int, region: str, Q: Optional[float], n: int) -> float:
     integrand = np.abs(exp_sum_grid(w, G)) ** t
     if region != "full":
-        if Q is None:
-            raise ValueError(f"region {region!r} needs Q")
-        if region not in ("major", "slice"):
-            raise ValueError(f"unknown region {region!r}")
         d, alphas = Dissection(n), np.arange(G, dtype=float) / G
         integrand = integrand[
             d.in_major_many(alphas, Q) if region == "major" else d.in_slice_many(alphas, Q)
@@ -276,6 +274,10 @@ def quadrature_moment(
     """
     if t < 1:
         raise ValueError("t must be positive")
+    if region not in ("full", "major", "slice"):
+        raise ValueError(f"unknown region {region!r}")
+    if region != "full" and Q is None:
+        raise ValueError(f"region {region!r} needs Q")
     if n is None:
         k = w.params.get("k")
         P = w.params.get("P")

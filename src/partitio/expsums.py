@@ -1,7 +1,7 @@
 """Exponential-sum evaluation and empirical decay-exponent fitting.
 
 W(alpha) = sum over the weight support of w(m) e(t m), with e(z) =
-exp(2 pi i z) and t = j * phase * alpha.  On the uniform grid alpha = j/G,
+exp(2 pi i z) and t = phase * alpha.  On the uniform grid alpha = j/G,
 ``exp_sum_grid`` bins the weight by the integer residue m * phase mod G and
 takes one length-G DFT, so its phases are exact; ``exp_sum_rational`` reads
 one entry of it.  ``exp_sum_many`` is the one off-grid evaluator and
@@ -34,8 +34,8 @@ says is cheaper:
   point, but the reads are not what costs here.  The weight-only half
   (offsets, deconvolution, binning, one real FFT per real part) is a plan,
   built by the first NUFFT call on a weight and kept on that instance,
-  outside its dataclass fields, for one R; later calls at any points and
-  any j reuse it, with the same bits as a fresh transform.
+  outside its dataclass fields, for one R; later calls at any points
+  reuse it, with the same bits as a fresh transform.
 
 Cost model, in ns measured on one core of a 2-vCPU Intel Xeon with numpy
 2.4: dense ``_DENSE_NS`` per term (the cos and the sin: ~15 ns on regularly
@@ -49,7 +49,7 @@ of at most 2w terms.  The choice depends only on |support|, the support's
 span and the number of points, not on a plan, so equal calls give equal bits.
 
 Precision limit: off the grid, t m is an exact float product only while
-|m * j * phase| <= 2**53; past that ``float(m)`` is no longer m, and
+|m * phase| <= 2**53; past that ``float(m)`` is no longer m, and
 ``exp_sum_many`` raises ``PrecisionLimit`` instead of returning a wrong sum.
 
 Arcs: near a/q the phase splits, e(m (a/q + beta)) = e(a m / q) e(beta m)
@@ -91,27 +91,26 @@ _GATHER_NS = 40.0
 
 
 class PrecisionLimit(ArithmeticError):
-    """A float phase has no precision left: some |m * j * phase| (or, near
+    """A float phase has no precision left: some |m * phase| (or, near
     a/q, some |beta * m * phase|) exceeds 2**53."""
 
 
-def exp_sum(w: Weight, alpha: float, j: int = 1) -> complex:
-    """sum_m w(m) e(j * alpha * m), folding in the weight's own phase."""
-    return complex(exp_sum_many(w, np.array([alpha], dtype=float), j)[0])
+def exp_sum(w: Weight, alpha: float) -> complex:
+    """sum_m w(m) e(phase * alpha * m), with the weight's own phase."""
+    return complex(exp_sum_many(w, np.array([alpha], dtype=float))[0])
 
 
-def exp_sum_many(w: Weight, alphas: np.ndarray, j: int = 1) -> np.ndarray:
+def exp_sum_many(w: Weight, alphas: np.ndarray) -> np.ndarray:
     """W at every alpha, by the dense or the NUFFT kernel, whichever costs less."""
     alphas = np.asarray(alphas, dtype=float)
-    mult = j * w.phase
     if len(w.support) == 0:
         return np.zeros(len(alphas), dtype=complex)
     lo, hi = int(w.support.min()), int(w.support.max())
-    if max(-lo, hi) * abs(mult) > _PHASE_LIMIT:
+    if max(-lo, hi) * abs(w.phase) > _PHASE_LIMIT:
         raise PrecisionLimit(
-            f"|m * j * phase| up to {max(-lo, hi) * abs(mult)} exceeds 2**53"
+            f"|m * phase| up to {max(-lo, hi) * abs(w.phase)} exceeds 2**53"
         )
-    t = alphas * float(mult)
+    t = alphas * float(w.phase)
     t -= np.floor(t)
     grid = _nufft_grid(len(w.support), hi - lo, len(t), np.iscomplexobj(w.values))
     if grid:

@@ -4,7 +4,7 @@ from math import gcd
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from partitio.arcs import (
     Dissection,
@@ -157,72 +157,115 @@ def test_array_classifiers_match_scalar(n):
         else:
             want_slice = want
         assert list(major) == want == [d.in_major(float(x), Q) for x in pts]
-        assert list(slice_) == want_slice == [d.in_slice(float(x), Q) for x in pts]
+        assert list(slice_) == want_slice
     a, q, err = d.assign_many(pts)
     for i, x in enumerate(pts):
         got = RationalApprox(int(a[i]), int(q[i]), float(err[i]))
         assert got == d.assign(float(x)) == _assign_oracle(d, float(x))
 
 
+def _upsilon_oracle(d, alpha):
+    b = _assign_oracle(d, alpha)
+    return 1.0 / (b.q + d.n * b.err)
+
+
+def _slice_q_oracle(d, alpha, Q):
+    if not _in_major_oracle(d, alpha, Q):
+        return math.nan
+    while Q / 4 >= 1 and _in_major_oracle(d, alpha, Q / 4):
+        Q /= 4
+    return Q
+
+
+def _core_oracle(n, alpha):
+    # the arcs |alpha - a/q| <= B/n over every q <= B = (log n)**(1/15)
+    B = math.log(n) ** (1.0 / 15.0)
+    for q in range(1, int(math.floor(B)) + 1):
+        a = round(q * alpha)
+        if 0 <= a <= q and abs(alpha - a / q) <= B / n:
+            return True
+    return False
+
+
+_n_and_Q = st.one_of(
+    st.integers(2, 9),
+    st.sampled_from([10, 17, 100, 10**4, 10**6 + 7, 10**9, 10**12]),
+    st.integers(10, 10**12),
+).flatmap(lambda n: st.tuples(st.just(n), st.one_of(
+    st.sampled_from([1.0, 2.0, 4.5, 16.0, 300.0]).map(lambda Q: min(Q, 2 * math.sqrt(n))),
+    st.floats(1.0, 2 * math.sqrt(n)),
+)))
+
+
+@given(_n_and_Q, st.lists(_alphas, min_size=1, max_size=12))
+@example((2, 1.0), [0.0, 0.25, 0.5, 1.0])
+@example((3, 2.0), [0.0, 0.3, 2.0**-11, math.nextafter(1.0, 0.0)])
+@example((10**6 + 7, 1000.0), [1 / 7, 1 / 7 + 2.5e-6, 0.5, 2.0**-20])
+@example((10**4, 1.0), [0.005, 0.5025])  # on the rim of a low arc: the low q wins
+def test_upsilon_and_arc_classify_match_scalar_oracles(n_Q, alphas):
+    n, Q = n_Q
+    d = Dissection(n)
+    lab = arc_classify(np.array(alphas), n, Q)
+    assert lab.in_major.dtype == lab.core.dtype == bool
+    assert upsilon(alphas, n).tolist() == [_upsilon_oracle(d, x) for x in alphas]
+    assert lab.in_major.tolist() == [_in_major_oracle(d, x, Q) for x in alphas]
+    want = [_slice_q_oracle(d, x, Q) for x in alphas]
+    assert np.array_equal(lab.slice_q, want, equal_nan=True)
+    assert lab.core.tolist() == [_core_oracle(n, x) for x in alphas]
+
+
 def test_upsilon_values():
-    assert upsilon(0.0, 100) == 1.0
-    assert upsilon(0.5, 100) == 0.5
-    assert upsilon(0.0, 10**4) == 1.0
+    assert upsilon([0.0, 0.5], 100).tolist() == [1.0, 0.5]
+    assert upsilon(0.0, 10**4).tolist() == [1.0]
+    with pytest.raises(ValueError):
+        upsilon(0.5, 1)
 
 
 def test_upsilon_on_extreme_minor_arcs(rng):
     # frozen from a sampling experiment: Upsilon * sqrt(n) stays order one
     n = 10**4
-    d = Dissection(n)
-    ratios = []
-    for alpha in rng.random(4000):
-        if not d.in_major(alpha, 0.5 * math.sqrt(n)):
-            ratios.append(upsilon(float(alpha), n) * math.sqrt(n))
+    alphas = rng.random(4000)
+    minor = alphas[~Dissection(n).in_major_many(alphas, 0.5 * math.sqrt(n))]
+    ratios = upsilon(minor, n) * math.sqrt(n)
     assert len(ratios) > 100
-    assert 0.3 <= min(ratios) and max(ratios) <= 2.1
+    assert 0.3 <= ratios.min() and ratios.max() <= 2.1
 
 
 def test_arc_classify_centers_and_edges():
     n = 10**4
-    lab = arc_classify(1 / 3, n, 10.0)
-    assert lab.in_major
-    eps = 0.6 * (0.5 / math.sqrt(n))  # just beyond the half-width of q=1 at Q=1
-    lab = arc_classify(0.0 + 1.2 * 1.0 / n, n, 1.0)
-    assert not lab.in_major
-    lab = arc_classify(0.0 + 0.8 * 1.0 / n, n, 1.0)
-    assert lab.in_major
+    assert arc_classify(1 / 3, n, 10.0).in_major.tolist() == [True]
+    lab = arc_classify([0.0 + 1.2 * 1.0 / n, 0.0 + 0.8 * 1.0 / n], n, 1.0)
+    assert lab.in_major.tolist() == [False, True]
 
 
 def test_arc_nesting_and_slices():
     n = 10**4
     d = Dissection(n)
-    rng = np.random.default_rng(5)
+    alphas = np.random.default_rng(5).random(300)
     Q = 64.0
-    for alpha in rng.random(300):
-        if d.in_major(alpha, Q / 4):
-            assert d.in_major(alpha, Q)  # nested
-        levels = [d.in_slice(alpha, Q / 4**j) for j in range(3)]
-        assert sum(levels) <= 1  # dyadic slices are disjoint
+    assert d.in_major_many(alphas, Q)[d.in_major_many(alphas, Q / 4)].all()  # nested
+    levels = [d.in_slice_many(alphas, Q / 4**j) for j in range(3)]
+    assert (np.sum(levels, axis=0) <= 1).all()  # dyadic slices are disjoint
 
 
 def test_slice_partition_exhaustive():
-    # every point of M(Q) lands in exactly one N(Q/4^j) or the lowest level
+    # every point of M(Q) lands in exactly one N(Q/4^j) or the lowest level,
+    # and arc_classify names that level
     n = 10**4
     d = Dissection(n)
     rng = np.random.default_rng(11)
     Q = 32.0
-    for alpha in rng.random(400):
-        if not d.in_major(alpha, Q):
-            continue
-        hits = []
-        level = Q
-        while level >= 1:
-            if level / 4 < 1:
-                hits.append(d.in_major(alpha, level))
-                break
-            hits.append(d.in_slice(alpha, level))
-            level /= 4
-        assert sum(hits) == 1
+    alphas = rng.random(400)
+    alphas = alphas[d.in_major_many(alphas, Q)]
+    hits, levels = [], [Q]
+    while levels[-1] / 4 >= 1:
+        hits.append(d.in_slice_many(alphas, levels[-1]))
+        levels.append(levels[-1] / 4)
+    hits.append(d.in_major_many(alphas, levels[-1]))
+    assert (np.sum(hits, axis=0) == 1).all()
+    assert arc_classify(alphas, n, Q).slice_q.tolist() == [
+        levels[j] for j in np.argmax(hits, axis=0)
+    ]
 
 
 def test_major_measure_against_formula(rng):
@@ -242,13 +285,11 @@ def test_major_measure_against_formula(rng):
 
 def test_upsilon_bounded_on_slices():
     n = 10**4
-    d = Dissection(n)
     rng = np.random.default_rng(3)
     for Q in (16.0, 64.0, 150.0):
         alphas = sample_slice_alphas(n, Q, 150, rng)
         assert len(alphas) > 0
-        for alpha in alphas:
-            assert upsilon(float(alpha), n) <= 4.0 / Q
+        assert (upsilon(alphas, n) <= 4.0 / Q).all()
 
 
 def test_top_slice_is_the_extreme_minor_arcs(rng):
@@ -257,10 +298,10 @@ def test_top_slice_is_the_extreme_minor_arcs(rng):
     n = 10**4
     d = Dissection(n)
     top = 2 * math.sqrt(n)
-    for alpha in rng.random(150):
-        alpha = float(alpha)
-        assert d.in_major(alpha, top)
-        assert d.in_slice(alpha, top) == (not d.in_major(alpha, 0.5 * math.sqrt(n)))
+    alphas = rng.random(150)
+    assert d.in_major_many(alphas, top).all()
+    low = d.in_major_many(alphas, 0.5 * math.sqrt(n))
+    assert d.in_slice_many(alphas, top).tolist() == (~low).tolist()
 
 
 def test_assignment_invariants(rng):
@@ -275,16 +316,15 @@ def test_assignment_invariants(rng):
 
 def test_slice_q_label():
     n = 10**4
-    lab = arc_classify(0.5, n, 32.0)  # q=2 arc: in M(2), hence below every slice
-    assert lab.in_major and lab.slice_q == 2.0
-    lab = arc_classify(1 / 7 + 2.5 / n, n, 32.0)
-    assert lab.in_major
+    lab = arc_classify([0.5, 1 / 7 + 2.5 / n], n, 32.0)
+    assert lab.in_major.tolist() == [True, True]
+    assert lab.slice_q[0] == 2.0  # q=2 arc: in M(2), hence below every slice
 
 
 def test_core_flag():
     n = 10**6
-    assert arc_classify(0.0, n, 4.0).core
-    assert not arc_classify(0.37, n, 4.0).core
+    assert arc_classify([0.0, 0.37], n, 4.0).core.tolist() == [True, False]
+    assert not arc_classify(0.0, 2, 1.0).core[0]  # B = (log 2)**(1/15) < 1
 
 
 def test_size_slices_squares():

@@ -29,6 +29,9 @@ from phase_oracle import exact_arcs
 def test_iroot():
     assert iroot(26, 3) == 2 and iroot(27, 3) == 3 and iroot(28, 3) == 3
     assert iroot(10**12, 4) == 1000
+    # k = 0 reaches iroot before any other check of mean_value_N
+    with pytest.raises(ValueError, match="n=100, k=0"):
+        mean_value_N(0, 1, 100, 5)
 
 
 # ---------------------------------------------------------------------------
@@ -39,6 +42,14 @@ def test_iroot():
 def test_single_cube():
     t = power_convolution(3, 1, 100)
     assert t[27] == 1 and t[26] == 0 and t[64] == 1
+
+
+def test_count_table_index_is_held_to_0_through_limit():
+    t = representation_counts(3, 2, 50)
+    assert t[0] == 1 and t[50] == int(t.counts[50])
+    for m in (-1, -51, 51):
+        with pytest.raises(IndexError):
+            t[m]
 
 
 def test_taxicab_ordered_pairs():
@@ -501,6 +512,18 @@ def test_quadrature_major_monotone_in_Q():
     assert values[0] <= values[1] <= values[2]
     full = quadrature_moment(w, 2, grid_points=4096, doubling=False).value
     assert values[-1] <= full + 1e-9
+
+
+def test_quadrature_checks_region_before_any_transform(monkeypatch):
+    def no_transform(*args):
+        raise AssertionError("exp_sum_grid ran before the region check")
+
+    monkeypatch.setattr(counting, "exp_sum_grid", no_transform)
+    w = make_weight("squares", 10**4)
+    for region, Q, fault in (("bogus", None, "unknown region"), ("bogus", 4.0, "unknown region"),
+                             ("major", None, "needs Q"), ("slice", None, "needs Q")):
+        with pytest.raises(ValueError, match=fault):
+            quadrature_moment(w, 2, region=region, Q=Q, grid_points=20_000)
 
 
 def _exact_arc_integrals(w, t, n, q, a_values, U):

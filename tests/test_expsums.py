@@ -50,13 +50,13 @@ def test_exp_sum_many_matches_scalar(rng):
         assert exp_sum(w, float(a)) == pytest.approx(b, abs=1e-9 * w.norm)
 
 
-def _reduced(w, alphas, j=1):
-    t = np.asarray(alphas, dtype=float) * float(j * w.phase)
+def _reduced(w, alphas):
+    t = np.asarray(alphas, dtype=float) * float(w.phase)
     return t - np.floor(t)
 
 
-def _dense_oracle(w, alphas, j=1):
-    return expsums._dense(w.support.astype(float), w.values, _reduced(w, alphas, j))
+def _dense_oracle(w, alphas):
+    return expsums._dense(w.support.astype(float), w.values, _reduced(w, alphas))
 
 
 def _grid_length(w):
@@ -93,15 +93,16 @@ def test_exp_sum_many_and_nufft_match_dense_oracle(kind, log_n, j, q, a, nodes, 
     if kind == "e2":
         n = max(n, 7**6)  # the first n with a nonempty e2 support
     w = _test_weight(kind, n, j)
+    w = dataclasses.replace(w, phase=j * w.phase)
     R = _grid_length(w)
     alphas = np.array(
         [0.0, 1.0, np.nextafter(1.0, 0.0), (a % (q + 1)) / q]
         + [(node % R) / R for node in nodes] + others
     )
-    oracle = _dense_oracle(w, alphas, j)
+    oracle = _dense_oracle(w, alphas)
     tol = 1e-10 * w.norm
-    assert np.abs(exp_sum_many(w, alphas, j) - oracle).max() <= tol
-    forced = expsums._nufft(w, _reduced(w, alphas, j), R)
+    assert np.abs(exp_sum_many(w, alphas) - oracle).max() <= tol
+    forced = expsums._nufft(w, _reduced(w, alphas), R)
     assert np.abs(forced - oracle).max() <= tol
 
 
@@ -134,15 +135,18 @@ def test_nufft_exact_phases_at_large_span(rng):
     order=st.randoms(use_true_random=False),
 )
 def test_planned_weight_matches_fresh_weight_bitwise(kind, calls, order):
-    # one weight serves every call from its plan, in shuffled order and each
-    # call twice; a replace() copy starts without a plan and transforms anew
+    # one weight per phase serves every call from its plan, in shuffled order
+    # and each call twice; a replace() copy starts without a plan and
+    # transforms anew
     w = _test_weight(kind, 30000, 1)
+    phased = {j: dataclasses.replace(w, phase=j) for j in (1, 2)}
     points = [np.random.default_rng(seed).random(count) for count, _, seed in calls]
-    fresh = [exp_sum_many(dataclasses.replace(w), x, j) for x, (_, j, _) in zip(points, calls)]
+    fresh = [exp_sum_many(dataclasses.replace(phased[j]), x)
+             for x, (_, j, _) in zip(points, calls)]
     schedule = list(range(len(calls))) * 2
     order.shuffle(schedule)
     for i in schedule:
-        assert exp_sum_many(w, points[i], calls[i][1]).tobytes() == fresh[i].tobytes()
+        assert exp_sum_many(phased[calls[i][1]], points[i]).tobytes() == fresh[i].tobytes()
 
 
 def _count_rfft(monkeypatch):
@@ -163,8 +167,8 @@ def test_plan_is_outside_the_dataclass_fields(monkeypatch):
     names = [f.name for f in dataclasses.fields(w)]
     rffts = _count_rfft(monkeypatch)
     rng = np.random.default_rng(1)
-    for j in (1, 2, 1):
-        exp_sum_many(w, rng.random(64), j)
+    for _ in range(3):
+        exp_sum_many(w, rng.random(64))
     assert len(rffts) == 1 and "_nufft_plan" in vars(w)
     assert [f.name for f in dataclasses.fields(w)] == names
     assert w == twin and repr(w) == text
@@ -242,7 +246,7 @@ def test_precision_limit_boundary():
     with pytest.raises(PrecisionLimit):
         exp_sum(single(2**52 + 1, phase=2), 0.25)
     with pytest.raises(PrecisionLimit):
-        exp_sum_many(single(2**52 + 1), np.array([0.1, 0.2]), j=2)
+        exp_sum_many(single(2**52 + 1, phase=2), np.array([0.1, 0.2]))
     # fifth powers up to 1e17: float phases would be silently wrong
     with pytest.raises(ArithmeticError):
         exp_sum_many(make_weight("hth_powers", 10**17, h=5), np.array([3 / 7]))
@@ -251,7 +255,8 @@ def test_precision_limit_boundary():
 def test_exp_sum_phase_multiplier():
     w = make_weight("squares", 400)
     alpha = 0.1375
-    assert exp_sum(w, alpha, j=2) == pytest.approx(exp_sum(w, 2 * alpha), rel=1e-10)
+    doubled = dataclasses.replace(w, phase=2)
+    assert exp_sum(doubled, alpha) == pytest.approx(exp_sum(w, 2 * alpha), rel=1e-10)
     w2 = make_weight("e2", 7**6, j=2)
     direct = sum(v * np.exp(2j * np.pi * 2 * alpha * m) for m, v in zip(w2.support, w2.values))
     assert exp_sum(w2, alpha) == pytest.approx(direct, rel=1e-9)
