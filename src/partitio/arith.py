@@ -38,12 +38,16 @@ def iroot(n: int, k: int) -> int:
     """Largest r >= 0 with r**k <= n."""
     if n < 0 or k < 1:
         raise ValueError(f"iroot needs n >= 0 and k >= 1, got n={n}, k={k}")
-    r = round(n ** (1.0 / k))
-    while r > 0 and r**k > n:
-        r -= 1
-    while (r + 1) ** k <= n:
-        r += 1
-    return r
+    if n < 2 or k == 1:
+        return n
+    # integer Newton from 2**ceil(bits/k), above the root: the iterates fall
+    # to the root and stop there, exact for every n, with no float in between
+    r = 1 << -(-n.bit_length() // k)
+    while True:
+        nxt = ((k - 1) * r + n // r ** (k - 1)) // k
+        if nxt >= r:
+            return r
+        r = nxt
 
 
 def coprime_mask(q: int) -> np.ndarray:
@@ -134,10 +138,6 @@ class SmoothSet:
 
     def __len__(self) -> int:
         return len(self.members)
-
-    def __contains__(self, m: int) -> bool:
-        i = int(np.searchsorted(self.members, m))
-        return i < len(self.members) and int(self.members[i]) == m
 
 
 def smooth_set(P: int, R: int) -> SmoothSet:

@@ -200,7 +200,8 @@ def _cmd_moments(o: argparse.Namespace) -> Report:
             raise ConfigError(f"--t must be an integer, got {o.t}")
         t = int(o.t)
         w = weights.make_weight("smooth_kth_powers", P**k, k=k, P=P, R=R)
-        res = counting.quadrature_moment(w, t, region=o.region, Q=o.Q, grid_points=o.grid_points)
+        G = o.grid_points if o.grid_points is not None else max(2048, 64 * t * P)
+        res = counting.quadrature_moment(w, t, region=o.region, Q=o.Q, grid_points=G)
         rows.append([f"quadrature[{o.region}] t={t}", res.value,
                      f"rel_change={res.rel_change:.2e}"])
         ok &= res.rel_change is not None and res.rel_change < 5e-3

@@ -246,9 +246,6 @@ class EBranchResult:
     branch: str            # "F-branch" or "eta-branch"
     tau0: Optional[float]  # interior minimiser, absent on the eta branch
 
-    def __float__(self) -> float:
-        return self.value
-
 
 def e_closed(sigma: float, phi: float, zeta: float) -> EBranchResult:
     """Closed form of the minimised exponent E(sigma, phi) for fixed zeta.

@@ -242,14 +242,11 @@ class QuadratureResult:
     doubled_value: Optional[float] = None
     rel_change: Optional[float] = None
 
-    def __float__(self) -> float:
-        return self.value
 
-
-def _grid_integral(w: Weight, t: int, G: int, region: str, Q: Optional[float], n: int) -> float:
+def _grid_integral(w: Weight, t: int, G: int, region: str, Q: Optional[float]) -> float:
     integrand = np.abs(exp_sum_grid(w, G)) ** t
     if region != "full":
-        d, alphas = Dissection(n), np.arange(G, dtype=float) / G
+        d, alphas = Dissection(w.n), np.arange(G, dtype=float) / G
         integrand = integrand[
             d.in_major_many(alphas, Q) if region == "major" else d.in_slice_many(alphas, Q)
         ]
@@ -261,16 +258,17 @@ def quadrature_moment(
     w: Weight,
     t: int,
     region: str = "full",
-    grid_points: Optional[int] = None,
+    *,
+    grid_points: int,
     Q: Optional[float] = None,
-    n: Optional[int] = None,
     doubling: bool = True,
 ) -> QuadratureResult:
     """Grid quadrature of the t-th power moment of |W| over a region.
 
-    region is "full", "major" (the height-Q arcs M(Q)) or "slice" (N(Q)).
-    The doubling check recomputes on twice the grid; the relative change is
-    the stability diagnostic that acceptance requires below 0.5 percent.
+    region is "full", "major" (the height-Q arcs M(Q)) or "slice" (N(Q)),
+    both on the dissection at the weight's own n.  The doubling check
+    recomputes on twice the grid; the relative change is the stability
+    diagnostic that acceptance requires below 0.5 percent.
     """
     if t < 1:
         raise ValueError("t must be positive")
@@ -278,19 +276,12 @@ def quadrature_moment(
         raise ValueError(f"unknown region {region!r}")
     if region != "full" and Q is None:
         raise ValueError(f"region {region!r} needs Q")
-    if n is None:
-        k = w.params.get("k")
-        P = w.params.get("P")
-        n = P**k if (k and P) else w.n
-    if grid_points is None:
-        P = w.params.get("P") or iroot(w.n, w.params.get("k", 1))
-        grid_points = max(2048, 64 * t * int(P))
     if grid_points < 1000:
         raise ValueError("grid_points must be at least 1000")
-    value = _grid_integral(w, t, grid_points, region, Q, n)
+    value = _grid_integral(w, t, grid_points, region, Q)
     if not doubling:
         return QuadratureResult(value=value, grid_points=grid_points)
-    doubled = _grid_integral(w, t, 2 * grid_points, region, Q, n)
+    doubled = _grid_integral(w, t, 2 * grid_points, region, Q)
     rel = abs(doubled - value) / max(abs(doubled), 1e-300)
     return QuadratureResult(
         value=value, grid_points=grid_points, doubled_value=doubled, rel_change=rel

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from partitio.arith import SmoothSet, iroot, primes_up_to, sieve_tables, smooth_set
+from partitio.arith import _check_budget, iroot, primes_up_to, sieve_tables, smooth_set
 
 KINDS = (
     "squares",
@@ -33,18 +33,20 @@ class Weight:
     """Finitely supported arithmetic function on [1, n].
 
     ``support`` holds the m with w(m) != 0 in ascending order, ``values`` the
-    matching w(m) (real for every built-in kind), ``norm`` the sum of |w(m)|.
-    ``phase`` scales alpha at evaluation time (used by the staggered
-    prime-square kind, whose definition carries a fixed multiplier j).
+    matching w(m) (real for every built-in kind).  ``phase`` scales alpha at
+    evaluation time (used by the staggered prime-square kind, whose
+    definition carries a fixed multiplier j).  ``norm``, the sum of |w(m)|,
+    is derived from ``values`` when the weight is made.
     """
 
     n: int
-    kind: str
     support: np.ndarray
     values: np.ndarray
-    norm: float
     phase: int = 1
-    params: dict = field(default_factory=dict)
+    norm: float = field(init=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "norm", float(np.abs(self.values).sum()))
 
     def value(self, m: int) -> float:
         i = int(np.searchsorted(self.support, m))
@@ -65,15 +67,22 @@ def make_weight(
     k: Optional[int] = None,
     P: Optional[int] = None,
     R: Optional[int] = None,
-    smooth: Optional[SmoothSet] = None,
     j: int = 1,
 ) -> Weight:
+    """The built-in weight of this kind on [1, n].  Only e2 takes the phase
+    multiplier j (1 or 2).  The squares and h-th powers hold their support
+    length to the sieve budget before they allocate it, as the sieves do."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    params: dict = {}
+    if kind == "e2" and j not in (1, 2):
+        raise ValueError("phase multiplier j must be 1 or 2")
+    if kind != "e2" and j != 1:
+        raise ValueError(f"phase multiplier j is read only by e2, not {kind!r}")
 
     if kind == "squares":
-        support = np.arange(1, math.isqrt(n) + 1, dtype=np.int64) ** 2
+        X = math.isqrt(n)
+        _check_budget(X)
+        support = np.arange(1, X + 1, dtype=np.int64) ** 2
         values = np.ones(len(support))
     elif kind == "prime_squares":
         support = primes_up_to(math.isqrt(n)) ** 2
@@ -89,25 +98,19 @@ def make_weight(
     elif kind == "hth_powers":
         if h is None or h < 2:
             raise ValueError("hth_powers needs h >= 2")
-        params["h"] = h
-        xs = np.arange(1, iroot(n, h) + 1, dtype=np.int64)
-        support = xs**h
+        X = iroot(n, h)
+        _check_budget(X)
+        support = np.arange(1, X + 1, dtype=np.int64) ** h
         values = np.ones(len(support))
     elif kind == "smooth_kth_powers":
         if k is None or k < 3:
             raise ValueError("smooth_kth_powers needs k >= 3")
-        if smooth is None:
-            if P is None or R is None:
-                raise ValueError("smooth_kth_powers needs (P, R) or a SmoothSet")
-            smooth = smooth_set(P, R)
-        params.update(k=k, P=smooth.P, R=smooth.R)
-        powers = [int(x) ** k for x in smooth.members]  # exact ints, then trim
+        if P is None or R is None:
+            raise ValueError("smooth_kth_powers needs P and R")
+        powers = [int(x) ** k for x in smooth_set(P, R).members]  # exact ints, then trim
         support = np.array([p for p in powers if p <= n], dtype=np.int64)
         values = np.ones(len(support))
     elif kind == "e2":
-        if j not in (1, 2):
-            raise ValueError("phase multiplier j must be 1 or 2")
-        params["j"] = j
         m1, m2 = iroot(n, 6), iroot(n, 3)
         p2 = primes_up_to(m2)
         p2 = p2[p2 % 3 == 1]
@@ -118,45 +121,29 @@ def make_weight(
     else:
         raise ValueError(f"unknown weight kind {kind!r}")
 
-    return Weight(
-        n=n,
-        kind=kind,
-        support=support,
-        values=values,
-        norm=float(np.abs(values).sum()),
-        phase=params.get("j", 1),
-        params=params,
-    )
+    return Weight(n=n, support=support, values=values, phase=j)
 
 
 @dataclass(frozen=True)
 class WeightStats:
-    norm: float
     half_mass_ratio: float
     is_regular: bool
-    is_empty: bool
 
 
 def weight_stats(w: Weight) -> WeightStats:
     """Mass on [1, n/2] relative to the whole domain, for nonnegative weights.
 
-    A weight counts as regular when the ratio is at least 1/4.  Empty
-    weights report ratio 0 with the norm-0 flag set rather than erroring.
+    A weight counts as regular when the ratio is at least 1/4.  An empty
+    weight (norm 0) reports ratio 0 rather than erroring.
     """
     if np.iscomplexobj(w.values):
         raise ValueError("weight_stats requires a real-valued weight")
     if np.any(w.values < 0):
         raise ValueError("weight_stats requires a nonnegative weight")
     if w.norm == 0:
-        return WeightStats(norm=0.0, half_mass_ratio=0.0, is_regular=False, is_empty=True)
-    half = float(w.values[w.support <= w.n // 2].sum())
-    ratio = half / w.norm
-    return WeightStats(
-        norm=w.norm,
-        half_mass_ratio=ratio,
-        is_regular=ratio >= 0.25,
-        is_empty=False,
-    )
+        return WeightStats(half_mass_ratio=0.0, is_regular=False)
+    ratio = float(w.values[w.support <= w.n // 2].sum()) / w.norm
+    return WeightStats(half_mass_ratio=ratio, is_regular=ratio >= 0.25)
 
 
 def phi_exponent(kind: str, h: Optional[int] = None) -> float:

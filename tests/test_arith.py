@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from partitio import arith
 from partitio.arith import (
@@ -229,10 +229,29 @@ def test_smooth_bound():
         smooth_bound(100, 0.0)
 
 
+def _iroot_by_bisection(n, k):
+    lo, hi = 0, 1
+    while hi**k <= n:
+        hi *= 2
+    while hi - lo > 1:  # lo**k <= n < hi**k
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if mid**k <= n else (lo, mid)
+    return lo
+
+
+@given(st.integers(0, 10**600), st.integers(1, 64))
+@example(10**300, 2)  # a float root of this is off by ~1e134
+@example(10**400, 3)  # past the float range
+@example(10**399 - 1, 3)
+@example(2**1023 * 3, 5)
+def test_iroot_is_exact_for_every_int(n, k):
+    assert arith.iroot(n, k) == _iroot_by_bisection(n, k)
+
+
 def test_smooth_set_contains():
-    s = smooth_set(100, 7)
-    assert 1 in s and 63 in s and 64 in s
-    assert 22 not in s  # 11 is a prime factor
+    members = smooth_set(100, 7).members.tolist()
+    assert 1 in members and 63 in members and 64 in members
+    assert 22 not in members  # 11 is a prime factor
 
 
 def test_coprime_mask_matches_gcd():

@@ -356,8 +356,7 @@ def test_nu_zero_weight():
 
 def test_nu_keeps_a_non_integer_weight_unrounded():
     # within allclose's rtol of an integer, but not an integer
-    w = Weight(n=10, kind="custom", support=np.array([1, 2]),
-               values=np.array([100000.5, 3.0]), norm=100003.5)
+    w = Weight(n=10, support=np.array([1, 2]), values=np.array([100000.5, 3.0]))
     rho = power_convolution(1, 1, 10)  # one way to write each m >= 1
     assert nu_convolution(w, rho, 10) == 100003.5
 
@@ -506,7 +505,7 @@ def test_quadrature_major_monotone_in_Q():
     n = P**k
     w = make_weight("smooth_kth_powers", n, k=k, P=P, R=P)
     values = [
-        quadrature_moment(w, 2, region="major", Q=Q, grid_points=4096, n=n, doubling=False).value
+        quadrature_moment(w, 2, region="major", Q=Q, grid_points=4096, doubling=False).value
         for Q in (2.0, 8.0, 15.0)
     ]
     assert values[0] <= values[1] <= values[2]

@@ -25,7 +25,7 @@ from phase_oracle import exact_arcs
 
 def test_exp_sum_at_zero_counts_support():
     sm = smooth_set(50, 7)
-    w = make_weight("smooth_kth_powers", 50**3, k=3, smooth=sm)
+    w = make_weight("smooth_kth_powers", 50**3, k=3, P=50, R=7)
     assert exp_sum(w, 0.0) == pytest.approx(len(sm), rel=1e-12)
 
 
@@ -68,8 +68,7 @@ def _test_weight(kind, n, j):
         rng = np.random.default_rng(n)
         support = np.unique(rng.integers(1, n + 1, size=max(2, n // 5)))
         values = rng.normal(size=len(support)) + 1j * rng.normal(size=len(support))
-        return Weight(n=n, kind=kind, support=support, values=values,
-                      norm=float(np.abs(values).sum()))
+        return Weight(n=n, support=support, values=values)
     return make_weight(kind, n, j=j) if kind == "e2" else make_weight(kind, n)
 
 
@@ -113,8 +112,7 @@ def test_nufft_exact_phases_at_large_span(rng):
     n = 10**6
     support = np.unique(rng.integers(1, n + 1, size=300))
     values = rng.normal(size=len(support))
-    w = Weight(n=n, kind="random", support=support, values=values,
-               norm=float(np.abs(values).sum()))
+    w = Weight(n=n, support=support, values=values)
     alphas = np.concatenate([[np.nextafter(1.0, 0.0), 1 / 3, 0.5, 2 / 7], rng.random(4)])
     exact = []
     for alpha in alphas:
@@ -234,8 +232,8 @@ def test_smooth_length_is_least_5_smooth():
 
 def test_precision_limit_boundary():
     def single(m, phase=1):
-        return Weight(n=m, kind="ones", support=np.array([m], dtype=np.int64),
-                      values=np.ones(1), norm=1.0, phase=phase)
+        return Weight(n=m, support=np.array([m], dtype=np.int64), values=np.ones(1),
+                      phase=phase)
 
     # 2**53 - 1 is odd, so W(1/2) = e((2**53 - 1) / 2) = -1 exactly
     assert exp_sum(single(2**53 - 1), 0.5) == pytest.approx(-1.0, abs=1e-15)
@@ -320,8 +318,7 @@ def test_exp_sum_grid_matches_integer_oracle(kind, n, G, a):
         rng = np.random.default_rng(n)
         support = np.unique(rng.integers(2**53, 2**62, size=40, endpoint=True))
         values = rng.normal(size=len(support))
-        w = Weight(n=2**62, kind=kind, support=support, values=values,
-                   norm=float(np.abs(values).sum()), phase=3)
+        w = Weight(n=2**62, support=support, values=values, phase=3)
     else:
         w = _test_weight(kind, n, 1)
     oracle = _grid_oracle(w, G)
@@ -391,8 +388,7 @@ def test_exp_sum_arcs_matches_exact_phases(kind, size, q, picks, us, U):
 
 
 def test_exp_sum_arcs_precision_limit():
-    w = Weight(n=2**60, kind="ones", support=np.array([2**60], dtype=np.int64),
-               values=np.ones(1), norm=1.0)
+    w = Weight(n=2**60, support=np.array([2**60], dtype=np.int64), values=np.ones(1))
     # exact residues carry a/q; beta m stays small, so 2**60 is no limit here
     got = expsums.exp_sum_arcs(w, 3, [0, 1, 2], np.array([0.0, 2.0**-62]))
     roots = np.exp(2j * np.pi * (np.arange(3) * (2**60 % 3) / 3))
@@ -434,7 +430,7 @@ def test_sup_profile_constant_weight_kernel_decay():
     support = np.arange(1, n + 1, dtype=np.int64)
     from partitio.weights import Weight
 
-    w = Weight(n=n, kind="ones", support=support, values=np.ones(n), norm=float(n))
+    w = Weight(n=n, support=support, values=np.ones(n))
     prof = sup_profile(w, n, [8.0, 32.0, 128.0], samples_per_slice=150, seed=3)
     sups = [s for _, s in prof]
     assert sups[0] > sups[1] > sups[2]

@@ -244,12 +244,15 @@ def test_precision_limit_is_usage_error(capsys):
         ("singular", "--k", "3", "--s", "5", "--m", "-1", "--integral"),
         ("weights", "--kind", "mobius", "--limit", "100000000"),  # CapacityLimit of the sieve
         ("moments", "--k", "3", "--r", "2", "--limit", "400"),  # a 2 * 400**3 entry table
+        ("weights", "--kind", "squares", "--limit", str(10**30)),  # 10**15 squares
+        ("weights", "--kind", "hth_powers", "--h", "3", "--limit", str(10**400)),  # past floats
     ],
 )
 def test_refused_inputs_are_usage_errors(capsys, monkeypatch, argv):
-    # budgets are checked before any array exists: without numpy in counting,
-    # an allocation there would raise another error
+    # budgets are checked before any array exists: without numpy in counting
+    # and weights, an allocation there would raise another error
     monkeypatch.setattr(cli.counting, "np", None)
+    monkeypatch.setattr(cli.weights, "np", None)
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
@@ -489,8 +492,10 @@ def test_counts_via_cli_prints_the_library_table(capsys):
     assert lines[4 + len(rows):] == ["", f"total: {table.total()}", "", "status: ok"]
 
 
-# sha256 of stdout; integer or closed-form output, so the same on every
-# platform.  A change to the layout of any table or format shows here.
+# sha256 of stdout.  Most runs print integer or closed-form output, the same
+# on every platform; the moments quadrature rows are FFT sums printed to the
+# last bit, pinned as numpy computes them here.  A change to the layout of
+# any table or format, or to the default grid of moments, shows here.
 _PINNED = {
     "constants": {
         "csv": "53c508faad014ab953d3a67f13ab50ba76f0ff0a4f96eb466302164bf43a1f85",
@@ -517,6 +522,21 @@ _PINNED = {
         "json": "66a2c9985429039d3edaf4e31af880361b6aee6cee1c38f824a30c34bdb1ecda",
         "pretty": "9e5dfce488b6e74555cf9d421953cfee5562ea3bd50a8a4a37f6118898b0c6a4",
     },
+    "moments --k 3 --r 2 --limit 12 --t 4": {
+        "csv": "94a954101bec128ec13ae2fc13cf57b39e55595e9ff8bc922b102270ec076117",
+        "json": "9cfb344742636cde53a7e07b5714a461e1a91fbdbc75d3bc01af8f718f1b2bf8",
+        "pretty": "cd7f494150e27746f60c45f7bad6a76ed3c5aae7eedc98c66fc65fec87dc4a9f",
+    },
+    "moments --k 3 --r 2 --limit 12 --t 4 --region major --Q 4": {
+        "csv": "9d3c99fbd8243576c6b6ce8b5dce00b6171646d07ab95e50e8ebb9d2dc626836",
+        "json": "8b86b1a2c865289ba8dd2f8314c36d7dd9a8daf1d4481b443413520e19229ca4",
+        "pretty": "ca0dd40d258d0db526260fb41d8bc0cb9e15c932a6aa3af4a0945d5a846a718f",
+    },
+    "moments --k 3 --r 1 --limit 11 --t 2 --eta 0.5": {
+        "csv": "c1f86e1d4862ea53a8dbf6bf654a9f07cb3060ff4174ee1003451f7ed916e57f",
+        "json": "bd7d53ff91a1d4e0b4c1e1cc22ef53c9caa659dd70c5d6b304c5a0e905267f87",
+        "pretty": "9f0bafd258e33b6a058c58135e2f39e55c0573e2cce94ca746a1d1615bb6d774",
+    },
     "check --k 7 --s 20 --phi 1/8 --r 4 --t 6": {
         "csv": "6e3675a39580cfcf6cadb36f7e8d79298d5dc9b0cd580b74bcacd5a3b9c1eacb",
         "json": "fdd470ec63c0d13b21ea5dfa8fe3e4742875521b20f28fd5dec003113880ab4d",
@@ -525,12 +545,17 @@ _PINNED = {
 }
 
 
+# pinned runs that report a failed verification: on the major arcs the grid
+# doubling moves the arc mask, so rel_change stays above 5e-3
+_PINNED_EXIT = {"moments --k 3 --r 2 --limit 12 --t 4 --region major --Q 4": 1}
+
+
 @pytest.mark.parametrize("command", list(_PINNED))
 @pytest.mark.parametrize("fmt", FORMATS)
 def test_cli_stdout_is_pinned(command, fmt, monkeypatch, capsys):
     _clear_partitio_env(monkeypatch)
     code, out, _ = run_cli(capsys, *command.split(), "--format", fmt)
-    assert code == 0
+    assert code == _PINNED_EXIT.get(command, 0)
     assert hashlib.sha256(out.encode()).hexdigest() == _PINNED[command][fmt]
 
 
@@ -743,3 +768,32 @@ def test_help_lists_only_the_commands_own_options(command, capsys):
     for name in [*cli._OPTIONS, "config"]:
         listed = re.search(rf"(?<![\w-])--{re.escape(name)}(?![\w-])", text) is not None
         assert listed == (name in own), (command, name)
+
+
+def _readme_option_table():
+    """command -> (required, other, choices) from the README's option table."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = text[text.index("| command | options |"):].split("\n\n", 1)[0]
+    rows = {}
+    for line in table.splitlines()[2:]:
+        names, cell = (c.strip() for c in line.strip("|").split(" | "))
+        cell = re.sub(r"\s*\(.*\)$", "", cell)  # a closing remark, not an option
+        required, other, choices = [], [], {}
+        for item in [] if cell == "none" else cell.split(", "):
+            m = re.fullmatch(r"(\*\*)?`--([\w-]+)(?: ([^`]+))?`(?(1)\*\*)", item)
+            assert m, (names, item)
+            (required if m[1] else other).append(m[2])
+            if m[3]:
+                choices[m[2]] = tuple(m[3].split("\\|"))
+        for name in re.findall(r"`([\w-]+)`", names):
+            rows[name] = (tuple(required), tuple(other), choices)
+    return rows
+
+
+def test_readme_option_table_matches_the_command_table():
+    rows = _readme_option_table()
+    assert list(rows) == list(cli._COMMANDS)
+    for command, (_, _, required, optional) in cli._COMMANDS.items():
+        choices = {name: cli._OPTIONS[name][2] for name in (*required, *optional)
+                   if cli._OPTIONS[name][2] is not None}
+        assert rows[command] == (required, optional, choices), command

@@ -1,11 +1,12 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from partitio.arith import CapacityLimit, iroot, sieve_tables, smooth_set
+from partitio.arith import DEFAULT_MAX_LIMIT, CapacityLimit, iroot, sieve_tables, smooth_set
 from partitio.expsums import exp_sum
-from partitio.weights import Weight, make_weight, phi_exponent, weight_stats
+from partitio.weights import KINDS, Weight, make_weight, phi_exponent, weight_stats
 
 
 def test_squares_weight():
@@ -39,7 +40,7 @@ def test_hth_powers():
 
 def test_smooth_kth_powers_matches_weyl_sum():
     sm = smooth_set(20, 5)
-    w = make_weight("smooth_kth_powers", 20**3, k=3, smooth=sm)
+    w = make_weight("smooth_kth_powers", 20**3, k=3, P=20, R=5)
     assert w.norm == len(sm)
     for alpha in (0.0, 0.1234, 0.875, 1 / 3):
         direct = sum(np.exp(2j * np.pi * alpha * int(x) ** 3) for x in sm.members)
@@ -85,6 +86,36 @@ def test_primes_only_kinds_keep_the_sieve_budget():
             make_weight(kind, {"primes_log": 10**8, "prime_squares": 10**16, "e2": 10**24}[kind])
 
 
+def test_power_kinds_keep_the_sieve_budget():
+    # one support entry past the budget is refused
+    with pytest.raises(CapacityLimit):
+        make_weight("squares", (DEFAULT_MAX_LIMIT + 1) ** 2)
+    with pytest.raises(CapacityLimit):
+        make_weight("hth_powers", (DEFAULT_MAX_LIMIT + 1) ** 3, h=3)
+
+
+def test_phase_multiplier_is_read_only_by_e2():
+    extra = {"hth_powers": {"h": 3}, "smooth_kth_powers": {"k": 3, "P": 10, "R": 5}}
+    for kind in KINDS:
+        if kind != "e2":
+            assert make_weight(kind, 1000, j=1, **extra.get(kind, {})).phase == 1
+            with pytest.raises(ValueError, match="read only by e2"):
+                make_weight(kind, 1000, j=5, **extra.get(kind, {}))
+    for j in (0, 3):
+        with pytest.raises(ValueError, match="1 or 2"):
+            make_weight("e2", 7**6, j=j)
+
+
+def test_weight_norm_is_derived_from_its_values():
+    values = np.array([2.0, -3.5, 0.25])
+    w = Weight(n=10, support=np.array([1, 4, 9]), values=values, phase=2)
+    assert w.norm == float(np.abs(values).sum()) == 5.75
+    assert [f.name for f in dataclasses.fields(Weight) if f.init] == [
+        "n", "support", "values", "phase"]
+    with pytest.raises(TypeError):
+        Weight(n=10, support=np.array([1]), values=np.ones(1), norm=1.0)
+
+
 def test_weight_stats_squares():
     st = weight_stats(make_weight("squares", 100))
     assert st.half_mass_ratio == pytest.approx(0.7)
@@ -94,14 +125,14 @@ def test_weight_stats_squares():
 def test_weight_stats_all_ones_limit():
     # dense weight: ratio tends to 1/2
     support = np.arange(1, 10001, dtype=np.int64)
-    w = Weight(n=10000, kind="ones", support=support, values=np.ones(10000), norm=10000.0)
+    w = Weight(n=10000, support=support, values=np.ones(10000))
     st = weight_stats(w)
     assert st.half_mass_ratio == pytest.approx(0.5, abs=1e-3)
 
 
 def test_weight_stats_empty_and_negative():
     st = weight_stats(make_weight("e2", 100))
-    assert st.is_empty and st.norm == 0.0 and st.half_mass_ratio == 0.0
+    assert st.half_mass_ratio == 0.0 and not st.is_regular
     with pytest.raises(ValueError):
         weight_stats(make_weight("mobius", 50))
 
