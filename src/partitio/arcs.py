@@ -30,9 +30,10 @@ num < 2**53; for alpha >= 2**-10 (and alpha = 0) the exponent is e <= 62, so
 * err = |r| / den in float64 equals float(|q*alpha - p|) bit for bit, since
   den is a power of two: the one rounding is that of |r| to 53 bits.
 
-Points 0 < alpha < 2**-10 have binary denominators above 2**62; they, and
-exact ``Fraction`` arguments, take the scalar ``Fraction`` walk
-``dirichlet_approx``, which is also the test oracle of the int64 walk.
+The array classifiers take float points only.  Points 0 < alpha < 2**-10
+have binary denominators above 2**62; they take the scalar ``Fraction`` walk
+``dirichlet_approx``, which also accepts exact ``Fraction`` arguments and is
+the test oracle of the int64 walk.
 """
 
 from __future__ import annotations
@@ -46,8 +47,7 @@ import numpy as np
 
 from partitio.arith import coprime_mask
 
-Real = Union[float, Fraction]
-Points = Union[Real, np.ndarray]  # one point or a 1-D array of them
+Points = Union[float, np.ndarray]  # one point or a 1-D float array of them
 
 #: Smallest positive float whose binary denominator fits the int64 walk.
 _INT64_WALK_MIN = 2.0**-10
@@ -60,7 +60,7 @@ class RationalApprox:
     err: float  # |q*alpha - a|
 
 
-def dirichlet_approx(alpha: Real, q_max: int) -> RationalApprox:
+def dirichlet_approx(alpha: Union[float, Fraction], q_max: int) -> RationalApprox:
     """Best rational approximation with denominator at most q_max.
 
     Walks the continued-fraction convergents of alpha (taken exactly, floats
@@ -92,12 +92,14 @@ def dirichlet_approx(alpha: Real, q_max: int) -> RationalApprox:
 
 
 def _points(alphas: Points) -> np.ndarray:
-    """A scalar or sequence of points as a 1-D array: float64, or object
-    when it holds exact ``Fraction`` values."""
+    """A scalar or sequence of float points as a 1-D float64 array; exact
+    ``Fraction`` values (an object array) are refused."""
     x = np.atleast_1d(np.asarray(alphas))
     if x.ndim != 1:
         raise ValueError("alphas must be a scalar or a 1-D array")
-    return x if x.dtype == object else x.astype(float, copy=False)
+    if x.dtype == object:
+        raise ValueError("alphas must be floats; exact points take dirichlet_approx")
+    return x.astype(float, copy=False)
 
 
 def dirichlet_approx_many(
@@ -108,18 +110,13 @@ def dirichlet_approx_many(
     if q_max < 1:
         raise ValueError("q_max must be at least 1")
     x = _points(alphas)
-    if x.dtype == object:
-        a, q, err = np.empty(len(x), np.int64), np.empty(len(x), np.int64), np.empty(len(x))
-        slow = range(len(x))
-    else:
-        bad = ~((x >= 0.0) & (x <= 1.0))
-        if bad.any():
-            raise ValueError(f"alpha must lie in [0, 1], got {x[bad][0]}")
-        small = (x < _INT64_WALK_MIN) & (x != 0.0)
-        # no denominator here exceeds 2**62, so a larger cap changes nothing
-        a, q, err = _int64_walk(np.where(small, 0.0, x), min(q_max, 2**62))
-        slow = np.flatnonzero(small)
-    for i in slow:
+    bad = ~((x >= 0.0) & (x <= 1.0))
+    if bad.any():
+        raise ValueError(f"alpha must lie in [0, 1], got {x[bad][0]}")
+    small = (x < _INT64_WALK_MIN) & (x != 0.0)
+    # no denominator here exceeds 2**62, so a larger cap changes nothing
+    a, q, err = _int64_walk(np.where(small, 0.0, x), min(q_max, 2**62))
+    for i in np.flatnonzero(small):
         b = dirichlet_approx(x[i], q_max)
         a[i], q[i], err[i] = b.a, b.q, b.err
     return a, q, err
@@ -189,7 +186,7 @@ class Dissection:
             a[far], q[far], err[far] = dirichlet_approx_many(x[far], self.full_height)
         return a, q, err
 
-    def assign(self, alpha: Real) -> RationalApprox:
+    def assign(self, alpha: float) -> RationalApprox:
         a, q, err = self.assign_many(alpha)
         return RationalApprox(a=int(a[0]), q=int(q[0]), err=float(err[0]))
 
@@ -203,7 +200,7 @@ class Dissection:
         _, q, err = self.assign_many(alphas)
         return np.where(q <= self.half_height, err <= 0.5 / math.sqrt(self.n), q <= Q)
 
-    def in_major(self, alpha: Real, Q: float) -> bool:
+    def in_major(self, alpha: float, Q: float) -> bool:
         return bool(self.in_major_many(alpha, Q)[0])
 
     def in_slice_many(self, alphas: Points, Q: float) -> np.ndarray:
@@ -243,7 +240,7 @@ def arc_classify(alphas: Points, n: int, Q: float) -> ArcLabel:
         level /= 4
         inside = inside[d.in_major_many(x[inside], level)]
         slice_q[inside] = level
-    B, x = math.log(n) ** (1.0 / 15.0), x.astype(float)
+    B = math.log(n) ** (1.0 / 15.0)
     core = (B >= 1) & (np.minimum(x, 1 - x) <= B / n)
     return ArcLabel(in_major=in_major, slice_q=slice_q, core=core)
 
@@ -265,10 +262,12 @@ def sample_slice_alphas(n: int, Q: float, count: int, rng: np.random.Generator) 
     qlo = int(math.floor(Q / 4))
     qhi = max(1, int(math.floor(min(Q, d.full_height))))
 
-    # centre stratum; below the half height membership in M(Q) is automatic
-    qs = np.arange(qlo + 1, qhi + 1)
-    if len(qs) > 80:
-        qs = np.unique(rng.choice(qs, size=80, replace=False))
+    # centre stratum; below the half height membership in M(Q) is automatic.
+    # q is drawn by index (as from the listed range), so no q range is listed
+    if qhi - qlo <= 80:
+        qs = np.arange(qlo + 1, qhi + 1)
+    else:
+        qs = np.unique(qlo + 1 + rng.choice(qhi - qlo, size=80, replace=False))
     offsets = np.array([0.0, 0.25, -0.25, 0.625, -0.625, 0.875, -0.875])
     pieces, test_top = [np.empty(0)], [np.zeros(0, dtype=bool)]
     for q in qs:
@@ -281,10 +280,11 @@ def sample_slice_alphas(n: int, Q: float, count: int, rng: np.random.Generator) 
     vlo = min(Q / 4, 0.5 * math.sqrt(n))
     vhi = min(Q, 0.5 * math.sqrt(n))
     if qlo >= 1 and vhi > vlo * 1.001:
-        rim_qs = np.arange(1, qlo + 1)
-        if len(rim_qs) > 40:
+        if qlo <= 40:
+            rim_qs = np.arange(1, qlo + 1)
+        else:
             rim_qs = np.unique(
-                np.concatenate([rim_qs[:8], rng.choice(rim_qs, size=32, replace=False)])
+                np.concatenate([np.arange(1, 9), 1 + rng.choice(qlo, size=32, replace=False)])
             )
         rim_vs = np.geomspace(vlo * 1.02, vhi * 0.999, 4)
         steps = np.multiply.outer(rim_vs, (1.0, -1.0)).ravel()

@@ -16,6 +16,11 @@ class CapacityLimit(MemoryError):
     """Requested sieve or count-table limit exceeds the memory budget."""
 
 
+class PrecisionLimit(ArithmeticError):
+    """A weight domain n past the int64 range, or a float phase |m * phase|
+    (near a/q, |beta * m * phase|) past 2**53."""
+
+
 @dataclass(frozen=True)
 class SieveTables:
     """Least-prime-factor, Moebius and prime tables up to ``limit``.
@@ -52,9 +57,11 @@ def iroot(n: int, k: int) -> int:
 
 def coprime_mask(q: int) -> np.ndarray:
     """mask[a] is gcd(a, q) == 1 for a = 0..q, both ends included (so 0/1 and
-    1/1 for q = 1), from striding out each prime factor of q."""
+    1/1 for q = 1), from striding out each prime factor of q.  q is held to
+    the sieve budget before the mask exists."""
     if q < 1:
         raise ValueError("q must be at least 1")
+    _check_budget(q)
     mask, rest, p = np.ones(q + 1, dtype=bool), q, 2
     while rest > 1:
         p = p if p * p <= rest else rest  # no factor up to sqrt(rest): rest is prime

@@ -130,12 +130,9 @@ def _cmd_constants(o: argparse.Namespace) -> Report:
     }
     return Report(
         name="pruning-constants",
-        columns=[
-            Column("phi"),
-            Column("rhs", 8, "ceil"),
-            Column("z_star", 7, "ceil"),
-            Column("c2_star", 6, "ceil"),
-            Column("c1", 6, "ceil"),
+        columns=[Column("phi")] + [
+            Column(name, digits, "ceil")
+            for name, digits in zip(("rhs", "z_star", "c2_star", "c1"), constants.C2_TABLE_DIGITS)
         ],
         values=data,
         meta=meta,
@@ -155,7 +152,8 @@ def _cmd_exponent_table(o: argparse.Namespace) -> Report:
         name="prime-square-exponent-rows",
         columns=[
             Column("k"), Column("r"), Column("delta_2r", 2), Column("s"), Column("t"),
-            Column("delta_s_plus_t", 4), Column("delta_star", 4, "floor"),
+            Column("delta_s_plus_t", 4),
+            Column("delta_star", constants.DELTA_STAR_DIGITS, "floor"),
             Column("half_condition"), Column("bound_holds"), Column("display_matches"),
         ],
         values=data,

@@ -497,8 +497,10 @@ C2_TABLE_REFERENCE: dict[Fraction, tuple[str, str, str, str]] = {
     Fraction(1, 128): ("5.65107059", "7.6911396", "5.042624", "6.541272"),
 }
 
-#: Display precision of the four computed columns.
+#: Display precision of the four computed columns, each rounded up, and of
+#: the printed Delta* of EXPONENT_CHECK_ROWS, rounded down.
 C2_TABLE_DIGITS = (8, 7, 6, 6)
+DELTA_STAR_DIGITS = 4
 
 #: Cells where the printed source digit provably deviates from its own
 #: round-up convention (verified against 50-digit arithmetic): the true
@@ -584,7 +586,7 @@ class ExponentCheckRow:
     delta_2r: Fraction
     delta_s_plus_t: Fraction
     delta_star: Fraction            # exact (k/16)(1 - t/(s - 2r))
-    delta_star_display: str         # rounded down, 4 decimals
+    delta_star_display: str         # rounded down, DELTA_STAR_DIGITS decimals
     reference_star: str
     half_condition: bool            # 2 Delta_{2r} <= k
     bound_holds: bool               # Delta_{s+t} <= Delta*
@@ -598,7 +600,7 @@ def exponent_table_check() -> list[ExponentCheckRow]:
         delta_2r = DELTA_TABLE[k][2 * r]
         delta_st = DELTA_TABLE[k][s + t]
         star = Fraction(k, 16) * (1 - Fraction(t, s - 2 * r))
-        display = round_down_str(star, 4)
+        display = round_down_str(star, DELTA_STAR_DIGITS)
         rows.append(
             ExponentCheckRow(
                 k=k,

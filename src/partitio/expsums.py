@@ -32,16 +32,16 @@ says is cheaper:
   was off by up to 1.3e-10.  The exponential-of-semicircle kernel (Barnett,
   Magland & af Klinteberg, SISC 41 (2019)) would need fewer reads per
   point, but the reads are not what costs here.  The weight-only half
-  (offsets, deconvolution, binning, one real FFT per real part) is a plan,
-  built by the first NUFFT call on a weight and kept on that instance,
-  outside its dataclass fields, for one R; later calls at any points
-  reuse it, with the same bits as a fresh transform.
+  (offsets, deconvolution, binning, one real FFT of the real weight) is a
+  plan, built by the first NUFFT call on a weight and kept on that
+  instance, outside its dataclass fields, for one R; later calls at any
+  points reuse it, with the same bits as a fresh transform.
 
 Cost model, in ns measured on one core of a 2-vCPU Intel Xeon with numpy
 2.4: dense ``_DENSE_NS`` per term (the cos and the sin: ~15 ns on regularly
 spaced phases, ~40 on the scattered phases of primes or the Moebius
-support); NUFFT ``_FFT_NS`` per R log2 R for each real part of the weight
-(the FFT with its zero padding, 1.0-1.6 ns measured for R in 1e5..4e6),
+support); NUFFT ``_FFT_NS`` per R log2 R for the one real FFT (with its
+zero padding, 1.0-1.6 ns measured for R in 1e5..4e6),
 ``_SPREAD_NS`` per support term and ``_GATHER_NS`` per grid read.  The
 NUFFT runs only when its estimate is the lower one and R <= ``_NUFFT_MAX_GRID``
 (its buffers then stay near 100 MB), never for a single point or a support
@@ -74,7 +74,7 @@ from typing import Sequence
 import numpy as np
 
 from partitio.arcs import sample_slice_alphas
-from partitio.arith import _check_budget
+from partitio.arith import PrecisionLimit, _check_budget
 from partitio.weights import Weight
 
 TWO_PI = 2.0 * math.pi
@@ -88,11 +88,6 @@ _DENSE_NS = 40.0              # cost-model constants, nanoseconds (module docstr
 _FFT_NS = 1.5
 _SPREAD_NS = 20.0
 _GATHER_NS = 40.0
-
-
-class PrecisionLimit(ArithmeticError):
-    """A float phase has no precision left: some |m * phase| (or, near
-    a/q, some |beta * m * phase|) exceeds 2**53."""
 
 
 def exp_sum(w: Weight, alpha: float) -> complex:
@@ -112,21 +107,20 @@ def exp_sum_many(w: Weight, alphas: np.ndarray) -> np.ndarray:
         )
     t = alphas * float(w.phase)
     t -= np.floor(t)
-    grid = _nufft_grid(len(w.support), hi - lo, len(t), np.iscomplexobj(w.values))
+    grid = _nufft_grid(len(w.support), hi - lo, len(t))
     if grid:
         return _nufft(w, t, grid)
     return _dense(w.support.astype(float), w.values, t)
 
 
-def _nufft_grid(terms: int, span: int, points: int, is_complex: bool) -> int:
+def _nufft_grid(terms: int, span: int, points: int) -> int:
     """The NUFFT grid length R if that kernel is the cheaper one, else 0."""
     if points < 2 or terms <= 2 * _HALF_WIDTH:
         return 0
     R = _smooth_length(2 * (span + 1))
     if R > _NUFFT_MAX_GRID:
         return 0
-    fft = _FFT_NS * R * math.log2(R) * (2 if is_complex else 1)
-    cost = fft + _SPREAD_NS * terms + _GATHER_NS * 2 * _HALF_WIDTH * points
+    cost = _FFT_NS * R * math.log2(R) + _SPREAD_NS * terms + _GATHER_NS * 2 * _HALF_WIDTH * points
     return R if cost < _DENSE_NS * terms * points else 0
 
 
@@ -174,7 +168,7 @@ def _frac_times(t: np.ndarray, m: int) -> np.ndarray:
 
 
 def _plan(w: Weight, R: int) -> tuple:
-    """The NUFFT plan of w at grid length R as (lo, c, spectra), built once."""
+    """The NUFFT plan of w at grid length R as (lo, c, spectrum), built once."""
     plan = vars(w).get("_nufft_plan")
     if plan is None or plan[0] != R:
         lo = int(w.support.min())
@@ -183,15 +177,13 @@ def _plan(w: Weight, R: int) -> tuple:
         idx = w.support - lo
         k = (idx - c) / R
         deconv = np.exp(2 * math.pi**2 * _GAUSS_VAR * k * k)
-        parts = (w.values.real, w.values.imag) if np.iscomplexobj(w.values) else (w.values,)
-        spectra = [np.fft.rfft(np.bincount(idx, weights=part * deconv, minlength=span + 1), R)
-                   for part in parts]
-        vars(w)["_nufft_plan"] = plan = (R, lo, c, spectra)
+        spectrum = np.fft.rfft(np.bincount(idx, weights=w.values * deconv, minlength=span + 1), R)
+        vars(w)["_nufft_plan"] = plan = (R, lo, c, spectrum)
     return plan[1:]
 
 
 def _nufft(w: Weight, t: np.ndarray, R: int) -> np.ndarray:
-    lo, c, spectra = _plan(w, R)
+    lo, c, spectrum = _plan(w, R)
     # stencil around each point: grid cells l0 + o with |t R - l0 - o| <= w;
     # the mode shift e(-c l / R) splits into e(-c o / R) here and e(-c l0 / R)
     # in the point's phase below
@@ -205,14 +197,8 @@ def _nufft(w: Weight, t: np.ndarray, R: int) -> np.ndarray:
     L = (l0[:, None] + offsets) % R
 
     # grid value sum_i G_i e(i l / R) from rfft(G)[l] (conjugated) or rfft(G)[R - l]
-    fold = np.minimum(L, R - L)
-    lower = L < R - L
-    grid = []
-    for spectrum in spectra:
-        g = spectrum[fold]
-        np.negative(g.imag, out=g.imag, where=lower)
-        grid.append(g)
-    grid = grid[0] if len(grid) == 1 else grid[0] + 1j * grid[1]
+    grid = spectrum[np.minimum(L, R - L)]
+    np.negative(grid.imag, out=grid.imag, where=L < R - L)
 
     smooth = (grid * kernel).sum(axis=1) / math.sqrt(TWO_PI * _GAUSS_VAR)
     phase = _frac_times(t, lo + c) - (c * l0 % R) / R
@@ -227,8 +213,7 @@ def exp_sum_grid(w: Weight, G: int) -> np.ndarray:
     if G < 1:
         raise ValueError(f"G must be at least 1, got {G}")
     r = (w.support % G) * (w.phase % G) % G
-    spectrum = np.bincount(r, w.values.real, G) + 1j * np.bincount(r, w.values.imag, G)
-    return G * np.fft.ifft(spectrum)
+    return G * np.fft.ifft(np.bincount(r, w.values, G))
 
 
 def exp_sum_rational(w: Weight, a: int, q: int) -> complex:

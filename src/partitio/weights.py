@@ -15,7 +15,9 @@ from typing import Optional
 
 import numpy as np
 
-from partitio.arith import _check_budget, iroot, primes_up_to, sieve_tables, smooth_set
+from partitio.arith import (
+    PrecisionLimit, _check_budget, iroot, primes_up_to, sieve_tables, smooth_set,
+)
 
 KINDS = (
     "squares",
@@ -33,8 +35,8 @@ class Weight:
     """Finitely supported arithmetic function on [1, n].
 
     ``support`` holds the m with w(m) != 0 in ascending order, ``values`` the
-    matching w(m) (real for every built-in kind).  ``phase`` scales alpha at
-    evaluation time (used by the staggered prime-square kind, whose
+    matching real w(m); complex values are refused.  ``phase`` scales alpha
+    at evaluation time (used by the staggered prime-square kind, whose
     definition carries a fixed multiplier j).  ``norm``, the sum of |w(m)|,
     is derived from ``values`` when the weight is made.
     """
@@ -46,6 +48,8 @@ class Weight:
     norm: float = field(init=False)
 
     def __post_init__(self) -> None:
+        if np.iscomplexobj(self.values):
+            raise ValueError("weight values must be real")
         object.__setattr__(self, "norm", float(np.abs(self.values).sum()))
 
     def value(self, m: int) -> float:
@@ -56,7 +60,7 @@ class Weight:
 
     @property
     def is_nonnegative(self) -> bool:
-        return bool(np.all(self.values >= 0)) and not np.iscomplexobj(self.values)
+        return bool(np.all(self.values >= 0))
 
 
 def make_weight(
@@ -70,10 +74,13 @@ def make_weight(
     j: int = 1,
 ) -> Weight:
     """The built-in weight of this kind on [1, n].  Only e2 takes the phase
-    multiplier j (1 or 2).  The squares and h-th powers hold their support
-    length to the sieve budget before they allocate it, as the sieves do."""
+    multiplier j (1 or 2).  Supports are int64, so n past that range is
+    refused first; the squares and h-th powers hold their support length to
+    the sieve budget before they allocate it, as the sieves do."""
     if n < 1:
         raise ValueError("n must be at least 1")
+    if n >= 2**63:
+        raise PrecisionLimit(f"n = {n} is past the int64 range of a support")
     if kind == "e2" and j not in (1, 2):
         raise ValueError("phase multiplier j must be 1 or 2")
     if kind != "e2" and j != 1:
@@ -136,8 +143,6 @@ def weight_stats(w: Weight) -> WeightStats:
     A weight counts as regular when the ratio is at least 1/4.  An empty
     weight (norm 0) reports ratio 0 rather than erroring.
     """
-    if np.iscomplexobj(w.values):
-        raise ValueError("weight_stats requires a real-valued weight")
     if np.any(w.values < 0):
         raise ValueError("weight_stats requires a nonnegative weight")
     if w.norm == 0:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 from math import gcd
 
@@ -16,6 +17,7 @@ from partitio.arcs import (
     size_slices,
     upsilon,
 )
+from partitio.arith import CapacityLimit
 from partitio.weights import make_weight
 
 
@@ -111,10 +113,20 @@ def test_array_walk_matches_fraction_walk_sweep():
 
 
 def test_array_walk_exact_inputs_and_errors():
-    # Fractions take the exact scalar walk: err of 2/7 + 1e-9 is 7e-9 exactly
+    # exact points take the scalar Fraction walk: err of 2/7 + 1e-9 is 7e-9 exactly
+    b = dirichlet_approx(Fraction(2, 7) + Fraction(1, 10**9), 10)
+    assert (b.a, b.q, b.err) == (2, 7, 7e-9)
+    # the array classifiers take floats only, as a list, an object array or one point
     exact = [Fraction(1, 3), Fraction(2, 7) + Fraction(1, 10**9), 0.25]
-    a, q, err = dirichlet_approx_many(exact, 10)
-    assert (list(a), list(q), list(err)) == ([1, 2, 1], [3, 7, 4], [0.0, 7e-9, 0.0])
+    d = Dissection(10**4)
+    classifiers = (lambda x: dirichlet_approx_many(x, 10), lambda x: upsilon(x, 10**4),
+                   lambda x: arc_classify(x, 10**4, 4.0), lambda x: d.in_major_many(x, 4.0))
+    for classify in classifiers:
+        for points in (exact, np.array(exact, dtype=object), exact[1]):
+            with pytest.raises(ValueError, match="floats"):
+                classify(points)
+    a, q, err = dirichlet_approx_many([0.5, 0.25], 10)
+    assert (list(a), list(q), list(err)) == ([1, 1], [2, 4], [0.0, 0.0])
     assert len(dirichlet_approx_many(np.empty(0), 5)[0]) == 0
     with pytest.raises(ValueError):
         dirichlet_approx_many([0.5, 1.5], 5)
@@ -290,6 +302,33 @@ def test_upsilon_bounded_on_slices():
         alphas = sample_slice_alphas(n, Q, 150, rng)
         assert len(alphas) > 0
         assert (upsilon(alphas, n) <= 4.0 / Q).all()
+
+
+@pytest.mark.parametrize("population, size", [
+    (81, 80), (1000, 32), (10**4 + 1, 80), (10**6, 32),  # the sampler's sizes: Floyd's method
+    (2 * 10**4, 500),  # numpy's other method, a shuffle of the listed range
+])
+def test_index_draws_equal_listed_draws(population, size):
+    # the sampler draws its denominators as offset + choice(count): the same
+    # draws, and the same generator state after, as a choice from the listed range
+    by_index, listed = np.random.default_rng(population), np.random.default_rng(population)
+    got = 7 + by_index.choice(population, size=size, replace=False)
+    want = listed.choice(np.arange(7, 7 + population), size=size, replace=False)
+    assert got.tolist() == want.tolist()
+    assert by_index.random() == listed.random()
+
+
+def test_sampler_denominators_keep_the_sieve_budget():
+    # q up to 4e9 at n = 4e18: refused before a residue mask, or a list of the
+    # q range, exists
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityLimit):
+            sample_slice_alphas(4 * 10**18, 4e9, 5, np.random.default_rng(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
 
 
 def test_top_slice_is_the_extreme_minor_arcs(rng):

@@ -260,3 +260,11 @@ def test_coprime_mask_matches_gcd():
         assert mask.tolist() == [math.gcd(a, q) == 1 for a in range(q + 1)]
     with pytest.raises(ValueError):
         coprime_mask(0)
+
+
+def test_coprime_mask_keeps_the_sieve_budget(monkeypatch):
+    # refused before the mask exists: without numpy an allocation would
+    # raise another error
+    monkeypatch.setattr(arith, "np", None)
+    with pytest.raises(CapacityLimit):
+        coprime_mask(DEFAULT_MAX_LIMIT + 1)

@@ -3,7 +3,7 @@
 ``perfbench/`` reaches into the library (``cli.main``, ``arcs.size_slices``,
 ``expsums.sup_profile``, ``singular._GaussSumCache`` and more), so a library
 change that breaks one of them should fail here, not only in a benchmark run.
-Both checks run in a fresh interpreter, as the benchmark does, with bytecode
+Each check runs in a fresh interpreter, as the benchmark does, with bytecode
 writing off so that nothing is written into the checkout.
 """
 
@@ -37,6 +37,37 @@ for i, job in enumerate(jobs):
 print(json.dumps({"jobs": len(jobs), "bad": bad}, default=str))
 """
 
+# the first job of each kind (each library call, each CLI command) of the
+# three workloads at seed 1, traced as a traced pass is: the tracer's
+# counters bind library parameters by name, so a renamed parameter fails here
+_TRACED = """
+import json, sys, time
+sys.path.insert(0, sys.argv[1])
+import run
+run.load_partitio()
+import workloads
+from oracles import Oracles
+from tracer import Tracer, layer_metrics
+jobs = {}
+for workload in ("sparse-slices", "dense-weyl", "exact-tables"):
+    for job in workloads.job_list(workload, 1):
+        jobs.setdefault(job["argv"][0] if job["job"] == "cli" else job["job"], job)
+oracles, bad, tracer = Oracles(), [], Tracer()
+tracer.install()
+start = time.perf_counter()
+try:
+    for i, job in enumerate(jobs.values()):
+        tracer.job = i
+        result = workloads.run_job(job)
+        problems = oracles.check(job, result)
+        if problems or workloads.is_failure(job, result):
+            bad.append([i, job, problems])
+finally:
+    tracer.restore()
+metrics = layer_metrics(tracer.spans, time.perf_counter() - start)
+print(json.dumps({"kinds": sorted(jobs), "bad": bad, "metrics": metrics}, default=str))
+"""
+
 
 def _run(argv):
     env = {k: v for k, v in os.environ.items() if not k.startswith("PARTITIO_")}
@@ -56,3 +87,14 @@ def test_exact_tables_pass_has_no_problem():
     summary = json.loads(proc.stdout.splitlines()[-1])
     assert summary["jobs"] >= 100
     assert summary["bad"] == []
+
+
+def test_traced_pass_of_every_job_kind():
+    proc = _run(["-c", _TRACED, str(PERFBENCH)])
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    summary = json.loads(proc.stdout.splitlines()[-1])
+    assert len(summary["kinds"]) == 14, summary["kinds"]
+    assert summary["bad"] == []
+    for counter in ("counting.fold_cells", "expsums.terms", "singular.series_q",
+                    "arith.sieve_n", "weights.support", "report.bytes"):
+        assert summary["metrics"][counter] > 0, counter

@@ -64,16 +64,15 @@ def _grid_length(w):
 
 
 def _test_weight(kind, n, j):
-    if kind == "complex":
+    if kind == "signed":  # signed real values on a scattered random support
         rng = np.random.default_rng(n)
         support = np.unique(rng.integers(1, n + 1, size=max(2, n // 5)))
-        values = rng.normal(size=len(support)) + 1j * rng.normal(size=len(support))
-        return Weight(n=n, support=support, values=values)
+        return Weight(n=n, support=support, values=rng.normal(size=len(support)))
     return make_weight(kind, n, j=j) if kind == "e2" else make_weight(kind, n)
 
 
 @given(
-    kind=st.sampled_from(("mobius", "primes_log", "squares", "e2", "complex")),
+    kind=st.sampled_from(("mobius", "primes_log", "squares", "e2", "signed")),
     log_n=st.floats(min_value=1.7, max_value=5.3),
     j=st.sampled_from((1, 2)),
     q=st.integers(min_value=1, max_value=97),
@@ -86,7 +85,7 @@ def _test_weight(kind, n, j):
 @example(kind="mobius", log_n=5.3, j=1, q=3, a=1, nodes=[1, 99999], others=[0.5])
 @example(kind="primes_log", log_n=5.3, j=2, q=31, a=7, nodes=[7], others=[1e-9])
 @example(kind="squares", log_n=5.3, j=1, q=2, a=1, nodes=[3], others=[0.999])
-@example(kind="complex", log_n=5.3, j=2, q=1, a=0, nodes=[5], others=[0.25])
+@example(kind="signed", log_n=5.3, j=2, q=1, a=0, nodes=[5], others=[0.25])
 def test_exp_sum_many_and_nufft_match_dense_oracle(kind, log_n, j, q, a, nodes, others):
     n = int(10**log_n)
     if kind == "e2":
@@ -126,7 +125,7 @@ def test_nufft_exact_phases_at_large_span(rng):
 
 @settings(max_examples=20)
 @given(
-    kind=st.sampled_from(("mobius", "primes_log", "complex")),
+    kind=st.sampled_from(("mobius", "primes_log", "signed")),
     calls=st.lists(st.tuples(st.integers(min_value=2, max_value=300), st.sampled_from((1, 2)),
                              st.integers(min_value=0, max_value=2**32 - 1)),
                    min_size=1, max_size=4),
@@ -301,7 +300,7 @@ def _grid_oracle(w, G):
 
 
 @given(
-    kind=st.sampled_from(("squares", "e2", "complex", "huge")),
+    kind=st.sampled_from(("squares", "e2", "signed", "huge")),
     n=st.integers(min_value=1, max_value=3000),
     G=st.integers(min_value=1, max_value=400),
     a=st.integers(min_value=0, max_value=2000),
@@ -309,7 +308,7 @@ def _grid_oracle(w, G):
 @example(kind="squares", n=100, G=1, a=5)
 @example(kind="squares", n=50, G=400, a=3)
 @example(kind="e2", n=7**6, G=97, a=250)
-@example(kind="complex", n=300, G=299, a=1000)
+@example(kind="signed", n=300, G=299, a=1000)
 @example(kind="huge", n=2**62, G=360, a=361)
 def test_exp_sum_grid_matches_integer_oracle(kind, n, G, a):
     if kind == "e2":
@@ -352,11 +351,11 @@ def _arc_weight(kind, size):
         return dataclasses.replace(make_weight("prime_squares", size**2), phase=2)
     if kind == "primes_log":  # dense with a small span
         return make_weight("primes_log", 10 * size)
-    return _test_weight("complex", 5 * size, 1)
+    return _test_weight("signed", 5 * size, 1)
 
 
 @given(
-    kind=st.sampled_from(("cubes", "e2", "prime_squares", "primes_log", "complex")),
+    kind=st.sampled_from(("cubes", "e2", "prime_squares", "primes_log", "signed")),
     size=st.integers(min_value=12, max_value=400),
     q=st.integers(min_value=1, max_value=60),
     picks=st.lists(st.integers(min_value=0, max_value=60), max_size=5),
@@ -368,7 +367,7 @@ def _arc_weight(kind, size):
 @example(kind="prime_squares", size=400, q=1, picks=[], us=[-1.0, 1.0], U=1.0)
 @example(kind="primes_log", size=400, q=13, picks=[1, 2, 3, 4, 5],
          us=[-1.0, -0.5, 0.0, 0.5, 1.0, 0.7], U=40.0)
-@example(kind="complex", size=400, q=5, picks=[1, 2, 3, 4, 5],
+@example(kind="signed", size=400, q=5, picks=[1, 2, 3, 4, 5],
          us=[-1.0, -0.5, 0.0, 0.5, 1.0, 0.7], U=9.0)
 def test_exp_sum_arcs_matches_exact_phases(kind, size, q, picks, us, U):
     # a/q + beta for a in 0..q (both ends included) and |beta| <= U/n

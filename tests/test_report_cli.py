@@ -246,6 +246,8 @@ def test_precision_limit_is_usage_error(capsys):
         ("moments", "--k", "3", "--r", "2", "--limit", "400"),  # a 2 * 400**3 entry table
         ("weights", "--kind", "squares", "--limit", str(10**30)),  # 10**15 squares
         ("weights", "--kind", "hth_powers", "--h", "3", "--limit", str(10**400)),  # past floats
+        ("weights", "--kind", "hth_powers", "--h", "3", "--limit", str(10**20)),  # past int64
+        ("weights", "--kind", "e2", "--limit", str(10**20)),
     ],
 )
 def test_refused_inputs_are_usage_errors(capsys, monkeypatch, argv):
@@ -493,9 +495,10 @@ def test_counts_via_cli_prints_the_library_table(capsys):
 
 
 # sha256 of stdout.  Most runs print integer or closed-form output, the same
-# on every platform; the moments quadrature rows are FFT sums printed to the
-# last bit, pinned as numpy computes them here.  A change to the layout of
-# any table or format, or to the default grid of moments, shows here.
+# on every platform; the moments quadrature rows and the weights sup profiles
+# are float sums (FFT, dense or NUFFT) printed to the last bit, pinned as numpy
+# computes them here.  A change to the layout of any table or format, to the
+# default grid of moments, or to the bits of an exp-sum kernel shows here.
 _PINNED = {
     "constants": {
         "csv": "53c508faad014ab953d3a67f13ab50ba76f0ff0a4f96eb466302164bf43a1f85",
@@ -536,6 +539,16 @@ _PINNED = {
         "csv": "c1f86e1d4862ea53a8dbf6bf654a9f07cb3060ff4174ee1003451f7ed916e57f",
         "json": "bd7d53ff91a1d4e0b4c1e1cc22ef53c9caa659dd70c5d6b304c5a0e905267f87",
         "pretty": "9f0bafd258e33b6a058c58135e2f39e55c0573e2cce94ca746a1d1615bb6d774",
+    },
+    "weights --kind squares --limit 1000000 --seed 1": {
+        "csv": "9215a7079a5eb50e1ca0ff67906137c488c6fe50b02f5292aeafa5d3fee4f04c",
+        "json": "6835bd4f7a2fe2908fe0916dc86f6db31081a94cca73550f8f0ef69ba728dfea",
+        "pretty": "d63dbab29bc76c8aa770d917fd28ec25101be4d7335ba01e7d57f3ada6bc2140",
+    },
+    "weights --kind primes_log --limit 100000": {
+        "csv": "f223b42a6c81b9873a994898bf118b4041474b7d6d7be8def38ccc54ad9ac019",
+        "json": "956dbe013aac34223462ee891cbebf88948ed3f9e395882b46056d32bd5b799e",
+        "pretty": "8ee9209ea237f3bf9cdf8d2bf15dbdd24a2594bbd846e5f9b1f5df95c7c53ad1",
     },
     "check --k 7 --s 20 --phi 1/8 --r 4 --t 6": {
         "csv": "6e3675a39580cfcf6cadb36f7e8d79298d5dc9b0cd580b74bcacd5a3b9c1eacb",

@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
+from partitio import arith, weights
 from partitio.arith import DEFAULT_MAX_LIMIT, CapacityLimit, iroot, sieve_tables, smooth_set
-from partitio.expsums import exp_sum
+from partitio.expsums import PrecisionLimit, exp_sum
 from partitio.weights import KINDS, Weight, make_weight, phi_exponent, weight_stats
 
 
@@ -80,27 +81,55 @@ def test_prime_weights_from_primes_only_sieve(n):
     assert make_weight("e2", n).support.tolist() == prods
 
 
+#: the parameters each kind needs beyond n
+_KIND_ARGS = {"hth_powers": {"h": 3}, "smooth_kth_powers": {"k": 3, "P": 10, "R": 5}}
+
+
 def test_primes_only_kinds_keep_the_sieve_budget():
-    for kind in ("primes_log", "prime_squares", "e2"):
+    for kind in ("primes_log", "prime_squares"):
         with pytest.raises(CapacityLimit):
-            make_weight(kind, {"primes_log": 10**8, "prime_squares": 10**16, "e2": 10**24}[kind])
+            make_weight(kind, {"primes_log": 10**8, "prime_squares": 10**16}[kind])
+    # e2 sieves to n**(1/3), past the budget only beyond int64, where n is refused first
+    with pytest.raises(PrecisionLimit):
+        make_weight("e2", 10**24)
 
 
 def test_power_kinds_keep_the_sieve_budget():
-    # one support entry past the budget is refused
+    # one support entry past the budget is refused; at h >= 3 that n is past
+    # int64, where n is refused first
     with pytest.raises(CapacityLimit):
         make_weight("squares", (DEFAULT_MAX_LIMIT + 1) ** 2)
     with pytest.raises(CapacityLimit):
+        make_weight("hth_powers", (DEFAULT_MAX_LIMIT + 1) ** 2, h=2)
+    with pytest.raises(PrecisionLimit):
         make_weight("hth_powers", (DEFAULT_MAX_LIMIT + 1) ** 3, h=3)
 
 
+def test_every_kind_refuses_n_past_int64(monkeypatch):
+    # a support entry past 2**63 would wrap in int64; the top of the range works
+    top = make_weight("hth_powers", 2**63 - 1, h=3).support
+    assert top[-1] == iroot(2**63 - 1, 3) ** 3 and (top > 0).all()
+    # refused before anything is built: without numpy any allocation would
+    # raise another error
+    monkeypatch.setattr(weights, "np", None)
+    monkeypatch.setattr(arith, "np", None)
+    for kind in KINDS:
+        for n in (2**63, 10**20):
+            with pytest.raises(PrecisionLimit):
+                make_weight(kind, n, **_KIND_ARGS.get(kind, {}))
+
+
+def test_weight_values_are_real():
+    with pytest.raises(ValueError, match="real"):
+        Weight(n=10, support=np.array([1, 4]), values=np.array([1.0, 1j]))
+
+
 def test_phase_multiplier_is_read_only_by_e2():
-    extra = {"hth_powers": {"h": 3}, "smooth_kth_powers": {"k": 3, "P": 10, "R": 5}}
     for kind in KINDS:
         if kind != "e2":
-            assert make_weight(kind, 1000, j=1, **extra.get(kind, {})).phase == 1
+            assert make_weight(kind, 1000, j=1, **_KIND_ARGS.get(kind, {})).phase == 1
             with pytest.raises(ValueError, match="read only by e2"):
-                make_weight(kind, 1000, j=5, **extra.get(kind, {}))
+                make_weight(kind, 1000, j=5, **_KIND_ARGS.get(kind, {}))
     for j in (0, 3):
         with pytest.raises(ValueError, match="1 or 2"):
             make_weight("e2", 7**6, j=j)
