@@ -15,42 +15,39 @@ best-approximation cell of each point, i.e. the convergent minimising
 Classification runs on whole arrays and is exact.  The best approximation
 with denominator at most q_max is the last continued-fraction convergent
 with q <= q_max, so it is fixed by the Euclid walk on alpha taken as an exact
-rational.  A float alpha in [0, 1] is the binary rational num / 2**e with
-num < 2**53; for alpha >= 2**-10 (and alpha = 0) the exponent is e <= 62, so
-``dirichlet_approx_many`` runs the walk on int64 arrays:
+rational.  A float alpha in [0, 1] is the binary rational num / 2**shift
+with num < 2**53, and ``dirichlet_approx`` runs the walk on int64 arrays for
+every q_max below 2**63:
 
-* it carries the convergents p/q and the residual r = q*num - p*den, which
-  obeys the recurrence of p and q, r_next = a_i*r + r_prev.  The |r| are the
-  Euclid remainders of (den, num), alternate in sign and shrink, so they
-  never exceed den <= 2**62;
-* a partial quotient a_i can be as large as den when a remainder reaches 1,
-  so the stop rule q_next > q_max is tested as a_i > (q_max - q_prev) // q
-  before a_i*q + q_prev is formed; an accepted step has q_next <= q_max,
-  and p_next <= q_next because alpha <= 1;
-* err = |r| / den in float64 equals float(|q*alpha - p|) bit for bit, since
-  den is a power of two: the one rounding is that of |r| to 53 bits.
+* it carries the convergents p/q and the residual r = q*num - p*2**shift,
+  which obeys the recurrence of p and q, r_next = a_i*r + r_prev.  The |r|
+  are the Euclid remainders of (2**shift, num), alternate in sign and shrink;
+* a partial quotient a_i can be as large as 2**shift when a remainder
+  reaches 1, so the stop rule q_next > q_max is tested as a_i > (q_max -
+  q_prev) // q before a_i*q + q_prev is formed; an accepted step has q_next
+  <= q_max, and p_next <= q_next because alpha <= 1;
+* err = ldexp(|r|, -shift) equals float(|q*alpha - p|) bit for bit: the one
+  rounding is that of |r| to 53 bits, or of the subnormal result.
 
-The array classifiers take float points only.  Points 0 < alpha < 2**-10
-have binary denominators above 2**62; they take the scalar ``Fraction`` walk
-``dirichlet_approx``, which also accepts exact ``Fraction`` arguments and is
-the test oracle of the int64 walk.
+For alpha >= 2**-10 (and alpha = 0) the shift is at most 62, so 2**shift
+and every remainder fit int64.  Below, the first partial quotient a_1 =
+2**shift // num exceeds q_max whenever alpha*(q_max + 1) < 1, and the answer
+is 0/1 with err alpha; a float product below 1/2 proves that for the whole
+array at once.  The rest take one Python ``divmod`` for a_1 and the first
+remainder, after which every value is below 2**53.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Union
 
 import numpy as np
 
-from partitio.arith import coprime_mask
+from partitio.arith import PrecisionLimit, coprime_mask
 
 Points = Union[float, np.ndarray]  # one point or a 1-D float array of them
-
-#: Smallest positive float whose binary denominator fits the int64 walk.
-_INT64_WALK_MIN = 2.0**-10
 
 
 @dataclass(frozen=True)
@@ -60,37 +57,6 @@ class RationalApprox:
     err: float  # |q*alpha - a|
 
 
-def dirichlet_approx(alpha: Union[float, Fraction], q_max: int) -> RationalApprox:
-    """Best rational approximation with denominator at most q_max.
-
-    Walks the continued-fraction convergents of alpha (taken exactly, floats
-    are converted to their binary rational); the last convergent with q <=
-    q_max minimises |q*alpha - a| over all q <= q_max, and satisfies
-    |q*alpha - a| <= 1/q_max.
-    """
-    if q_max < 1:
-        raise ValueError("q_max must be at least 1")
-    x = alpha if isinstance(alpha, Fraction) else Fraction(alpha)
-    if not 0 <= x <= 1:
-        raise ValueError(f"alpha must lie in [0, 1], got {float(x)}")
-
-    a0 = x.numerator // x.denominator
-    p_prev, q_prev = 1, 0
-    p_cur, q_cur = a0, 1
-    rem = x - a0
-    while rem != 0:
-        x2 = 1 / rem
-        a_i = x2.numerator // x2.denominator
-        p_next = a_i * p_cur + p_prev
-        q_next = a_i * q_cur + q_prev
-        if q_next > q_max:
-            break
-        p_prev, q_prev, p_cur, q_cur = p_cur, q_cur, p_next, q_next
-        rem = x2 - a_i
-    err = abs(q_cur * x - p_cur)
-    return RationalApprox(a=int(p_cur), q=int(q_cur), err=float(err))
-
-
 def _points(alphas: Points) -> np.ndarray:
     """A scalar or sequence of float points as a 1-D float64 array; exact
     ``Fraction`` values (an object array) are refused."""
@@ -98,43 +64,45 @@ def _points(alphas: Points) -> np.ndarray:
     if x.ndim != 1:
         raise ValueError("alphas must be a scalar or a 1-D array")
     if x.dtype == object:
-        raise ValueError("alphas must be floats; exact points take dirichlet_approx")
+        raise ValueError("alphas must be floats, not exact rationals")
     return x.astype(float, copy=False)
 
 
-def dirichlet_approx_many(
-    alphas: Points, q_max: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``dirichlet_approx`` over an array: int64 arrays a and q and float64
-    err, equal point by point to the scalar walk (see the module docstring)."""
+def dirichlet_approx(alphas: Points, q_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Best rational approximations with denominator at most q_max: int64
+    arrays a and q and float64 err = |q*alpha - a|, one entry per point.
+
+    The last convergent with q <= q_max minimises |q*alpha - a| over all q <=
+    q_max, and satisfies |q*alpha - a| <= 1/q_max (see the module docstring).
+    """
     if q_max < 1:
         raise ValueError("q_max must be at least 1")
+    if q_max >= 2**63:
+        raise PrecisionLimit(f"q_max = {q_max} is past the int64 range of the walk")
     x = _points(alphas)
     bad = ~((x >= 0.0) & (x <= 1.0))
     if bad.any():
         raise ValueError(f"alpha must lie in [0, 1], got {x[bad][0]}")
-    small = (x < _INT64_WALK_MIN) & (x != 0.0)
-    # no denominator here exceeds 2**62, so a larger cap changes nothing
-    a, q, err = _int64_walk(np.where(small, 0.0, x), min(q_max, 2**62))
-    for i in np.flatnonzero(small):
-        b = dirichlet_approx(x[i], q_max)
-        a[i], q[i], err[i] = b.a, b.q, b.err
-    return a, q, err
-
-
-def _int64_walk(x: np.ndarray, q_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The convergent walk for floats 0 or in [2**-10, 1]."""
     mant, ex = np.frexp(x)
     num = (mant * 2.0**53).astype(np.int64)
-    den = np.left_shift(np.int64(1), (53 - ex).astype(np.int64))
-    a, q, err = np.empty(len(x), np.int64), np.empty(len(x), np.int64), np.empty(len(x))
+    shift = 53 - ex.astype(np.int64)  # alpha = num / 2**shift
+    wide = shift > 62
+    den = np.left_shift(np.int64(1), np.where(wide, 0, shift))
 
     # lane state: convergents p0/q0 (previous), p1/q1 (current), residuals
-    # |r0| = u and |r1| = v; live holds each lane's position in the output
+    # |r0| = u and |r1| = v; a lane that never walks keeps 0/1 and err alpha
     p1 = num // den
     p0, q0, q1 = np.ones_like(p1), np.zeros_like(p1), np.ones_like(p1)
     u, v = den, num - p1 * den
-    live = np.arange(len(x))
+    a, q, err = np.zeros_like(p1), np.ones_like(p1), x.copy()
+    walk = ~wide
+    for i in np.flatnonzero(wide & (x * float(q_max + 1) >= 0.5)):
+        a1, r = divmod(1 << int(shift[i]), int(num[i]))
+        if a1 <= q_max:
+            walk[i] = True
+            p0[i], q0[i], p1[i], q1[i], u[i], v[i] = 0, 1, 1, a1, num[i], r
+    live = np.flatnonzero(walk)
+    p0, p1, q0, q1, u, v, shift = (arr[live] for arr in (p0, p1, q0, q1, u, v, shift))
     while live.size:
         go = v != 0
         a_i = u // np.where(go, v, 1)
@@ -142,9 +110,10 @@ def _int64_walk(x: np.ndarray, q_max: int) -> tuple[np.ndarray, np.ndarray, np.n
         if not go.all():
             end = ~go
             at = live[end]
-            a[at], q[at], err[at] = p1[end], q1[end], v[end] / den[end]
-            p0, p1, q0, q1, u, v, den, a_i, live = (
-                arr[go] for arr in (p0, p1, q0, q1, u, v, den, a_i, live)
+            a[at], q[at] = p1[end], q1[end]
+            err[at] = np.ldexp(v[end].astype(float), -shift[end])
+            p0, p1, q0, q1, u, v, shift, a_i, live = (
+                arr[go] for arr in (p0, p1, q0, q1, u, v, shift, a_i, live)
             )
         p0, p1 = p1, a_i * p1 + p0
         q0, q1 = q1, a_i * q1 + q0
@@ -162,8 +131,10 @@ class ArcLabel:
 @dataclass(frozen=True)
 class Dissection:
     """Arc families of the order-2*sqrt(n) dissection for one fixed n, on 1-D
-    point arrays.  ``assign`` and ``in_major`` are one-element wrappers kept for
-    the benchmark: its tracer self-test wraps both, its oracle calls ``assign``."""
+    float point arrays; every method classifies by the one walk
+    ``dirichlet_approx``.  ``assign`` and ``in_major`` are one-element wrappers
+    kept for the benchmark: its tracer self-test wraps both, its oracle calls
+    ``assign``."""
 
     n: int
 
@@ -180,10 +151,10 @@ class Dissection:
         """Farey cells (a, q, err) of the points: the containing low-height
         arc if there is one, otherwise the best order-2*sqrt(n) approximation."""
         x = _points(alphas)
-        a, q, err = dirichlet_approx_many(x, self.half_height)
+        a, q, err = dirichlet_approx(x, self.half_height)
         far = np.flatnonzero(~(err <= 0.5 / math.sqrt(self.n)))
         if far.size:
-            a[far], q[far], err[far] = dirichlet_approx_many(x[far], self.full_height)
+            a[far], q[far], err[far] = dirichlet_approx(x[far], self.full_height)
         return a, q, err
 
     def assign(self, alpha: float) -> RationalApprox:
@@ -195,7 +166,7 @@ class Dissection:
         if not 1 <= Q <= 2 * math.sqrt(self.n) + 1e-9:
             raise ValueError(f"Q={Q} outside [1, 2*sqrt(n)]")
         if Q <= 0.5 * math.sqrt(self.n):
-            _, _, err = dirichlet_approx_many(alphas, int(math.floor(Q)))
+            _, _, err = dirichlet_approx(alphas, int(math.floor(Q)))
             return err <= Q / self.n
         _, q, err = self.assign_many(alphas)
         return np.where(q <= self.half_height, err <= 0.5 / math.sqrt(self.n), q <= Q)

@@ -61,7 +61,7 @@ def coprime_mask(q: int) -> np.ndarray:
     the sieve budget before the mask exists."""
     if q < 1:
         raise ValueError("q must be at least 1")
-    _check_budget(q)
+    _check_budget(q, "modulus q = {}")
     mask, rest, p = np.ones(q + 1, dtype=bool), q, 2
     while rest > 1:
         p = p if p * p <= rest else rest  # no factor up to sqrt(rest): rest is prime
@@ -73,18 +73,18 @@ def coprime_mask(q: int) -> np.ndarray:
     return mask
 
 
-def _check_budget(N: int) -> None:
+def _check_budget(N: int, what: str) -> None:
     """Raise CapacityLimit for N above DEFAULT_MAX_LIMIT, the one budget of
     every sieve and count table; each caller checks before it allocates any
-    array."""
+    array, and names what N counts in ``what``, a template for N."""
     if N > DEFAULT_MAX_LIMIT:
-        raise CapacityLimit(f"limit {N} exceeds budget {DEFAULT_MAX_LIMIT}")
+        raise CapacityLimit(f"{what.format(N)} exceeds budget {DEFAULT_MAX_LIMIT}")
 
 
 def primes_up_to(N: int) -> np.ndarray:
     """The primes up to N, ascending, as int64 (so their squares stay exact),
     from a bool sieve over the odd numbers only; empty below 2."""
-    _check_budget(N)
+    _check_budget(N, "sieve limit {}")
     if N < 2:
         return np.empty(0, dtype=np.int64)
     odd = np.ones((N + 1) // 2, dtype=bool)  # odd[i] stands for 2i + 1
@@ -98,7 +98,7 @@ def primes_up_to(N: int) -> np.ndarray:
 def sieve_tables(N: int) -> SieveTables:
     if N < 2:
         raise ValueError("N must be at least 2")
-    _check_budget(N)
+    _check_budget(N, "sieve limit {}")
     small_primes = primes_up_to(math.isqrt(N)).tolist()
 
     # a composite m has lpf(m)**2 <= m, so striding from p*p over the primes

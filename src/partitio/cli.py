@@ -22,9 +22,9 @@ from typing import Any, Optional
 
 from partitio import arith, constants, counting, singular, weights
 from partitio.expsums import PrecisionLimit, fit_decay, sup_profile
-from partitio.report import Column, Report, emit
+from partitio.report import EMITTERS, Column, Report, emit
 
-FORMATS = ("csv", "json", "pretty")
+FORMATS = tuple(EMITTERS)
 
 
 class ConfigError(ValueError):
@@ -222,7 +222,7 @@ def _cmd_weights(o: argparse.Namespace) -> Report:
     kind, n = o.kind, o.limit
     if o.slices < 1:
         raise ConfigError(f"--slices must be at least 1, got {o.slices}")
-    w = weights.make_weight(kind, n, h=o.h)
+    w = weights.make_weight(kind, n, h=o.h if kind == "hth_powers" else None)
     stats = weights.weight_stats(w) if w.is_nonnegative else None
     top = 2.0 * math.sqrt(n)
     Q_list = sorted(top / 2**j for j in range(o.slices))

@@ -65,7 +65,7 @@ def _summands(
     y_nonneg) and the ascending x-values (None for x_kind "none"), all at
     most N, under the conventions of representation_counts.  N is held to
     the sieve budget before any array exists."""
-    _check_budget(N)
+    _check_budget(N, "count-table limit {}")
     if s < 1 or N < 1 or k < 1:
         raise ValueError("need s >= 1, N >= 1, k >= 1")
     ymax = iroot(N, k)

@@ -209,7 +209,7 @@ def exp_sum_grid(w: Weight, G: int) -> np.ndarray:
     """W(j/G) for j = 0..G-1: the length-G DFT of the weight binned by its
     exact phase residue m * phase mod G, so no phase is rounded.  G is held
     to the sieve budget before any array exists."""
-    _check_budget(G)
+    _check_budget(G, "grid of {} points")
     if G < 1:
         raise ValueError(f"G must be at least 1, got {G}")
     r = (w.support % G) * (w.phase % G) % G

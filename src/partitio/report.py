@@ -126,11 +126,11 @@ def emit_pretty(report: Report) -> str:
     return "\n".join(out) + "\n"
 
 
+#: Every output format once: name -> emitter.
+EMITTERS = {"csv": emit_csv, "json": emit_json, "pretty": emit_pretty}
+
+
 def emit(report: Report, fmt: str) -> str:
-    if fmt == "csv":
-        return emit_csv(report)
-    if fmt == "json":
-        return emit_json(report)
-    if fmt == "pretty":
-        return emit_pretty(report)
-    raise ValueError(f"unknown format {fmt!r}")
+    if fmt not in EMITTERS:
+        raise ValueError(f"unknown format {fmt!r}")
+    return EMITTERS[fmt](report)

@@ -29,6 +29,11 @@ KINDS = (
     "e2",
 )
 
+#: The kind that reads each parameter beyond n; None leaves one unset, and
+#: so does the default phase multiplier j = 1.
+_READER = {"h": "hth_powers", "k": "smooth_kth_powers", "P": "smooth_kth_powers",
+           "R": "smooth_kth_powers", "j": "e2"}
+
 
 @dataclass(frozen=True)
 class Weight:
@@ -73,7 +78,8 @@ def make_weight(
     R: Optional[int] = None,
     j: int = 1,
 ) -> Weight:
-    """The built-in weight of this kind on [1, n].  Only e2 takes the phase
+    """The built-in weight of this kind on [1, n].  A parameter set for a
+    kind that does not read it is refused (``_READER``); e2 takes the phase
     multiplier j (1 or 2).  Supports are int64, so n past that range is
     refused first; the squares and h-th powers hold their support length to
     the sieve budget before they allocate it, as the sieves do."""
@@ -81,14 +87,18 @@ def make_weight(
         raise ValueError("n must be at least 1")
     if n >= 2**63:
         raise PrecisionLimit(f"n = {n} is past the int64 range of a support")
+    if kind not in KINDS:
+        raise ValueError(f"unknown weight kind {kind!r}")
+    given = {"h": h, "k": k, "P": P, "R": R, "j": None if j == 1 else j}
+    for name, value in given.items():
+        if value is not None and _READER[name] != kind:
+            raise ValueError(f"parameter {name} is read only by {_READER[name]}, not {kind!r}")
     if kind == "e2" and j not in (1, 2):
         raise ValueError("phase multiplier j must be 1 or 2")
-    if kind != "e2" and j != 1:
-        raise ValueError(f"phase multiplier j is read only by e2, not {kind!r}")
 
     if kind == "squares":
         X = math.isqrt(n)
-        _check_budget(X)
+        _check_budget(X, "support of {} squares")
         support = np.arange(1, X + 1, dtype=np.int64) ** 2
         values = np.ones(len(support))
     elif kind == "prime_squares":
@@ -106,7 +116,7 @@ def make_weight(
         if h is None or h < 2:
             raise ValueError("hth_powers needs h >= 2")
         X = iroot(n, h)
-        _check_budget(X)
+        _check_budget(X, "support of {} h-th powers")
         support = np.arange(1, X + 1, dtype=np.int64) ** h
         values = np.ones(len(support))
     elif kind == "smooth_kth_powers":
@@ -117,7 +127,7 @@ def make_weight(
         powers = [int(x) ** k for x in smooth_set(P, R).members]  # exact ints, then trim
         support = np.array([p for p in powers if p <= n], dtype=np.int64)
         values = np.ones(len(support))
-    elif kind == "e2":
+    else:  # e2
         m1, m2 = iroot(n, 6), iroot(n, 3)
         p2 = primes_up_to(m2)
         p2 = p2[p2 % 3 == 1]
@@ -125,8 +135,6 @@ def make_weight(
         prods = (np.outer(p1, p2).ravel().astype(np.int64)) ** 2
         support, counts = np.unique(prods, return_counts=True)
         values = counts.astype(float)
-    else:
-        raise ValueError(f"unknown weight kind {kind!r}")
 
     return Weight(n=n, support=support, values=values, phase=j)
 

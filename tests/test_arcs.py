@@ -7,17 +7,17 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+from farey_oracle import fraction_approx
 from partitio.arcs import (
     Dissection,
     RationalApprox,
     arc_classify,
     dirichlet_approx,
-    dirichlet_approx_many,
     sample_slice_alphas,
     size_slices,
     upsilon,
 )
-from partitio.arith import CapacityLimit
+from partitio.arith import CapacityLimit, PrecisionLimit
 from partitio.weights import make_weight
 
 
@@ -32,18 +32,23 @@ def _best_approx_brute(alpha: Fraction, q_max: int):
     return best
 
 
+def _walk(alpha: float, q_max: int) -> RationalApprox:
+    a, q, err = dirichlet_approx(alpha, q_max)
+    return RationalApprox(int(a[0]), int(q[0]), float(err[0]))
+
+
 def test_dirichlet_simple():
-    b = dirichlet_approx(0.5, 10)
+    b = _walk(0.5, 10)
     assert (b.a, b.q, b.err) == (1, 2, 0.0)
-    b = dirichlet_approx(0.0, 5)
+    b = _walk(0.0, 5)
     assert (b.a, b.q, b.err) == (0, 1, 0.0)
-    b = dirichlet_approx(1.0, 5)
+    b = _walk(1.0, 5)
     assert (b.a, b.q, b.err) == (1, 1, 0.0)
 
 
 def test_dirichlet_pi_digits():
     # frozen from the brute-force oracle below
-    b = dirichlet_approx(0.14159265, 100)
+    b = _walk(0.14159265, 100)
     ref = _best_approx_brute(Fraction(0.14159265), 100)
     assert (b.a, b.q) == (1, 7) == (ref[0], ref[1])
     assert b.err == pytest.approx(float(ref[2]), abs=1e-15)
@@ -52,7 +57,7 @@ def test_dirichlet_pi_digits():
 
 @given(st.floats(min_value=0.0, max_value=1.0), st.integers(min_value=1, max_value=400))
 def test_dirichlet_properties(alpha, q_max):
-    b = dirichlet_approx(alpha, q_max)
+    b = _walk(alpha, q_max)
     assert 1 <= b.q <= q_max
     assert 0 <= b.a <= b.q
     assert gcd(b.a, b.q) == 1
@@ -63,7 +68,7 @@ def test_dirichlet_properties(alpha, q_max):
 @given(st.floats(min_value=0.0, max_value=1.0), st.integers(min_value=1, max_value=60))
 def test_dirichlet_matches_brute_force(alpha, q_max):
     x = Fraction(alpha)
-    b = dirichlet_approx(alpha, q_max)
+    b = _walk(alpha, q_max)
     ref = _best_approx_brute(x, q_max)
     assert abs(b.q * x - b.a) == pytest.approx(ref[2], abs=1e-15)
 
@@ -75,8 +80,8 @@ def _near_rational(a_q, step):
 
 _alphas = st.one_of(
     st.sampled_from([0.0, 1.0, 2.0**-10, math.nextafter(1.0, 0.0), 5e-324]),
-    st.floats(min_value=0.0, max_value=2.0**-9),  # the small-alpha fallback
-    st.floats(min_value=2.0**-12, max_value=2.0**-8),  # and its edge
+    st.floats(min_value=0.0, max_value=2.0**-9),  # binary denominators past int64
+    st.floats(min_value=2.0**-12, max_value=2.0**-8),  # and their edge
     st.builds(lambda m, k: k / 2**m, st.integers(1, 62), st.integers(0, 2**62))
     .filter(lambda x: x <= 1.0),  # dyadic k/2**m
     st.builds(
@@ -88,65 +93,87 @@ _alphas = st.one_of(
     st.floats(min_value=0.0, max_value=1.0),
 )
 
-
-@given(
-    st.lists(_alphas, min_size=1, max_size=12),
-    st.one_of(st.integers(1, 100), st.integers(1, math.isqrt(4 * 10**12))),
+_q_maxes = st.one_of(
+    st.integers(1, 100), st.integers(1, math.isqrt(4 * 10**12)),
+    st.integers(1, 2**63 - 1), st.sampled_from([1023, 1024, 1025, 2**33, 2**62, 2**63 - 1]),
 )
-def test_array_walk_matches_fraction_walk(alphas, q_max):
-    a, q, err = dirichlet_approx_many(np.array(alphas), q_max)
+
+
+def _assert_walk_is_oracle(alphas, q_max):
+    a, q, err = dirichlet_approx(np.array(alphas, dtype=float), q_max)
     assert a.dtype == q.dtype == np.int64 and err.dtype == np.float64
     for i, alpha in enumerate(alphas):
-        b = dirichlet_approx(alpha, q_max)
+        b = fraction_approx(float(alpha), q_max)
         assert (int(a[i]), int(q[i]), float(err[i]).hex()) == (b.a, b.q, b.err.hex())
+
+
+@given(st.lists(_alphas, min_size=1, max_size=12), _q_maxes)
+def test_array_walk_matches_fraction_walk(alphas, q_max):
+    _assert_walk_is_oracle(alphas, q_max)
+
+
+@given(
+    st.integers(1024, 2**63 - 1).flatmap(lambda q_max: st.tuples(
+        st.lists(st.floats(0.5 / (q_max + 1), 2.0**-10, exclude_max=True),
+                 min_size=1, max_size=12),
+        st.just(q_max),
+    ))
+)
+@example(([1 / 1024, 1 / 1025, math.nextafter(1 / 1025, 1.0)], 1024))
+@example(([2.0**-63, 3 * 2.0**-64, 2.0**-62], 2**63 - 1))
+def test_array_walk_matches_fraction_walk_below_int64_denominators(alphas_q_max):
+    # points below 2**-10 near 1/(q_max + 1): the float test cannot settle
+    # them, and the first partial quotient is taken on Python ints
+    _assert_walk_is_oracle(*alphas_q_max)
 
 
 def test_array_walk_matches_fraction_walk_sweep():
     # seeded points at every binary magnitude from 2**-60 to 1
     rng = np.random.default_rng(2)
     alphas = rng.random(1500) * 2.0 ** -rng.integers(0, 61, size=1500)
-    for q_max in (7, 1000, 10**6, math.isqrt(4 * 10**12)):
-        a, q, err = dirichlet_approx_many(alphas, q_max)
-        for i, alpha in enumerate(alphas):
-            b = dirichlet_approx(float(alpha), q_max)
-            assert (int(a[i]), int(q[i]), float(err[i]).hex()) == (b.a, b.q, b.err.hex())
+    for q_max in (7, 1000, 10**6, math.isqrt(4 * 10**12), 2**62, 2**63 - 1):
+        _assert_walk_is_oracle(alphas, q_max)
 
 
 def test_array_walk_exact_inputs_and_errors():
-    # exact points take the scalar Fraction walk: err of 2/7 + 1e-9 is 7e-9 exactly
-    b = dirichlet_approx(Fraction(2, 7) + Fraction(1, 10**9), 10)
+    # exact points take the Fraction oracle: err of 2/7 + 1e-9 is 7e-9 exactly
+    b = fraction_approx(Fraction(2, 7) + Fraction(1, 10**9), 10)
     assert (b.a, b.q, b.err) == (2, 7, 7e-9)
     # the array classifiers take floats only, as a list, an object array or one point
     exact = [Fraction(1, 3), Fraction(2, 7) + Fraction(1, 10**9), 0.25]
     d = Dissection(10**4)
-    classifiers = (lambda x: dirichlet_approx_many(x, 10), lambda x: upsilon(x, 10**4),
+    classifiers = (lambda x: dirichlet_approx(x, 10), lambda x: upsilon(x, 10**4),
                    lambda x: arc_classify(x, 10**4, 4.0), lambda x: d.in_major_many(x, 4.0))
     for classify in classifiers:
         for points in (exact, np.array(exact, dtype=object), exact[1]):
             with pytest.raises(ValueError, match="floats"):
                 classify(points)
-    a, q, err = dirichlet_approx_many([0.5, 0.25], 10)
+    a, q, err = dirichlet_approx([0.5, 0.25], 10)
     assert (list(a), list(q), list(err)) == ([1, 1], [2, 4], [0.0, 0.0])
-    assert len(dirichlet_approx_many(np.empty(0), 5)[0]) == 0
+    assert len(dirichlet_approx(np.empty(0), 5)[0]) == 0
     with pytest.raises(ValueError):
-        dirichlet_approx_many([0.5, 1.5], 5)
+        dirichlet_approx([0.5, 1.5], 5)
     with pytest.raises(ValueError):
-        dirichlet_approx_many([0.5, float("nan")], 5)
+        dirichlet_approx([0.5, float("nan")], 5)
     with pytest.raises(ValueError):
-        dirichlet_approx_many([0.5], 0)
+        dirichlet_approx([0.5], 0)
+    # q_max is held to int64, where the walk runs
+    for q_max in (2**63, 2**64):
+        with pytest.raises(PrecisionLimit):
+            dirichlet_approx([3 * 2.0**-64], q_max)
 
 
 def _assign_oracle(d, alpha):
-    best = dirichlet_approx(alpha, d.half_height)
+    best = fraction_approx(alpha, d.half_height)
     if best.err <= 0.5 / math.sqrt(d.n):
         return best
-    return dirichlet_approx(alpha, d.full_height)
+    return fraction_approx(alpha, d.full_height)
 
 
 def _in_major_oracle(d, alpha, Q):
     # the scalar definition of M(Q), on the Fraction walk
     if Q <= 0.5 * math.sqrt(d.n):
-        return dirichlet_approx(alpha, int(math.floor(Q))).err <= Q / d.n
+        return fraction_approx(alpha, int(math.floor(Q))).err <= Q / d.n
     best = _assign_oracle(d, alpha)
     if best.q <= d.half_height:
         return best.err <= 0.5 / math.sqrt(d.n)

@@ -39,7 +39,8 @@ print(json.dumps({"jobs": len(jobs), "bad": bad}, default=str))
 
 # the first job of each kind (each library call, each CLI command) of the
 # three workloads at seed 1, traced as a traced pass is: the tracer's
-# counters bind library parameters by name, so a renamed parameter fails here
+# counters bind library parameters by name, and some key on a function's
+# name, so a renamed parameter or function fails here
 _TRACED = """
 import json, sys, time
 sys.path.insert(0, sys.argv[1])
@@ -96,5 +97,6 @@ def test_traced_pass_of_every_job_kind():
     assert len(summary["kinds"]) == 14, summary["kinds"]
     assert summary["bad"] == []
     for counter in ("counting.fold_cells", "expsums.terms", "singular.series_q",
-                    "arith.sieve_n", "weights.support", "report.bytes"):
+                    "arith.sieve_n", "weights.support", "report.bytes",
+                    "arcs.approx_calls", "arcs.points_sampled"):
         assert summary["metrics"][counter] > 0, counter

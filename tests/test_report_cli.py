@@ -273,6 +273,19 @@ def test_oversized_quadrature_grid_is_usage_error(capsys, monkeypatch):
     assert err.startswith("error: ") and err[len("error: "):].strip()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("weights", "--kind", "hth_powers", "--h", "5", "--limit", "4000000000000000000",
+      "--slices", "1", "--samples", "5"), "modulus q = 1016449020"),  # a sampled q
+    (("moments", "--k", "3", "--r", "2", "--limit", "12", "--t", "4",
+      "--grid-points", "60000000"), "grid of 60000000 points"),
+])
+def test_budget_refusals_name_what_they_budget(capsys, argv, message):
+    # neither number is a --limit the user gave, so the refusal names its own
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message} exceeds budget 50000000\n"
+
+
 def test_mean_value_past_the_int64_range_cli(capsys):
     code, out, _ = run_cli(capsys, "moments", "--k", "3", "--r", "10", "--limit", "10",
                            "--mean-value", "--format", "csv")

@@ -135,6 +135,19 @@ def test_phase_multiplier_is_read_only_by_e2():
             make_weight("e2", 7**6, j=j)
 
 
+_FOREIGN = [(kind, name) for kind in KINDS for name in ("h", "k", "P", "R", "j")
+            if name not in _KIND_ARGS.get(kind, {}) and (kind, name) != ("e2", "j")]
+
+
+@pytest.mark.parametrize("kind, name", _FOREIGN)
+def test_parameters_the_kind_does_not_read_are_refused(kind, name):
+    # None is unset for every parameter, and so is j = 1
+    args = _KIND_ARGS.get(kind, {})
+    assert make_weight(kind, 1000, **{name: None if name != "j" else 1}, **args).n == 1000
+    with pytest.raises(ValueError, match=f"parameter {name} is read only by"):
+        make_weight(kind, 1000, **{name: 2}, **args)
+
+
 def test_weight_norm_is_derived_from_its_values():
     values = np.array([2.0, -3.5, 0.25])
     w = Weight(n=10, support=np.array([1, 4, 9]), values=values, phase=2)
