@@ -6,9 +6,9 @@ the number of summands v <= N, and the partial sums rise toward that bound,
 so a fold whose bound fits in 2**63 - 1 cannot wrap; a fold whose bound does
 not is done on Python big integers instead; a finished int64 table with a
 negative entry raises ArithmeticError.  N is held to the sieve budget,
-arith.DEFAULT_MAX_LIMIT.  Zero sets need reachability only: boolean folds of
-the y-summands, then a sieve of the candidates by the x-values, with no
-integer table.  Moments of the smooth Weyl sum come either exactly from
+arith.DEFAULT_MAX_LIMIT.  Zero sets need reachability only: the same builder
+folds a boolean table, where += is logical or, and the zero set is where it
+is False.  Moments of the smooth Weyl sum come either exactly from
 Parseval (sum of squared convolution counts) or numerically from grid or
 per-arc quadrature.  The mean value of the square and smooth Weyl sums is
 the same Parseval sum over the table of one square plus r smooth powers.
@@ -103,7 +103,8 @@ def _fold(acc: np.ndarray, values: np.ndarray, N: int) -> np.ndarray:
     With acc >= 0 every out[m], and every partial sum on the way to it, is at
     most max(acc) times the number of values v <= N.  The fold stays in int64
     while that bound fits in 2**63 - 1 and runs on Python integers (object
-    dtype) otherwise.  acc may stop short of N + 1 where the rest is zero.
+    dtype) otherwise.  A boolean acc stays boolean: its += is logical or.
+    acc may stop short of N + 1 where the rest is zero.
     """
     values = values[values <= N]
     if acc.dtype != object and int(acc.max()) * len(values) > _INT64_MAX:
@@ -114,14 +115,18 @@ def _fold(acc: np.ndarray, values: np.ndarray, N: int) -> np.ndarray:
     return out
 
 
-def _count_table(ys: np.ndarray, s: int, N: int, xs: Optional[np.ndarray]) -> CountTable:
-    """Counts of m <= N as s y-values plus one x-value (none when xs is None):
-    s folds by ys, then one by xs, and one overflow backstop on the result."""
-    acc, top = np.ones(1, dtype=np.int64), 1  # acc[top:] is zero: no fold shifts it
-    for values in [ys] * s + ([] if xs is None else [xs]):
+def _count_table(
+    ys: np.ndarray, s: int, N: int, xs: Optional[np.ndarray], dtype: type = np.int64,
+) -> CountTable:
+    """Counts of m <= N as s y-values plus one x-value (none when xs is None),
+    or with dtype bool whether m is reachable at all.  The longest summand
+    list folds first, into a one-entry table; the sort is stable, so ties
+    keep ys before xs.  One overflow backstop checks a finished int64 table."""
+    acc, top = np.ones(1, dtype=dtype), 1  # acc[top:] is zero: no fold shifts it
+    for values in sorted([ys] * s + ([] if xs is None else [xs]), key=len, reverse=True):
         acc = _fold(acc[:top], values, N)
         top += int(values.max())
-    if acc.dtype != object and np.any(acc < 0):
+    if acc.dtype == np.int64 and np.any(acc < 0):
         raise ArithmeticError("count overflow slipped past the guard")
     return CountTable(limit=N, counts=acc)
 
@@ -166,24 +171,10 @@ def representation_counts(
 
 def zero_set(k: int, s: int, N: int, **kwargs) -> list[int]:
     """All n in [1, N] with no representation, under the keyword conventions
-    of representation_counts.  Builds no count table: the sums of s y-values
-    are marked in a boolean array, then each x-value in ascending order
-    strikes the candidates n >= x with n - x marked."""
-    kernel, xv = _summands(k, s, N, **kwargs)
-    reach = np.zeros(N + 1, dtype=bool)
-    reach[0] = True
-    for _ in range(s):
-        reach = _fold(reach, kernel, N)  # bool += is logical or
-    if xv is None:
-        return (np.flatnonzero(~reach[1:]) + 1).tolist()
-    cand = np.arange(1, N + 1, dtype=np.int64)
-    for v in xv.tolist():
-        i = int(np.searchsorted(cand, v))
-        upper = cand[i:]
-        cand = np.concatenate([cand[:i], upper[~reach[upper - v]]])
-        if i == len(cand):  # every candidate lies below v and the later x-values
-            break
-    return cand.tolist()
+    of representation_counts: the False entries of the boolean table."""
+    ys, xs = _summands(k, s, N, **kwargs)
+    reach = _count_table(ys, s, N, xs, dtype=bool).counts
+    return (np.flatnonzero(~reach[1:]) + 1).tolist()
 
 
 def nu_convolution(w: Weight, rho: CountTable, n: int) -> Union[int, float]:

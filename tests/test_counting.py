@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from collections import Counter, defaultdict
 
 import numpy as np
@@ -10,7 +11,9 @@ from partitio import counting
 from partitio.arith import DEFAULT_MAX_LIMIT, CapacityLimit, smooth_set
 from partitio.counting import (
     CountTable,
+    _count_table,
     _fold,
+    _summands,
     iroot,
     major_arc_moment,
     mean_value_N,
@@ -24,6 +27,7 @@ from partitio.counting import (
 from partitio.weights import Weight, make_weight
 
 from phase_oracle import exact_arcs
+from zero_set_oracle import sieve_zero_set
 
 
 def test_iroot():
@@ -308,17 +312,72 @@ def test_counts_and_zero_sets_match_enumeration(k, s, N, x_kind, x_nonneg, y_non
 
 
 def test_zero_set_matches_count_table(rng):
-    for i in range(16):
-        k, s = int(rng.integers(2, 6)), int(rng.integers(1, 5))
-        N = int(rng.integers(2000, 6000))
+    # the oracle sieves candidates by the x-values and never folds them; the
+    # last four draws (k >= 3, N near 1e5) fold the x-values first
+    for i in range(20):
+        k, s = int(rng.integers(2, 6) if i < 16 else rng.integers(3, 6)), int(rng.integers(1, 5))
+        N = int(rng.integers(2000, 6000) if i < 16 else rng.integers(90000, 110000))
         kwargs = dict(
             x_kind=("square", "prime_square", "hth_power", "none")[i % 4],
             x_nonneg=bool(rng.integers(2)), y_nonneg=bool(rng.integers(2)), h=3,
             base="all" if i % 3 else smooth_set(int(rng.integers(20, 80)), int(rng.integers(2, 20))),
         )
-        table = representation_counts(k, s, N, **kwargs)
-        expected = (np.flatnonzero(table.counts[1:] == 0) + 1).tolist()
-        assert zero_set(k, s, N, **kwargs) == expected, (k, s, N, kwargs)
+        assert zero_set(k, s, N, **kwargs) == sieve_zero_set(k, s, N, **kwargs), (k, s, N, kwargs)
+
+
+def _folds_in_fixed_order(ys, s, N, xs, seed=object):
+    """The same folds as _count_table, y-values s times and then the x-values;
+    on the default object seed, Python integers that never widen or wrap."""
+    acc = np.ones(1, dtype=seed)
+    for values in [ys] * s + ([] if xs is None else [xs]):
+        acc = _fold(acc, values, N)
+    return acc
+
+
+@given(
+    k=st.integers(1, 5),
+    s=st.integers(1, 5),
+    N=st.integers(1, 300),
+    x_kind=st.sampled_from(["square", "prime_square", "hth_power", "none"]),
+    x_nonneg=st.booleans(),
+    y_nonneg=st.booleans(),
+    h=st.integers(1, 4),
+    smooth=st.one_of(st.none(), st.tuples(st.integers(2, 20), st.integers(2, 20))),
+)
+def test_fold_order_changes_no_table(k, s, N, x_kind, x_nonneg, y_nonneg, h, smooth):
+    base = "all" if smooth is None else smooth_set(max(smooth), min(smooth))
+    try:
+        ys, xs = _summands(k, s, N, x_kind, x_nonneg, y_nonneg, h, base)
+    except ValueError:  # an empty summand list
+        return
+    ref = _folds_in_fixed_order(ys, s, N, xs)
+    assert _count_table(ys, s, N, xs).counts.tolist() == ref.tolist()
+    assert _count_table(ys, s, N, xs, dtype=bool).counts.tolist() == (ref > 0).tolist()
+
+
+def test_wide_table_is_the_same_in_either_fold_order():
+    # 20 cubes and a square: entries reach 65 bits, so both orders widen to
+    # object dtype, at different folds
+    ys, xs = _summands(3, 20, 5000)
+    ref = _folds_in_fixed_order(ys, 20, 5000, xs)
+    assert max(ref).bit_length() == 65
+    assert _folds_in_fixed_order(ys, 20, 5000, xs, seed=np.int64).dtype == object
+    t = representation_counts(3, 20, 5000)
+    assert t.counts.dtype == object
+    assert t.counts.tolist() == ref.tolist()
+
+
+def test_zero_set_holds_no_int64_candidates():
+    # two boolean tables of N + 1 entries at the peak; an int64 candidate
+    # list would cost 8 bytes per n on its own
+    N = 2 * 10**6
+    tracemalloc.start()
+    try:
+        zero_set(4, 6, N)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * N, peak / N
 
 
 def test_square_and_fourth_power_ranges_mod16():
