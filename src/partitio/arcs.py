@@ -4,7 +4,8 @@ The unit interval is dissected at order 2*sqrt(n): every alpha gets coprime
 (a, q) with q <= 2*sqrt(n) and |q*alpha - a| <= 1/(2*sqrt(n)).  Height-Q
 major arcs M(Q) collect |q*alpha - a| <= Q/n over q <= Q while Q stays below
 sqrt(n)/2; beyond that M(Q) grows by the order-2*sqrt(n) Farey cells of
-height up to Q.  N(Q) = M(Q) minus M(Q/4) are the dyadic slices.
+height up to Q.  N(Q) = M(Q) minus M(Q/4) are the dyadic slices.  Below
+sqrt(n)/2 the height-Q arcs are disjoint: one walk decides every level L <= Q.
 
 Points exactly on an arc boundary are assigned to the smaller q (the <=
 comparisons below), a measure-zero convention that keeps classification
@@ -131,8 +132,8 @@ class ArcLabel:
 @dataclass(frozen=True)
 class Dissection:
     """Arc families of the order-2*sqrt(n) dissection for one fixed n, on 1-D
-    float point arrays; every method classifies by the one walk
-    ``dirichlet_approx``.  ``assign`` and ``in_major`` are one-element wrappers
+    float point arrays; a classifier call reads every level off the walks of
+    one ``_cells`` call.  ``assign`` and ``in_major`` are one-element wrappers
     kept for the benchmark: its tracer self-test wraps both, its oracle calls
     ``assign``."""
 
@@ -147,15 +148,36 @@ class Dissection:
     def full_height(self) -> int:
         return math.isqrt(4 * self.n)  # floor(2*sqrt(n))
 
+    def _cells(self, alphas: Points, Q: float) -> tuple[tuple, tuple]:
+        """The walks deciding M(L) for every level 1 <= L <= Q, as a pair: one
+        for the levels up to sqrt(n)/2, one for those above.  Both are the walk
+        to floor(Q) if Q <= sqrt(n)/2; else the walk to half_height and the
+        Farey cells of ``assign_many``."""
+        if not 1 <= Q <= 2 * math.sqrt(self.n) + 1e-9:
+            raise ValueError(f"Q={Q} outside [1, 2*sqrt(n)]")
+        x = _points(alphas)
+        if Q <= 0.5 * math.sqrt(self.n):
+            first = dirichlet_approx(x, int(math.floor(Q)))
+            return first, first
+        a, q, err = first = dirichlet_approx(x, self.half_height)
+        far = np.flatnonzero(~(err <= 0.5 / math.sqrt(self.n)))
+        if far.size:
+            a, q, err = (arr.copy() for arr in first)
+            a[far], q[far], err[far] = dirichlet_approx(x[far], self.full_height)
+        return first, (a, q, err)
+
+    def _inside(self, cells: tuple[tuple, tuple], L: float) -> np.ndarray:
+        """Membership in M(L) of the points, from their ``_cells`` at some Q >= L."""
+        if L <= 0.5 * math.sqrt(self.n):
+            _, q, err = cells[0]
+            return (q <= L) & (err <= L / self.n)
+        _, q, err = cells[1]
+        return np.where(q <= self.half_height, err <= 0.5 / math.sqrt(self.n), q <= L)
+
     def assign_many(self, alphas: Points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Farey cells (a, q, err) of the points: the containing low-height
         arc if there is one, otherwise the best order-2*sqrt(n) approximation."""
-        x = _points(alphas)
-        a, q, err = dirichlet_approx(x, self.half_height)
-        far = np.flatnonzero(~(err <= 0.5 / math.sqrt(self.n)))
-        if far.size:
-            a[far], q[far], err[far] = dirichlet_approx(x[far], self.full_height)
-        return a, q, err
+        return self._cells(alphas, 2 * math.sqrt(self.n))[1]
 
     def assign(self, alpha: float) -> RationalApprox:
         a, q, err = self.assign_many(alpha)
@@ -163,25 +185,16 @@ class Dissection:
 
     def in_major_many(self, alphas: Points, Q: float) -> np.ndarray:
         """Boolean mask of the points lying in M(Q)."""
-        if not 1 <= Q <= 2 * math.sqrt(self.n) + 1e-9:
-            raise ValueError(f"Q={Q} outside [1, 2*sqrt(n)]")
-        if Q <= 0.5 * math.sqrt(self.n):
-            _, _, err = dirichlet_approx(alphas, int(math.floor(Q)))
-            return err <= Q / self.n
-        _, q, err = self.assign_many(alphas)
-        return np.where(q <= self.half_height, err <= 0.5 / math.sqrt(self.n), q <= Q)
+        return self._inside(self._cells(alphas, Q), Q)
 
     def in_major(self, alpha: float, Q: float) -> bool:
         return bool(self.in_major_many(alpha, Q)[0])
 
     def in_slice_many(self, alphas: Points, Q: float) -> np.ndarray:
         """Boolean mask of the points lying in N(Q) = M(Q) minus M(Q/4)."""
-        x = _points(alphas)
-        inside = self.in_major_many(x, Q)
-        if Q / 4 >= 1:
-            hit = np.flatnonzero(inside)
-            inside[hit] = ~self.in_major_many(x[hit], Q / 4)
-        return inside
+        cells = self._cells(alphas, Q)
+        inside = self._inside(cells, Q)
+        return inside & ~self._inside(cells, Q / 4) if Q / 4 >= 1 else inside
 
     def arc_halfwidth(self, q: int, Q: float) -> float:
         """Half-width (in alpha) of the height-Q arc around a/q."""
@@ -199,17 +212,18 @@ def upsilon(alphas: Points, n: int) -> np.ndarray:
 def arc_classify(alphas: Points, n: int, Q: float) -> ArcLabel:
     """Locate the points relative to M(Q), its dyadic levels and the core.
 
-    Each level Q/4**j >= 1 takes one ``in_major_many`` call over the points
-    still inside.  The core is |alpha - a/q| <= B/n over q <= B =
-    (log n)**(1/15); every n the dissection accepts has a float sqrt(n), so
-    log n < 710, B < 1.55 and only the q = 1 arc occurs (none at n = 2).
+    Every level Q/4**j >= 1 is a comparison on the cells that decide M(Q).
+    The core is |alpha - a/q| <= B/n over q <= B = (log n)**(1/15); every n
+    the dissection accepts has a float sqrt(n), so log n < 710, B < 1.55 and
+    only the q = 1 arc occurs (none at n = 2).
     """
     d, x = Dissection(n), _points(alphas)
-    in_major = d.in_major_many(x, Q)
-    slice_q, inside, level = np.where(in_major, Q, np.nan), np.flatnonzero(in_major), Q
-    while level / 4 >= 1 and inside.size:
+    cells = d._cells(x, Q)
+    in_major = d._inside(cells, Q)
+    slice_q, inside, level = np.where(in_major, Q, np.nan), in_major, Q
+    while level / 4 >= 1:
         level /= 4
-        inside = inside[d.in_major_many(x[inside], level)]
+        inside = inside & d._inside(cells, level)
         slice_q[inside] = level
     B = math.log(n) ** (1.0 / 15.0)
     core = (B >= 1) & (np.minimum(x, 1 - x) <= B / n)
@@ -227,25 +241,23 @@ def sample_slice_alphas(n: int, Q: float, count: int, rng: np.random.Generator) 
 
     Mixes arc centres a/q for q in (Q/4, Q] with offsets j/8 of the arc
     half-width (boundary stress), rim points of lower arcs, and uniform
-    draws; every candidate is then filtered through the exact classifier.
+    draws; one ``in_slice_many`` call filters the arc strata, one the draws.
     """
     d = Dissection(n)
     qlo = int(math.floor(Q / 4))
     qhi = max(1, int(math.floor(min(Q, d.full_height))))
 
-    # centre stratum; below the half height membership in M(Q) is automatic.
-    # q is drawn by index (as from the listed range), so no q range is listed
+    # centre stratum: q is drawn by index, the same draws as from a listed range
     if qhi - qlo <= 80:
         qs = np.arange(qlo + 1, qhi + 1)
     else:
         qs = np.unique(qlo + 1 + rng.choice(qhi - qlo, size=80, replace=False))
     offsets = np.array([0.0, 0.25, -0.25, 0.625, -0.625, 0.875, -0.875])
-    pieces, test_top = [np.empty(0)], [np.zeros(0, dtype=bool)]
+    pieces = [np.empty(0)]
     for q in qs:
         q = int(q)
         deltas = offsets * d.arc_halfwidth(q, Q) * 0.999
         pieces.append(((_coprime_residues(q, rng) / q)[:, None] + deltas).ravel())
-        test_top.append(np.full(len(pieces[-1]), q > d.half_height))
 
     # rim stratum: the annulus of the lower arcs q <= Q/4 that N(Q) keeps
     vlo = min(Q / 4, 0.5 * math.sqrt(n))
@@ -262,18 +274,10 @@ def sample_slice_alphas(n: int, Q: float, count: int, rng: np.random.Generator) 
         for q in rim_qs:
             q = int(q)
             pieces.append(((_coprime_residues(q, rng) / q)[:, None] + steps / (q * n)).ravel())
-            test_top.append(np.zeros(len(pieces[-1]), dtype=bool))
 
-    # both strata leave M(Q/4); centres above the half height must be in M(Q)
     cand = np.concatenate(pieces)
-    keep = (0.0 <= cand) & (cand <= 1.0)
-    top = np.flatnonzero(keep & np.concatenate(test_top))
-    if top.size:
-        keep[top] = d.in_major_many(cand[top], Q)
-    low = np.flatnonzero(keep)
-    if Q / 4 >= 1 and low.size:
-        keep[low] = ~d.in_major_many(cand[low], Q / 4)
-    out = cand[keep]
+    cand = cand[(0.0 <= cand) & (cand <= 1.0)]
+    out = cand[d.in_slice_many(cand, Q)]
 
     # uniform stratum: the first accepted draws, up to count*4 points in all
     draws = rng.random(max(8, int(count * 0.25)) * 4)
@@ -281,8 +285,6 @@ def sample_slice_alphas(n: int, Q: float, count: int, rng: np.random.Generator) 
     if need > 0:
         out = np.concatenate([out, draws[d.in_slice_many(draws, Q)][:need]])
 
-    if not len(out):
-        return np.empty(0)
     arr = np.sort(out)
     if len(arr) > count:
         # even-spaced thinning preserves every stratum, unlike a random draw
@@ -299,14 +301,7 @@ class SliceStats:
     samples_total: int
 
 
-def size_slices(
-    w,
-    n: int,
-    Q: float,
-    T: float,
-    samples: int,
-    seed: int = 0,
-) -> SliceStats:
+def size_slices(w, n: int, Q: float, T: float, samples: int, seed: int = 0) -> SliceStats:
     """Monte-Carlo portrait of the size-T window inside the height-Q slice.
 
     The window collects alpha in N(Q) with norm/T < |W(alpha)| <= 2*norm/T.

@@ -5,9 +5,10 @@ from math import gcd
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from farey_oracle import fraction_approx
+from partitio import arcs
 from partitio.arcs import (
     Dissection,
     RationalApprox,
@@ -241,6 +242,9 @@ _n_and_Q = st.one_of(
 @example((3, 2.0), [0.0, 0.3, 2.0**-11, math.nextafter(1.0, 0.0)])
 @example((10**6 + 7, 1000.0), [1 / 7, 1 / 7 + 2.5e-6, 0.5, 2.0**-20])
 @example((10**4, 1.0), [0.005, 0.5025])  # on the rim of a low arc: the low q wins
+# alpha = L/n at L = Q/4 = sqrt(n)/2 is in M(L), but its err is 1 ulp past
+# 0.5/sqrt(n), so its Farey cell comes from the walk to full_height (q = 4)
+@example((5, 2 * math.sqrt(5)), [2 * math.sqrt(5) / 4 / 5])
 def test_upsilon_and_arc_classify_match_scalar_oracles(n_Q, alphas):
     n, Q = n_Q
     d = Dissection(n)
@@ -251,6 +255,30 @@ def test_upsilon_and_arc_classify_match_scalar_oracles(n_Q, alphas):
     want = [_slice_q_oracle(d, x, Q) for x in alphas]
     assert np.array_equal(lab.slice_q, want, equal_nan=True)
     assert lab.core.tolist() == [_core_oracle(n, x) for x in alphas]
+    assert d.in_slice_many(alphas, Q).tolist() == [
+        _in_major_oracle(d, x, Q) and not (Q / 4 >= 1 and _in_major_oracle(d, x, Q / 4))
+        for x in alphas
+    ]
+
+
+def test_one_walk_per_classifier_call(monkeypatch):
+    # every dyadic level, and both ends of a slice, come from the same cells
+    q_maxes = []
+
+    def counted(alphas, q_max):
+        q_maxes.append(q_max)
+        return dirichlet_approx(alphas, q_max)
+
+    monkeypatch.setattr(arcs, "dirichlet_approx", counted)
+    x = np.random.default_rng(1).random(300)
+    lab = arc_classify(x, 10**9, 1000.0)  # levels 1000, 250, 62.5, 15.625, 3.90625
+    assert q_maxes == [1000]
+    assert np.isin(lab.slice_q[lab.in_major], [1000.0, 250.0, 62.5, 15.625, 3.90625]).all()
+    d = Dissection(10**4)
+    for Q, walks in ((50.0, [50]), (200.0, [d.half_height, d.full_height])):
+        q_maxes.clear()
+        d.in_slice_many(x, Q)  # Q = 50 <= sqrt(n)/2 < 200
+        assert q_maxes == walks
 
 
 def test_upsilon_values():
@@ -329,6 +357,30 @@ def test_upsilon_bounded_on_slices():
         alphas = sample_slice_alphas(n, Q, 150, rng)
         assert len(alphas) > 0
         assert (upsilon(alphas, n) <= 4.0 / Q).all()
+
+
+_sampler_n_and_Q = st.one_of(
+    st.integers(2, 99),
+    st.sampled_from([10**4, 10**6 + 7, 10**9]),
+    st.integers(100, 10**9),
+).flatmap(lambda n: st.tuples(st.just(n), st.one_of(
+    st.sampled_from([1.0, 4.0, 0.5 * math.sqrt(n), 2 * math.sqrt(n)])
+    .map(lambda Q: min(max(Q, 1.0), 2 * math.sqrt(n))),  # both sides of sqrt(n)/2
+    st.floats(1.0, 2 * math.sqrt(n)),
+)))
+
+
+@settings(max_examples=30)
+@given(_sampler_n_and_Q, st.integers(0, 2**32 - 1))
+def test_sampled_points_lie_in_their_slice(n_Q, seed):
+    # the sampler's strata land near arc boundaries: each returned point is
+    # in N(Q) = M(Q) minus M(Q/4) by the Fraction walk
+    n, Q = n_Q
+    d = Dissection(n)
+    alphas = sample_slice_alphas(n, Q, 12, np.random.default_rng(seed))
+    for x in alphas.tolist():
+        assert _in_major_oracle(d, x, Q)
+        assert not (Q / 4 >= 1 and _in_major_oracle(d, x, Q / 4))
 
 
 @pytest.mark.parametrize("population, size", [

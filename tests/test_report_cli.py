@@ -236,6 +236,17 @@ def test_precision_limit_is_usage_error(capsys):
     assert err.startswith("error: ")
 
 
+def test_slice_height_below_one_is_refused_at_any_sample_count(capsys):
+    # --slices 6 at n = 100 reaches Q = 20/32 < 1, which no sample count lets through
+    code, out, err = run_cli(
+        capsys, "weights", "--kind", "squares", "--limit", "100", "--slices", "6",
+        "--samples", "1",
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: Q=0.625 outside [1, 2*sqrt(n)]\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [
