@@ -12,11 +12,13 @@ says is cheaper:
 
 * Dense: the |points| x |support| phase matrix x = t m, reduced by
   x - rint(x), then cos(2 pi x) @ w + i sin(2 pi x) @ w, in row blocks of at
-  most ``_DENSE_BLOCK`` elements.  Each phase is one float product, off by
-  up to 2**-53 |t m|; on scattered points these errors cancel (about 1e-13
-  of the norm at n = 1e5), but next to a rational of small denominator they
-  add up (6e-11 of the norm at n = 5e5, one ulp below t = 1).  The tests
-  hold the NUFFT to this kernel.
+  most ``_DENSE_BLOCK`` elements, the cos and the sin from one tangent
+  (``_cos_sin``; numpy's float64 tan is SIMD, its cos and sin scalar libm).
+  Each phase is one float product, off by up to 2**-53 |t m|; on scattered
+  points these errors cancel (about 1e-13 of the norm at n = 1e5), but next
+  to a rational of small denominator they add up (6e-11 of the norm at
+  n = 5e5, one ulp below t = 1).  The tests hold the NUFFT to this kernel,
+  and this kernel to a cos-and-sin one on the same reduced phases.
 * Type-2 NUFFT (Greengard & Lee, "Accelerating the nonuniform FFT", SIAM
   Rev. 46 (2004); Gaussian kernel, oversampling 2).  With m = m0 + k and
   |k| <= span/2, the coefficients are divided by the Fourier factors of a
@@ -37,12 +39,13 @@ says is cheaper:
   instance, outside its dataclass fields, for one R; later calls at any
   points reuse it, with the same bits as a fresh transform.
 
-Cost model, in ns measured on one core of a 2-vCPU Intel Xeon with numpy
-2.4: dense ``_DENSE_NS`` per term (the cos and the sin: ~15 ns on regularly
-spaced phases, ~40 on the scattered phases of primes or the Moebius
-support); NUFFT ``_FFT_NS`` per R log2 R for the one real FFT (with its
-zero padding, 1.0-1.6 ns measured for R in 1e5..4e6),
-``_SPREAD_NS`` per support term and ``_GATHER_NS`` per grid read.  The
+Cost model, in ns measured (best of 5-7 calls) on one core of a 2-vCPU
+AVX-512 Xeon with numpy 2.4: dense ``_DENSE_NS`` per term and point
+(``_dense`` on five weight kinds at 20-200 points: 5.2-12 ns, median 8;
+36-46 ns with a cos and a sin); NUFFT ``_FFT_NS`` per R log2 R for the one
+real FFT (``rfft`` with its zero padding, 0.8-1.7 ns for R in 1e5..4e6),
+``_SPREAD_NS`` per support term (``_plan`` less its FFT, 9-45 ns) and
+``_GATHER_NS`` per grid read (26-30 ns at 2000 points).  The
 NUFFT runs only when its estimate is the lower one and R <= ``_NUFFT_MAX_GRID``
 (its buffers then stay near 100 MB), never for a single point or a support
 of at most 2w terms.  The choice depends only on |support|, the support's
@@ -57,10 +60,10 @@ Arcs: near a/q the phase splits, e(m (a/q + beta)) = e(a m / q) e(beta m)
 ``exp_sum_arcs`` forms W = (E w) @ F^T over blocks of the support, with
 E[a, m] = e((a r mod q) / q) from the exact int64 residue r = m phase mod q
 and F[beta, m] = e(beta phase m) from one float product reduced by
-x - rint(x); a -beta column takes the conjugate of the +beta trig row.  Each
-phase is off by at most 2**-53 |beta phase m| (within 3e-14 of the norm in
-the tests, where float points a/q + beta are off by up to 2e-9 at
-n = 1.25e8).  So m past 2**53 is no limit; |beta m phase| past 2**53 raises
+x - rint(x), both by ``_cos_sin``; tan is odd bit for bit, so a -beta column
+takes the conjugate of the +beta row.  Each phase is off by at most
+2**-53 |beta phase m| (within 3e-14 of the norm in the tests, where float
+points a/q + beta are off by up to 2e-9 at n = 1.25e8).  So m past 2**53 is no limit; |beta m phase| past 2**53 raises
 ``PrecisionLimit``.
 """
 
@@ -84,7 +87,7 @@ _DENSE_BLOCK = 1 << 16        # phase-matrix elements per block (512 KiB)
 _NUFFT_MAX_GRID = 1 << 22     # largest oversampled grid R
 _HALF_WIDTH = 14              # stencil half-width w, in grid cells
 _GAUSS_VAR = 2 * _HALF_WIDTH / (3 * math.pi)
-_DENSE_NS = 40.0              # cost-model constants, nanoseconds (module docstring)
+_DENSE_NS = 8.0               # cost-model constants, nanoseconds (module docstring)
 _FFT_NS = 1.5
 _SPREAD_NS = 20.0
 _GATHER_NS = 40.0
@@ -143,13 +146,24 @@ def _dense(m: np.ndarray, values: np.ndarray, t: np.ndarray) -> np.ndarray:
     out = np.empty(len(t), dtype=complex)
     rows = max(1, _DENSE_BLOCK // len(m))
     for start in range(0, len(t), rows):
-        x = np.multiply.outer(t[start : start + rows], m)
-        x -= np.rint(x)
-        x *= TWO_PI
-        cos = np.cos(x)
-        np.sin(x, out=x)
-        out[start : start + rows] = cos @ values + 1j * (x @ values)
+        cos, sin = _cos_sin(np.multiply.outer(t[start : start + rows], m))
+        out[start : start + rows] = cos @ values + 1j * (sin @ values)
     return out
+
+
+def _cos_sin(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(cos 2 pi x, sin 2 pi x) = (2d - 1, 2ud), with u = tan(pi x) and
+    d = 1/(1 + u**2), after x -= rint(x) in place; x becomes the sine.  At
+    x = +-1/2, u is 1.6e16, not inf."""
+    x -= np.rint(x)
+    x *= math.pi
+    np.tan(x, out=x)
+    d = x * x
+    d += 1.0
+    np.divide(2.0, d, out=d)
+    x *= d
+    d -= 1.0
+    return d, x
 
 
 def _split(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -255,11 +269,8 @@ def exp_sum_arcs(w: Weight, q: int, a_values: Sequence[int], betas: np.ndarray) 
 
 def _unit(x: np.ndarray) -> np.ndarray:
     """e(x) elementwise, after reducing x by x - rint(x) in place."""
-    x -= np.rint(x)
-    x *= TWO_PI
     z = np.empty(x.shape, dtype=complex)
-    np.cos(x, out=z.real)
-    np.sin(x, out=z.imag)
+    z.real, z.imag = _cos_sin(x)
     return z
 
 

@@ -71,6 +71,7 @@ class _GaussSumCache:
         self.k = k
         self.s = s
         self._tables: dict[int, np.ndarray] = {}
+        self._powers = np.zeros(1)  # float(q**s) for q = 0..len - 1
 
     def table(self, q: int) -> np.ndarray:
         """A_m(q), m = 0..q-1: the DFT of S(q, a)^s over a coprime to q.  It is
@@ -99,6 +100,14 @@ class _GaussSumCache:
         # at a prime power the product is A_m(q) A_m(1) = A_m(q); elsewhere both
         # factors are at most q / 2, below the block being filled
         return _lpf_recurrence(lpf, A, lambda _, p, c: A[pp[p * c]] * A[cof[p * c]])
+
+    def series_terms(self, m: int, Q: int) -> np.ndarray:
+        """q**-s A_m(q) for q = 1..Q.  The powers are kept as float64, each the
+        Python-int q**s rounded once, so every term is the one correctly
+        rounded quotient that A_m(q) / q**s gives in Python."""
+        if len(self._powers) <= Q:
+            self._powers = np.array([float(q**self.s) for q in range(Q + 1)])
+        return self.series_coeffs(m, Q)[1:] / self._powers[1 : Q + 1]
 
 
 def singular_series(
@@ -131,8 +140,7 @@ def singular_series_blocks(
     cache = cache or _GaussSumCache(k, s)
     if (cache.k, cache.s) != (k, s):
         raise ValueError(f"cache holds (k, s) = {(cache.k, cache.s)}, not {(k, s)}")
-    A = cache.series_coeffs(m, max(Q_cuts, default=0)).tolist()
-    terms = [A[q] / q**s for q in range(1, len(A))]
+    terms = cache.series_terms(m, max(Q_cuts, default=0)).tolist()
     partials = [*accumulate(terms, initial=0.0)]
     last_blocks = [[*accumulate(terms[Q // 2 : Q], initial=0.0)][-1] for Q in Q_cuts]
     return [SingularSeriesResult(m, s, k, Q, partials[Q], b) for Q, b in zip(Q_cuts, last_blocks)]

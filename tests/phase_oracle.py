@@ -1,7 +1,19 @@
-"""Test-only oracle for sums near a/q: W(a/q + beta) from phases reduced
+"""Test-only oracles for exponential sums: the dense phase-matrix kernel with
+one libm cos and one sin per term, and W(a/q + beta) from phases reduced
 exactly in integers and rounded once."""
 
 import numpy as np
+
+
+def dense_cos_sin(m, values, t):
+    """sum_m values e(t m) per point t: the phases t m, reduced by
+    x - rint(x), then cos(2 pi x) @ values + i sin(2 pi x) @ values."""
+    out = np.empty(len(t), dtype=complex)
+    for i, point in enumerate(t):
+        x = point * m
+        x = 2 * np.pi * (x - np.rint(x))
+        out[i] = np.cos(x) @ values + 1j * (np.sin(x) @ values)
+    return out
 
 
 def exact_arcs(w, q, a_values, betas):

@@ -18,9 +18,9 @@ from partitio.expsums import (
     fit_decay,
     sup_profile,
 )
-from partitio.weights import Weight, make_weight
+from partitio.weights import KINDS, Weight, make_weight
 
-from phase_oracle import exact_arcs
+from phase_oracle import dense_cos_sin, exact_arcs
 
 
 def test_exp_sum_at_zero_counts_support():
@@ -56,7 +56,7 @@ def _reduced(w, alphas):
 
 
 def _dense_oracle(w, alphas):
-    return expsums._dense(w.support.astype(float), w.values, _reduced(w, alphas))
+    return dense_cos_sin(w.support.astype(float), w.values, _reduced(w, alphas))
 
 
 def _grid_length(w):
@@ -68,6 +68,11 @@ def _test_weight(kind, n, j):
         rng = np.random.default_rng(n)
         support = np.unique(rng.integers(1, n + 1, size=max(2, n // 5)))
         return Weight(n=n, support=support, values=rng.normal(size=len(support)))
+    if kind == "hth_powers":
+        return make_weight(kind, n, h=2 + j)
+    if kind == "smooth_kth_powers":
+        P = max(2, round(n ** (1 / 3)))
+        return make_weight(kind, n, k=3, P=P, R=max(2, P // 7))
     return make_weight(kind, n, j=j) if kind == "e2" else make_weight(kind, n)
 
 
@@ -102,6 +107,48 @@ def test_exp_sum_many_and_nufft_match_dense_oracle(kind, log_n, j, q, a, nodes, 
     assert np.abs(exp_sum_many(w, alphas) - oracle).max() <= tol
     forced = expsums._nufft(w, _reduced(w, alphas), R)
     assert np.abs(forced - oracle).max() <= tol
+
+
+@given(
+    kind=st.sampled_from(KINDS + ("signed",)),
+    log_n=st.floats(min_value=1.7, max_value=9.0),
+    j=st.sampled_from((1, 2)),
+    alphas=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=8),
+)
+@example(kind="prime_squares", log_n=9.0, j=1, alphas=[0.5, 1 / 3, np.nextafter(1.0, 0.0)])
+@example(kind="mobius", log_n=6.0, j=1, alphas=[0.0, 0.25, 0.123456789])
+@example(kind="squares", log_n=9.0, j=1, alphas=[0.5, 0.75])
+@example(kind="e2", log_n=9.0, j=2, alphas=[0.3, 0.5])
+def test_dense_matches_cos_sin_oracle(kind, log_n, j, alphas):
+    # the same reduced phases through the tangent kernel and through libm cos
+    # and sin: only the turn of a phase into e(x) differs.  Thin kinds go up
+    # to n = 1e9, dense ones to 1e6.
+    n = int(10**log_n)
+    w = _test_weight(kind, min(n, 10**6) if kind in ("primes_log", "mobius", "signed") else n, j)
+    if len(w.support) == 0:
+        return
+    m, t = w.support.astype(float), _reduced(w, alphas)
+    got = expsums._dense(m, w.values, t)
+    assert np.abs(got - dense_cos_sin(m, w.values, t)).max() <= 1e-13 * w.norm
+
+
+def test_unit_edges(rng):
+    half = np.nextafter(0.5, 0.0)
+    tiny = np.array([5e-324, 2.0**-1030, np.finfo(float).tiny, 1e-300])
+    x = np.concatenate([[0.0, 0.25, 0.5, half, 1.0, 3.5, 2.0**40 + 0.5], tiny,
+                        rng.random(1000) - 0.5, rng.uniform(-1e6, 1e6, 1000)])
+    x = np.concatenate([x, -x])
+    z = expsums._unit(x.copy())
+    assert np.isfinite(z.real).all() and np.isfinite(z.imag).all()
+    assert np.abs(np.abs(z) - 1).max() <= 4 * np.finfo(float).eps
+    assert np.abs(z - np.exp(2j * np.pi * (x - np.rint(x)))).max() <= 1e-15
+    assert z[0] == 1 and z[2].real == -1
+    # e(-x) is conj(e(x)) bit for bit; at an integer x both reduce to +0, so
+    # there the zero sines differ in sign only
+    plus, minus, x = z[: len(z) // 2], z[len(z) // 2 :], x[: len(z) // 2]
+    whole = x == np.rint(x)
+    assert minus[~whole].tobytes() == plus[~whole].conj().tobytes()
+    assert (minus[whole] == plus[whole].conj()).all()
 
 
 def test_nufft_exact_phases_at_large_span(rng):
@@ -211,6 +258,8 @@ def test_kernel_choice(monkeypatch):
     # the grid fits, but 1000 terms x 250 points is cheaper dense
     assert _kernel_taken(monkeypatch, make_weight("squares", 10**6), 250) == ["_dense"]
     assert _kernel_taken(monkeypatch, make_weight("e2", 10**10), 48) == ["_dense"]
+    # 41,538 terms x 26 points: dense at one tangent per term, NUFFT at a cos and a sin
+    assert _kernel_taken(monkeypatch, make_weight("primes_log", 5 * 10**5), 26) == ["_dense"]
     # at most 2w terms: dense whatever the point count
     tiny = make_weight("squares", 2 * expsums._HALF_WIDTH * (2 * expsums._HALF_WIDTH))
     assert _kernel_taken(monkeypatch, tiny, 5000) == ["_dense"]

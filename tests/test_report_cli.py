@@ -521,8 +521,12 @@ def test_counts_via_cli_prints_the_library_table(capsys):
 # sha256 of stdout.  Most runs print integer or closed-form output, the same
 # on every platform; the moments quadrature rows and the weights sup profiles
 # are float sums (FFT, dense or NUFFT) printed to the last bit, pinned as numpy
-# computes them here.  A change to the layout of any table or format, to the
-# default grid of moments, or to the bits of an exp-sum kernel shows here.
+# computes them here.  The dense and arc kernels take e(x) from np.tan and the
+# NUFFT from np.exp, both of which numpy dispatches to SIMD code by CPU, so
+# these bits belong to the kind of CPU they were pinned on (an AVX-512 Xeon;
+# with numpy's AVX-512 paths disabled the primes_log rows move).  A change to
+# the layout of any table or format, to the default grid of moments, or to
+# the bits of an exp-sum kernel shows here.
 _PINNED = {
     "constants": {
         "csv": "53c508faad014ab953d3a67f13ab50ba76f0ff0a4f96eb466302164bf43a1f85",
@@ -565,9 +569,9 @@ _PINNED = {
         "pretty": "9f0bafd258e33b6a058c58135e2f39e55c0573e2cce94ca746a1d1615bb6d774",
     },
     "weights --kind squares --limit 1000000 --seed 1": {
-        "csv": "9215a7079a5eb50e1ca0ff67906137c488c6fe50b02f5292aeafa5d3fee4f04c",
-        "json": "6835bd4f7a2fe2908fe0916dc86f6db31081a94cca73550f8f0ef69ba728dfea",
-        "pretty": "d63dbab29bc76c8aa770d917fd28ec25101be4d7335ba01e7d57f3ada6bc2140",
+        "csv": "f93e40ebd1399d3e5b648519f67925220ca383445512c396992369a88a8c1a42",
+        "json": "65f9d29199ca800d5067edcc6906c9dff4ac735b9b11815706de62ed6f4efc15",
+        "pretty": "5911c01669df1e4af5ec6d070c2d691a415a8fd46b80a22eca92f2970ec1ba66",
     },
     "weights --kind primes_log --limit 100000": {
         "csv": "f223b42a6c81b9873a994898bf118b4041474b7d6d7be8def38ccc54ad9ac019",

@@ -277,6 +277,17 @@ def test_series_blocks_equal_one_cutoff_loops():
         assert abs(b.partial - direct) <= 1e-14 * scale
 
 
+@pytest.mark.parametrize("s", range(4, 13))
+def test_series_terms_are_the_python_quotients(s):
+    # the float64 powers give each term the bits of A_m(q) / q**s with the
+    # Python-int power, for the largest cutoff first and smaller ones after
+    cache = _GaussSumCache(3, s)
+    for Q in (2000, 1, 37, 1999):
+        A = cache.series_coeffs(7, Q).tolist()
+        want = np.array([A[q] / q**s for q in range(1, Q + 1)])
+        assert cache.series_terms(7, Q).tobytes() == want.tobytes()
+
+
 def test_series_requires_s_at_least_four():
     with pytest.raises(ValueError):
         singular_series(5, 3, 3, 10)
