@@ -46,7 +46,7 @@ from typing import Union
 
 import numpy as np
 
-from partitio.arith import PrecisionLimit, coprime_mask
+from partitio.arith import PrecisionLimit, _check_budget, coprime_mask
 
 Points = Union[float, np.ndarray]  # one point or a 1-D float array of them
 
@@ -148,6 +148,11 @@ class Dissection:
     def full_height(self) -> int:
         return math.isqrt(4 * self.n)  # floor(2*sqrt(n))
 
+    def cap(self, L: float) -> float:
+        """The height-L bound is |q*alpha - a| <= cap(L)/n on both sides of
+        sqrt(n)/2; one float expression, so M(L) nests in M(L') for L <= L'."""
+        return min(L, 0.5 * math.sqrt(self.n))
+
     def _cells(self, alphas: Points, Q: float) -> tuple[tuple, tuple]:
         """The walks deciding M(L) for every level 1 <= L <= Q, as a pair: one
         for the levels up to sqrt(n)/2, one for those above.  Both are the walk
@@ -160,7 +165,7 @@ class Dissection:
             first = dirichlet_approx(x, int(math.floor(Q)))
             return first, first
         a, q, err = first = dirichlet_approx(x, self.half_height)
-        far = np.flatnonzero(~(err <= 0.5 / math.sqrt(self.n)))
+        far = np.flatnonzero(~(err <= self.cap(Q) / self.n))
         if far.size:
             a, q, err = (arr.copy() for arr in first)
             a[far], q[far], err[far] = dirichlet_approx(x[far], self.full_height)
@@ -168,11 +173,12 @@ class Dissection:
 
     def _inside(self, cells: tuple[tuple, tuple], L: float) -> np.ndarray:
         """Membership in M(L) of the points, from their ``_cells`` at some Q >= L."""
+        bound = self.cap(L) / self.n
         if L <= 0.5 * math.sqrt(self.n):
             _, q, err = cells[0]
-            return (q <= L) & (err <= L / self.n)
+            return (q <= L) & (err <= bound)
         _, q, err = cells[1]
-        return np.where(q <= self.half_height, err <= 0.5 / math.sqrt(self.n), q <= L)
+        return np.where(q <= self.half_height, err <= bound, q <= L)
 
     def assign_many(self, alphas: Points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Farey cells (a, q, err) of the points: the containing low-height
@@ -198,7 +204,7 @@ class Dissection:
 
     def arc_halfwidth(self, q: int, Q: float) -> float:
         """Half-width (in alpha) of the height-Q arc around a/q."""
-        return min(Q, 0.5 * math.sqrt(self.n)) / (q * self.n)
+        return self.cap(Q) / (q * self.n)
 
 
 def upsilon(alphas: Points, n: int) -> np.ndarray:
@@ -242,10 +248,12 @@ def sample_slice_alphas(n: int, Q: float, count: int, rng: np.random.Generator) 
     Mixes arc centres a/q for q in (Q/4, Q] with offsets j/8 of the arc
     half-width (boundary stress), rim points of lower arcs, and uniform
     draws; one ``in_slice_many`` call filters the arc strata, one the draws.
+    The top denominator is held to the sieve budget before anything is drawn.
     """
     d = Dissection(n)
     qlo = int(math.floor(Q / 4))
     qhi = max(1, int(math.floor(min(Q, d.full_height))))
+    _check_budget(qhi, f"top slice denominator {{}} (n = {n}, Q = {Q:.12g})")
 
     # centre stratum: q is drawn by index, the same draws as from a listed range
     if qhi - qlo <= 80:
@@ -260,8 +268,7 @@ def sample_slice_alphas(n: int, Q: float, count: int, rng: np.random.Generator) 
         pieces.append(((_coprime_residues(q, rng) / q)[:, None] + deltas).ravel())
 
     # rim stratum: the annulus of the lower arcs q <= Q/4 that N(Q) keeps
-    vlo = min(Q / 4, 0.5 * math.sqrt(n))
-    vhi = min(Q, 0.5 * math.sqrt(n))
+    vlo, vhi = d.cap(Q / 4), d.cap(Q)
     if qlo >= 1 and vhi > vlo * 1.001:
         if qlo <= 40:
             rim_qs = np.arange(1, qlo + 1)

@@ -13,6 +13,7 @@ limit.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import math
 import os
@@ -21,7 +22,7 @@ from fractions import Fraction
 from typing import Any, Optional
 
 from partitio import arith, constants, counting, singular, weights
-from partitio.expsums import PrecisionLimit, fit_decay, sup_profile
+from partitio.expsums import fit_decay, sup_profile
 from partitio.report import EMITTERS, Column, Report, emit
 
 FORMATS = tuple(EMITTERS)
@@ -115,14 +116,7 @@ def _cmd_constants(o: argparse.Namespace) -> Report:
     statuses = [r.cell_status() for r in rows]
     ok = all(r.acceptable for r in rows) and all(abs(v) < 1e-10 for v in residuals.values())
     meta = {
-        "zeta_star": rep.zeta_star,
-        "phi_star": rep.phi_star,
-        "sigma_star": rep.sigma_star,
-        "c": rep.c,
-        "theta": rep.theta,
-        "c_tilde": rep.c_tilde,
-        "c0": rep.c0,
-        "D": rep.D,
+        **dataclasses.asdict(rep),
         "k_params": kparams,
         "cells_exact": sum(s.count("exact") for s in statuses),
         "cells_erratum": sum(s.count("erratum") for s in statuses),
@@ -288,12 +282,11 @@ def _cmd_check(o: argparse.Namespace) -> Report:
     if rep.slice_condition is not None:
         rows.append(["slice_condition", rep.slice_condition,
                      f"delta_s_plus_t={rep.delta_s_plus_t} delta_star={rep.delta_star}"])
-    cat = constants.bound_catalog(k, h=o.h)
-    bounds = ("g_bound", "p_bound", "s0_bound", "s0_small", "t0_bound", "t0_small",
-              "s0_tilde", "s0_mobius", "mixed_power_bound")
+    bounds = dataclasses.asdict(constants.bound_catalog(k, h=o.h))
+    del bounds["k"], bounds["h"]
     meta = {
         "delta_star": None if rep.delta_star is None else float(rep.delta_star),
-        "bounds": {name: getattr(cat, name) for name in bounds},
+        "bounds": bounds,
     }
     return Report(
         name=f"condition-check k={k} s={s} phi={phi}",
@@ -411,7 +404,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         report = _COMMANDS[args.command][0](o)
         sys.stdout.write(emit(report, o.format))
         return 0 if report.ok else 1
-    except (ConfigError, OSError, ValueError, KeyError, PrecisionLimit,
+    except (ConfigError, OSError, ValueError, KeyError, arith.PrecisionLimit,
             arith.CapacityLimit) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

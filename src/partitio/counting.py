@@ -339,7 +339,7 @@ def major_arc_moment(
             raise ValueError(f"{name} must be at least 1, got {value}")
     d = Dissection(n)
     qmax = int(math.floor(min(Q, d.full_height)))
-    cap = min(Q, 0.5 * math.sqrt(n))
+    cap = d.cap(Q)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     total = 0.0
 

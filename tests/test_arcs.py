@@ -18,7 +18,7 @@ from partitio.arcs import (
     size_slices,
     upsilon,
 )
-from partitio.arith import CapacityLimit, PrecisionLimit
+from partitio.arith import DEFAULT_MAX_LIMIT, CapacityLimit, PrecisionLimit
 from partitio.weights import make_weight
 
 
@@ -164,9 +164,15 @@ def test_array_walk_exact_inputs_and_errors():
             dirichlet_approx([3 * 2.0**-64], q_max)
 
 
+def _height_bound(n, L):
+    # |q*alpha - a| <= min(L, sqrt(n)/2) / n, the one height-L bound on both
+    # sides of sqrt(n)/2
+    return min(L, 0.5 * math.sqrt(n)) / n
+
+
 def _assign_oracle(d, alpha):
     best = fraction_approx(alpha, d.half_height)
-    if best.err <= 0.5 / math.sqrt(d.n):
+    if best.err <= _height_bound(d.n, math.inf):
         return best
     return fraction_approx(alpha, d.full_height)
 
@@ -174,10 +180,10 @@ def _assign_oracle(d, alpha):
 def _in_major_oracle(d, alpha, Q):
     # the scalar definition of M(Q), on the Fraction walk
     if Q <= 0.5 * math.sqrt(d.n):
-        return fraction_approx(alpha, int(math.floor(Q))).err <= Q / d.n
+        return fraction_approx(alpha, int(math.floor(Q))).err <= _height_bound(d.n, Q)
     best = _assign_oracle(d, alpha)
     if best.q <= d.half_height:
-        return best.err <= 0.5 / math.sqrt(d.n)
+        return best.err <= _height_bound(d.n, Q)
     return best.q <= Q
 
 
@@ -242,8 +248,8 @@ _n_and_Q = st.one_of(
 @example((3, 2.0), [0.0, 0.3, 2.0**-11, math.nextafter(1.0, 0.0)])
 @example((10**6 + 7, 1000.0), [1 / 7, 1 / 7 + 2.5e-6, 0.5, 2.0**-20])
 @example((10**4, 1.0), [0.005, 0.5025])  # on the rim of a low arc: the low q wins
-# alpha = L/n at L = Q/4 = sqrt(n)/2 is in M(L), but its err is 1 ulp past
-# 0.5/sqrt(n), so its Farey cell comes from the walk to full_height (q = 4)
+# alpha = L/n at L = Q/4 = sqrt(n)/2: on the rim of the q = 1 arc, whose
+# Farey cell it keeps
 @example((5, 2 * math.sqrt(5)), [2 * math.sqrt(5) / 4 / 5])
 def test_upsilon_and_arc_classify_match_scalar_oracles(n_Q, alphas):
     n, Q = n_Q
@@ -303,6 +309,40 @@ def test_arc_classify_centers_and_edges():
     assert arc_classify(1 / 3, n, 10.0).in_major.tolist() == [True]
     lab = arc_classify([0.0 + 1.2 * 1.0 / n, 0.0 + 0.8 * 1.0 / n], n, 1.0)
     assert lab.in_major.tolist() == [False, True]
+
+
+def test_arc_nesting_across_half_height():
+    # at n = 5, alpha = (sqrt(5)/2)/5 lies on the rim of the q = 1 arc of
+    # M(sqrt(5)/2); 0.5/sqrt(5) is 1 ulp below it, so a bound written that
+    # way above sqrt(n)/2 left alpha out of M(1.2), a larger family
+    n = 5
+    d, half = Dissection(n), 0.5 * math.sqrt(n)
+    alpha = half / n
+    assert 0.5 / math.sqrt(n) < alpha
+    for L in (half, math.nextafter(half, 2.0), 1.2, 2 * math.sqrt(n)):
+        assert d.in_major_many([alpha], L).tolist() == [True]
+    assert d.assign_many(alpha)[1].tolist() == [1]
+
+
+@given(
+    st.one_of(st.integers(2, 99), st.integers(100, 10**12)),
+    st.lists(st.floats(0.0, 1.0), max_size=3),
+    st.lists(_alphas, min_size=1, max_size=12),
+)
+def test_major_arcs_nest(n, fractions, picks):
+    # M(L) lies in M(L') for L <= L', below, across and above sqrt(n)/2: the
+    # levels are 1, sqrt(n)/2 and its float neighbours, 2 sqrt(n) and drawn
+    # ones; the points include the rims a/q +- min(L, sqrt(n)/2)/(q n)
+    d, half, top = Dissection(n), 0.5 * math.sqrt(n), 2 * math.sqrt(n)
+    ladder = [half, math.nextafter(half, 0.0), math.nextafter(half, top), 1.2 * half]
+    levels = sorted({min(max(L, 1.0), top) for L in
+                     [1.0, top, *ladder, *(1.0 + f * (top - 1.0) for f in fractions)]})
+    rims = [max(0.0, min(1.0, a / q + sign * _height_bound(n, L) / q))
+            for L in levels for sign in (1.0, -1.0) for a, q in ((0, 1), (1, 2), (1, 3))]
+    alphas = np.array(picks + rims)
+    masks = [d.in_major_many(alphas, L) for L in levels]
+    for inner, outer in zip(masks, masks[1:]):
+        assert outer[inner].all()
 
 
 def test_arc_nesting_and_slices():
@@ -408,6 +448,13 @@ def test_sampler_denominators_keep_the_sieve_budget():
     finally:
         tracemalloc.stop()
     assert peak < 10 * 2**20
+    # the top denominator isqrt(4n) is held to the budget, whatever the seed:
+    # n = 625000025000000 is the last n whose top slice is drawn
+    assert Dissection(625_000_025_000_000).full_height == DEFAULT_MAX_LIMIT
+    for seed in range(3):
+        with pytest.raises(CapacityLimit, match=r"^top slice denominator 50000001 "):
+            sample_slice_alphas(625_000_025_000_001, 2 * math.sqrt(625_000_025_000_001), 5,
+                                np.random.default_rng(seed))
 
 
 def test_top_slice_is_the_extreme_minor_arcs(rng):

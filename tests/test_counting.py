@@ -8,13 +8,12 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from partitio import counting
-from partitio.arith import DEFAULT_MAX_LIMIT, CapacityLimit, smooth_set
+from partitio.arith import DEFAULT_MAX_LIMIT, CapacityLimit, iroot, smooth_set
 from partitio.counting import (
     CountTable,
     _count_table,
     _fold,
     _summands,
-    iroot,
     major_arc_moment,
     mean_value_N,
     moment_exact,

@@ -7,10 +7,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from partitio import cli, expsums
-from partitio.arith import DEFAULT_MAX_LIMIT, CapacityLimit, smooth_set
+from partitio.arith import DEFAULT_MAX_LIMIT, CapacityLimit, PrecisionLimit, smooth_set
 from partitio.expsums import (
     DecayFit,
-    PrecisionLimit,
     exp_sum,
     exp_sum_grid,
     exp_sum_many,

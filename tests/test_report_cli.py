@@ -285,13 +285,17 @@ def test_oversized_quadrature_grid_is_usage_error(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (("weights", "--kind", "hth_powers", "--h", "5", "--limit", "4000000000000000000",
-      "--slices", "1", "--samples", "5"), "modulus q = 1016449020"),  # a sampled q
+    # the first n whose top slice needs a denominator past the budget:
+    # isqrt(4n) = 50000001, refused before any draw
+    (("weights", "--kind", "hth_powers", "--h", "10", "--limit", "625000025000001",
+      "--slices", "1", "--samples", "5"),
+     "top slice denominator 50000001 (n = 625000025000001, Q = 50000001)"),
     (("moments", "--k", "3", "--r", "2", "--limit", "12", "--t", "4",
       "--grid-points", "60000000"), "grid of 60000000 points"),
 ])
 def test_budget_refusals_name_what_they_budget(capsys, argv, message):
     # neither number is a --limit the user gave, so the refusal names its own
+    # (the sampler's, with the n and Q it follows from)
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
     assert err == f"error: {message} exceeds budget 50000000\n"

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from partitio import arith, weights
-from partitio.arith import DEFAULT_MAX_LIMIT, CapacityLimit, iroot, sieve_tables, smooth_set
-from partitio.expsums import PrecisionLimit, exp_sum
+from partitio.arith import (
+    DEFAULT_MAX_LIMIT, CapacityLimit, PrecisionLimit, iroot, sieve_tables, smooth_set,
+)
+from partitio.expsums import exp_sum
 from partitio.weights import KINDS, Weight, make_weight, phi_exponent, weight_stats
 
 
