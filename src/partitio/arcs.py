@@ -46,7 +46,7 @@ from typing import Union
 
 import numpy as np
 
-from partitio.arith import PrecisionLimit, _check_budget, coprime_mask
+from partitio.arith import PrecisionLimit, _check_budget, reduced_residues
 
 Points = Union[float, np.ndarray]  # one point or a 1-D float array of them
 
@@ -202,10 +202,6 @@ class Dissection:
         inside = self._inside(cells, Q)
         return inside & ~self._inside(cells, Q / 4) if Q / 4 >= 1 else inside
 
-    def arc_halfwidth(self, q: int, Q: float) -> float:
-        """Half-width (in alpha) of the height-Q arc around a/q."""
-        return self.cap(Q) / (q * self.n)
-
 
 def upsilon(alphas: Points, n: int) -> np.ndarray:
     """(q + n|q*alpha - a|)**-1 over the Farey cells of the points; each lies in (0, 1]."""
@@ -236,51 +232,46 @@ def arc_classify(alphas: Points, n: int, Q: float) -> ArcLabel:
     return ArcLabel(in_major=in_major, slice_q=slice_q, core=core)
 
 
-def _coprime_residues(q: int, rng: np.random.Generator) -> np.ndarray:
-    """The a in [0, q] coprime to q, thinned to 4 random ones."""
-    a = np.flatnonzero(coprime_mask(q))
-    return rng.choice(a, size=4, replace=False) if len(a) > 4 else a
+def _top_denominator(n: int, Q: float) -> int:
+    """floor(min(Q, 2*sqrt(n))) (at least 1), the top q of N(Q), held to the sieve budget."""
+    qhi = max(1, int(math.floor(min(Q, Dissection(n).full_height))))
+    _check_budget(qhi, f"top slice denominator {{}} (n = {n}, Q = {Q:.12g})")
+    return qhi
+
+
+def _arc_points(qs: np.ndarray, n: int, rng: np.random.Generator, shift) -> np.ndarray:
+    """a/q + shift(q*n) (q*n rounded once), flat, for up to four random reduced a per q."""
+    row, a, _ = reduced_residues(qs, 4, rng)
+    qn = qs * float(n) if n < 2**53 else np.array([q * n for q in qs.tolist()], dtype=float)
+    return ((a / qs[row])[:, None] + shift(qn[row, None])).ravel()
 
 
 def sample_slice_alphas(n: int, Q: float, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Stratified sample from the slice N(Q).
+    """Stratified sample from the slice N(Q), at most ``count`` points.
 
-    Mixes arc centres a/q for q in (Q/4, Q] with offsets j/8 of the arc
-    half-width (boundary stress), rim points of lower arcs, and uniform
-    draws; one ``in_slice_many`` call filters the arc strata, one the draws.
-    The top denominator is held to the sieve budget before anything is drawn.
+    Mixes arc centres a/q for q in (Q/4, Q], offset by j/8 of the arc half-width to
+    stress the boundary, rim points of lower arcs and uniform draws; the top q is held
+    to the sieve budget first.  Each arc stratum is one ``reduced_residues`` pass (an
+    ``rng.choice`` per q, ascending) and a broadcast; one walk filters them, one the draws.
     """
+    if count < 1:
+        raise ValueError(f"count must be at least 1, got {count}")
     d = Dissection(n)
-    qlo = int(math.floor(Q / 4))
-    qhi = max(1, int(math.floor(min(Q, d.full_height))))
-    _check_budget(qhi, f"top slice denominator {{}} (n = {n}, Q = {Q:.12g})")
+    qlo, qhi = max(0, int(math.floor(Q / 4))), _top_denominator(n, Q)
 
     # centre stratum: q is drawn by index, the same draws as from a listed range
-    if qhi - qlo <= 80:
-        qs = np.arange(qlo + 1, qhi + 1)
-    else:
-        qs = np.unique(qlo + 1 + rng.choice(qhi - qlo, size=80, replace=False))
+    qs = (np.arange(qlo + 1, qhi + 1) if qhi - qlo <= 80
+          else np.unique(qlo + 1 + rng.choice(qhi - qlo, size=80, replace=False)))
     offsets = np.array([0.0, 0.25, -0.25, 0.625, -0.625, 0.875, -0.875])
-    pieces = [np.empty(0)]
-    for q in qs:
-        q = int(q)
-        deltas = offsets * d.arc_halfwidth(q, Q) * 0.999
-        pieces.append(((_coprime_residues(q, rng) / q)[:, None] + deltas).ravel())
+    pieces = [_arc_points(qs, n, rng, lambda qn: offsets * (d.cap(Q) / qn) * 0.999)]
 
     # rim stratum: the annulus of the lower arcs q <= Q/4 that N(Q) keeps
     vlo, vhi = d.cap(Q / 4), d.cap(Q)
     if qlo >= 1 and vhi > vlo * 1.001:
-        if qlo <= 40:
-            rim_qs = np.arange(1, qlo + 1)
-        else:
-            rim_qs = np.unique(
-                np.concatenate([np.arange(1, 9), 1 + rng.choice(qlo, size=32, replace=False)])
-            )
-        rim_vs = np.geomspace(vlo * 1.02, vhi * 0.999, 4)
-        steps = np.multiply.outer(rim_vs, (1.0, -1.0)).ravel()
-        for q in rim_qs:
-            q = int(q)
-            pieces.append(((_coprime_residues(q, rng) / q)[:, None] + steps / (q * n)).ravel())
+        rim_qs = np.arange(1, qlo + 1) if qlo <= 40 else np.unique(
+            np.concatenate([np.arange(1, 9), 1 + rng.choice(qlo, size=32, replace=False)]))
+        steps = np.multiply.outer(np.geomspace(vlo * 1.02, vhi * 0.999, 4), (1.0, -1.0)).ravel()
+        pieces.append(_arc_points(rim_qs, n, rng, lambda qn: steps / qn))
 
     cand = np.concatenate(pieces)
     cand = cand[(0.0 <= cand) & (cand <= 1.0)]

@@ -56,21 +56,47 @@ def iroot(n: int, k: int) -> int:
 
 
 def coprime_mask(q: int) -> np.ndarray:
-    """mask[a] is gcd(a, q) == 1 for a = 0..q, both ends included (so 0/1 and
-    1/1 for q = 1), from striding out each prime factor of q.  q is held to
-    the sieve budget before the mask exists."""
+    """mask[a] is gcd(a, q) == 1 for a = 0..q, both ends included (so 0/1 and 1/1
+    for q = 1): the one-row ``_coprime_rows``, held to the sieve budget first."""
     if q < 1:
         raise ValueError("q must be at least 1")
     _check_budget(q, "modulus q = {}")
-    mask, rest, p = np.ones(q + 1, dtype=bool), q, 2
-    while rest > 1:
-        p = p if p * p <= rest else rest  # no factor up to sqrt(rest): rest is prime
-        if rest % p == 0:
-            mask[::p] = False
-            while rest % p == 0:
-                rest //= p
-        p += 1
-    return mask
+    return _coprime_rows([q])
+
+
+def _coprime_rows(qs: list[int]) -> np.ndarray:
+    """coprime_mask(q) for each q of qs, end to end in one flat array: each prime
+    factor p of q, by trial division, strikes its multiples in one strided store."""
+    flat, o = np.ones(sum(qs) + len(qs), dtype=bool), 0
+    for q in qs:
+        rest, p = q, 2
+        while rest > 1:
+            p = p if p * p <= rest else rest  # no factor up to sqrt(rest): rest is prime
+            if rest % p == 0:
+                flat[o : o + q + 1 : p] = False
+                while rest % p == 0:
+                    rest //= p
+            p += 2 if p > 2 else 1
+        o += q + 1
+    return flat
+
+
+def reduced_residues(qs: np.ndarray, size: float = math.inf, rng=None) -> tuple:
+    """(row, a, phi): the a in [0, q] coprime to q, ascending by row of the ascending qs,
+    and their count phi; a row of more than ``size`` keeps the a at one ``rng.choice(phi,
+    size, replace=False)``, row by row.  Rows come in 2**20-cell chunks, one row at least."""
+    _check_budget(top := int(qs.max(initial=0)), "modulus q = {}")
+    step, parts = max(1, 2**20 // (top + 1)), [(np.empty(0, int),) * 3]
+    for lo in range(0, len(qs), step):
+        cells = np.concatenate(([0], np.cumsum(qs[lo : lo + step] + 1)))  # row i: cells[i:i+2]
+        flat = _coprime_rows(qs[lo : lo + step].tolist()).nonzero()[0]
+        start = np.searchsorted(flat, cells)
+        f = start[1:] - start[:-1]
+        ranks = [rng.choice(c, size, replace=False) if c > size else np.arange(c) for c in f]
+        r = np.repeat(np.arange(len(f)), [len(x) for x in ranks])
+        idx = np.sort(np.concatenate(ranks) + start[r])  # one sort: the row ranges ascend
+        parts.append((r + lo, flat[idx] - cells[r], f))
+    return tuple(np.concatenate(x) for x in zip(*parts))
 
 
 def _check_budget(N: int, what: str) -> None:

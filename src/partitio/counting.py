@@ -25,7 +25,7 @@ from typing import Optional, Union
 import numpy as np
 
 from partitio.arcs import Dissection
-from partitio.arith import SmoothSet, _check_budget, coprime_mask, iroot, primes_up_to, smooth_set
+from partitio.arith import SmoothSet, _check_budget, iroot, primes_up_to, reduced_residues, smooth_set
 # exp_sum_many is not called here; it stays bound in this module because the
 # benchmark's tracer self-test wraps counting.exp_sum_many as an import site
 from partitio.expsums import exp_sum_arcs, exp_sum_grid, exp_sum_many  # noqa: F401
@@ -343,8 +343,9 @@ def major_arc_moment(
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     total = 0.0
 
-    for q in range(1, min(exact_q, qmax) + 1):
-        a_values = np.flatnonzero(coprime_mask(q))
+    qs = np.arange(1, min(exact_q, qmax) + 1)
+    row, a, _ = reduced_residues(qs)
+    for q, a_values in zip(qs.tolist(), np.split(a, np.flatnonzero(np.diff(row)) + 1)):
         total += float(_arc_integrals(w, t, n, q, a_values, cap / q).sum())
 
     lo = exact_q
@@ -354,14 +355,9 @@ def major_arc_moment(
         qs = qs_all
         if len(qs_all) > band_q_samples:
             qs = qs_all[np.unique(np.linspace(0, len(qs_all) - 1, band_q_samples).astype(int))]
-        per_q = []
-        for q in qs.tolist():
-            coprime = np.flatnonzero(coprime_mask(q))  # q >= 2: no a = 0 or q
-            totient = len(coprime)
-            if totient > band_a_samples:
-                coprime = sorted(rng.choice(coprime, size=band_a_samples, replace=False))
-            vals = _arc_integrals(w, t, n, q, coprime, cap / q)
-            per_q.append(totient * float(vals.mean()))
+        row, a, phi = reduced_residues(qs, band_a_samples, rng)  # q >= 2: no a = 0 or q
+        per_q = [phi_q * float(_arc_integrals(w, t, n, q, a_q, cap / q).mean()) for q, a_q, phi_q
+                 in zip(qs.tolist(), np.split(a, np.flatnonzero(np.diff(row)) + 1), phi.tolist())]
         total += float(np.mean(per_q)) * len(qs_all)
         lo = hi
     return total

@@ -76,7 +76,7 @@ from typing import Sequence
 
 import numpy as np
 
-from partitio.arcs import sample_slice_alphas
+from partitio.arcs import _top_denominator, sample_slice_alphas
 from partitio.arith import PrecisionLimit, _check_budget
 from partitio.weights import Weight
 
@@ -283,14 +283,15 @@ def sup_profile(
 ) -> list[tuple[float, float]]:
     """Sampled sup of |W| over each height-Q slice N(Q).
 
-    Slices get independent child streams of the seed, and each slice is one
-    ``exp_sum_many`` call, so partitioning the Q-list across workers and
-    concatenating reproduces this output exactly.
+    Slices get independent child streams of the seed and one ``exp_sum_many``
+    call each, so splitting the Q-list across workers reproduces this output
+    exactly.  The top slice is held to the sampler's budget before any slice.
     """
     if any(Q_list[i] >= Q_list[i + 1] for i in range(len(Q_list) - 1)):
         raise ValueError("Q_list must ascend")
     if samples_per_slice < 1:
         raise ValueError(f"samples_per_slice must be at least 1, got {samples_per_slice}")
+    _top_denominator(n, max(Q_list, default=1))
     children = np.random.SeedSequence(seed).spawn(len(Q_list))
     profile = []
     for Q, child in zip(Q_list, children):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import sampler_oracle
 from farey_oracle import fraction_approx
 from partitio import arcs
 from partitio.arcs import (
@@ -455,6 +456,55 @@ def test_sampler_denominators_keep_the_sieve_budget():
         with pytest.raises(CapacityLimit, match=r"^top slice denominator 50000001 "):
             sample_slice_alphas(625_000_025_000_001, 2 * math.sqrt(625_000_025_000_001), 5,
                                 np.random.default_rng(seed))
+
+
+def _oracle_Q(n: int):
+    # both sides of sqrt(n)/2 up to 2 sqrt(n), with Q at most 3e4 so that the
+    # per-q oracle stays cheap (the explicit examples go further)
+    half, top = 0.5 * math.sqrt(n), 2 * math.sqrt(n)
+    lim = min(top, 3e4)
+    return st.one_of(
+        st.sampled_from([1.0, half * (1 - 1e-9), half, half * (1 + 1e-9), top])
+        .map(lambda Q: min(max(Q, 1.0), lim)),
+        st.floats(1.0, lim),
+    )
+
+
+_oracle_n = st.one_of(
+    st.integers(2, 10**4), st.integers(10**4, 10**9), st.integers(10**9, 625_000_025_000_000),
+)
+
+
+@settings(max_examples=40)
+@given(_oracle_n.flatmap(lambda n: st.tuples(st.just(n), _oracle_Q(n))),
+       st.integers(1, 300), st.integers(0, 2**32 - 1))
+@example((2, 1.0), 1, 0)
+@example((10**8, 2e4), 300, 5)  # phi(q) > 10,000 for many q; the table spans two row chunks
+@example((10**11, 2 * math.sqrt(10**11)), 40, 3)  # q past 2**19: one row per chunk
+@example((625_000_025_000_000, 1000.0), 60, 11)  # q*n past 2**53, rounded once
+@example((2**53 + 1, 100.0), 300, 0)  # n past 2**53: q*n from the exact product
+@example((5, 2.0), 300, 1)  # q = 1 in the centre stratum: the point 0 + delta shows all of delta
+@example((10**6, 16.0), 300, 7)
+def test_sampler_matches_the_per_q_oracle(n_Q, count, seed):
+    # the array passes draw the same residues as one choice per q from the
+    # listed residues, and leave the generator where the per-q loop leaves it
+    n, Q = n_Q
+    got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = sample_slice_alphas(n, Q, count, got_rng)
+    want = sampler_oracle.sample_slice_alphas(n, Q, count, want_rng)
+    assert got.tobytes() == want.tobytes()
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("count", [0, -3])
+def test_sampler_refuses_an_empty_count(count):
+    # fewer than one point is refused by name, by the sampler and so by
+    # size_slices, which would report an all-zero SliceStats for it
+    with pytest.raises(ValueError, match=f"^count must be at least 1, got {count}$"):
+        sample_slice_alphas(10**6, 16.0, count, np.random.default_rng(0))
+    w = make_weight("squares", 10**6)
+    with pytest.raises(ValueError, match=f"^count must be at least 1, got {count}$"):
+        size_slices(w, 10**6, 16.0, 4, count)
 
 
 def test_top_slice_is_the_extreme_minor_arcs(rng):

@@ -7,8 +7,8 @@ from hypothesis import example, given, strategies as st
 
 from partitio import arith
 from partitio.arith import (
-    DEFAULT_MAX_LIMIT, CapacityLimit, coprime_mask, primes_up_to, sieve_tables, smooth_bound,
-    smooth_set,
+    DEFAULT_MAX_LIMIT, CapacityLimit, coprime_mask, primes_up_to, reduced_residues, sieve_tables,
+    smooth_bound, smooth_set,
 )
 from partitio.weights import make_weight
 
@@ -260,6 +260,37 @@ def test_coprime_mask_matches_gcd():
         assert mask.tolist() == [math.gcd(a, q) == 1 for a in range(q + 1)]
     with pytest.raises(ValueError):
         coprime_mask(0)
+
+
+@pytest.mark.parametrize("qs, size", [
+    (range(1, 13), 4),                       # rows of phi <= 4 kept whole, the rest thinned
+    (range(1, 49), math.inf),                # no thinning: every residue, no draw
+    (range(9000, 10300, 13), 4),             # rows past one chunk of 2**20 cells
+    ([10007, 10009, 20011], 300),            # phi > 10,000 and size > phi // 50: tail shuffle
+    ([2, 3, 4, 30, 31, 32, 1_000_003], 16),  # a one-row chunk past 2**19
+])
+def test_reduced_residues_match_one_choice_per_q(qs, size):
+    # one table pass for the masks, one rng.choice per thinned row in
+    # ascending q: the residues of one listed choice per q, sorted, and the
+    # generator left where that leaves it
+    qs = np.array(list(qs))
+    got_rng, want_rng = np.random.default_rng(11), np.random.default_rng(11)
+    row, a, phi = reduced_residues(qs, size, got_rng)
+    for i, q in enumerate(qs.tolist()):
+        listed = np.flatnonzero(np.gcd(np.arange(q + 1), q) == 1)
+        assert phi[i] == len(listed)
+        if len(listed) > size:
+            listed = np.sort(want_rng.choice(listed, size=size, replace=False))
+        assert a[row == i].tolist() == listed.tolist()
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+def test_reduced_residues_keep_the_sieve_budget(monkeypatch):
+    # refused before any array of the pass exists
+    qs = np.array([3, DEFAULT_MAX_LIMIT + 1])
+    monkeypatch.setattr(arith, "np", None)
+    with pytest.raises(CapacityLimit, match=r"^modulus q = 50000001 "):
+        reduced_residues(qs, 4)
 
 
 def test_coprime_mask_keeps_the_sieve_budget(monkeypatch):

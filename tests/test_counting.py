@@ -5,7 +5,7 @@ from collections import Counter, defaultdict
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from partitio import counting
 from partitio.arith import DEFAULT_MAX_LIMIT, CapacityLimit, iroot, smooth_set
@@ -25,6 +25,7 @@ from partitio.counting import (
 )
 from partitio.weights import Weight, make_weight
 
+import sampler_oracle
 from phase_oracle import exact_arcs
 from zero_set_oracle import sieve_zero_set
 
@@ -630,6 +631,28 @@ def test_major_arc_moment_past_2_53():
         got = _arc_integrals(w, 2, n, q, a_values, 40.0 / q)
         exact = _exact_arc_integrals(w, 2, n, q, a_values, 40.0 / q)
         assert got == pytest.approx(exact, rel=1e-12)
+
+
+@settings(max_examples=25)
+@given(
+    n=st.one_of(st.integers(2, 10**4), st.integers(10**4, 10**9)),
+    Q=st.floats(0.5, 3000.0),
+    exact_q=st.integers(1, 12),
+    band_q=st.integers(1, 6),
+    band_a=st.integers(1, 24),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=10**4, Q=150.0, exact_q=48, band_q=40, band_a=16, seed=0)  # the defaults
+# q = 10007 has phi = 10006 > 10,000 and 300 > 10006 // 50: numpy's choice
+# takes its tail shuffle there, not Floyd's method
+@example(n=10**8, Q=10007.5, exact_q=2, band_q=2, band_a=300, seed=3)
+def test_major_arc_moment_matches_the_per_q_oracle(n, Q, exact_q, band_q, band_a, seed):
+    # the exact-q and band loops read one residue pass per loop: the same
+    # residues, the same draws and the same sum as one mask and choice per q
+    w = make_weight("squares", 400)
+    args = (w, 2, Q, n)
+    kw = dict(exact_q=exact_q, band_q_samples=band_q, band_a_samples=band_a, seed=seed)
+    assert major_arc_moment(*args, **kw) == sampler_oracle.major_arc_moment(*args, **kw)
 
 
 @pytest.mark.parametrize("bad", [dict(exact_q=0), dict(exact_q=-3), dict(band_q_samples=0),

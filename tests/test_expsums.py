@@ -518,6 +518,21 @@ def test_sup_profile_partition_independent():
         assert again == sup
 
 
+def test_sup_profile_refuses_the_top_slice_before_any_work(monkeypatch):
+    # slices ascend, but the top one, past the sampler budget at n = 1e15, is
+    # refused before any slice is sampled or summed
+    def never(*args, **kwargs):
+        raise AssertionError("a slice was sampled or summed before the refusal")
+
+    monkeypatch.setattr(expsums, "exp_sum_many", never)
+    monkeypatch.setattr(expsums, "sample_slice_alphas", never)
+    n = 10**15
+    top = 2 * math.sqrt(n)
+    with pytest.raises(CapacityLimit, match=r"^top slice denominator 63245553 "
+                       r"\(n = 1000000000000000, Q = 63245553\.2034\) exceeds budget 50000000$"):
+        sup_profile(make_weight("squares", 100), n, [top / 2**j for j in range(5, -1, -1)])
+
+
 def test_fit_decay_exact_power_law():
     prof = [(float(Q), Q**(-1 / 3)) for Q in (4, 16, 64, 256)]
     fit = fit_decay(prof, 1.0)

@@ -301,6 +301,19 @@ def test_budget_refusals_name_what_they_budget(capsys, argv, message):
     assert err == f"error: {message} exceeds budget 50000000\n"
 
 
+def test_weights_past_the_sampler_budget_is_refused_before_any_slice(capsys, monkeypatch):
+    # the top slice is checked first: no exp sum of a lower slice runs
+    def never(*args, **kwargs):
+        raise AssertionError("a slice was summed before the refusal")
+
+    monkeypatch.setattr(expsums, "exp_sum_many", never)
+    code, out, err = run_cli(capsys, "weights", "--kind", "hth_powers", "--h", "3",
+                             "--limit", "1000000000000000")
+    assert (code, out) == (2, "")
+    assert err == ("error: top slice denominator 63245553 (n = 1000000000000000, "
+                   "Q = 63245553.2034) exceeds budget 50000000\n")
+
+
 def test_mean_value_past_the_int64_range_cli(capsys):
     code, out, _ = run_cli(capsys, "moments", "--k", "3", "--r", "10", "--limit", "10",
                            "--mean-value", "--format", "csv")
