@@ -242,7 +242,7 @@ def _top_denominator(n: int, Q: float) -> int:
 def _arc_points(qs: np.ndarray, n: int, rng: np.random.Generator, shift) -> np.ndarray:
     """a/q + shift(q*n) (q*n rounded once), flat, for up to four random reduced a per q."""
     row, a, _ = reduced_residues(qs, 4, rng)
-    qn = qs * float(n) if n < 2**53 else np.array([q * n for q in qs.tolist()], dtype=float)
+    qn = np.array([q * n for q in qs.tolist()], dtype=float)
     return ((a / qs[row])[:, None] + shift(qn[row, None])).ravel()
 
 

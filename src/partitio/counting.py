@@ -344,9 +344,10 @@ def major_arc_moment(
     total = 0.0
 
     qs = np.arange(1, min(exact_q, qmax) + 1)
-    row, a, _ = reduced_residues(qs)
-    for q, a_values in zip(qs.tolist(), np.split(a, np.flatnonzero(np.diff(row)) + 1)):
-        total += float(_arc_integrals(w, t, n, q, a_values, cap / q).sum())
+    for chunk in np.array_split(qs, max(1, int(qs.sum()) >> 20)):  # at most ~2**21 cells each
+        row, a, _ = reduced_residues(chunk)
+        for q, a_values in zip(chunk.tolist(), np.split(a, np.flatnonzero(np.diff(row)) + 1)):
+            total += float(_arc_integrals(w, t, n, q, a_values, cap / q).sum())
 
     lo = exact_q
     while lo < qmax:

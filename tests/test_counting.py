@@ -655,6 +655,30 @@ def test_major_arc_moment_matches_the_per_q_oracle(n, Q, exact_q, band_q, band_a
     assert major_arc_moment(*args, **kw) == sampler_oracle.major_arc_moment(*args, **kw)
 
 
+def test_major_arc_moment_reads_the_exact_residues_a_slice_at_a_time(monkeypatch):
+    # the exact-q loop over q <= 2100 (2.2e6 mask cells) asks for the residues
+    # in slices of at most about 2**21 cells, so its memory does not grow as
+    # exact_q**2; every q still gets the a of its trial-division mask, in order
+    spans, seen = [], []
+    real = counting.reduced_residues
+
+    def residues(qs, *args):
+        spans.append(qs.tolist())
+        return real(qs, *args)
+
+    def integrals(w, t, n, q, a_values, U):
+        seen.append((q, a_values))
+        return np.zeros(len(a_values))
+
+    monkeypatch.setattr(counting, "reduced_residues", residues)
+    monkeypatch.setattr(counting, "_arc_integrals", integrals)
+    major_arc_moment(make_weight("squares", 400), 2, 2100.0, 10**9, exact_q=2100)
+    assert len(spans) > 1 and all(sum(s) + len(s) <= 2**21 + 2**12 for s in spans)
+    assert sum(spans, []) == list(range(1, 2101)) == [q for q, _ in seen]
+    for q, a_values in seen[::7] + seen[-5:]:
+        assert np.array_equal(a_values, np.flatnonzero(sampler_oracle.trial_division_mask(q)))
+
+
 @pytest.mark.parametrize("bad", [dict(exact_q=0), dict(exact_q=-3), dict(band_q_samples=0),
                                  dict(band_a_samples=0)])
 def test_major_arc_moment_rejects_empty_samples(bad):
