@@ -1,17 +1,15 @@
 """Exact representation counts, convolution moments, and arc quadrature.
 
-Counts are additive convolutions of power-value indicators in int64.  Each
-fold out[m] = sum_v acc[m - v] is bounded entry by entry by max(acc) times
-the number of summands v <= N, and the partial sums rise toward that bound,
-so a fold whose bound fits in 2**63 - 1 cannot wrap; a fold whose bound does
-not is done on Python big integers instead; a finished int64 table with a
-negative entry raises ArithmeticError.  N is held to the sieve budget,
-arith.DEFAULT_MAX_LIMIT.  Zero sets need reachability only: the same builder
-folds a boolean table, where += is logical or, and the zero set is where it
-is False.  Moments of the smooth Weyl sum come either exactly from
-Parseval (sum of squared convolution counts) or numerically from grid or
-per-arc quadrature.  The mean value of the square and smooth Weyl sums is
-the same Parseval sum over the table of one square plus r smooth powers.
+Counts are additive convolutions of power-value indicators, each fold
+out[m] = sum_v acc[m - v] in int64 or, where an entry could pass 2**63 - 1,
+on Python integers (see _fold), walking the output in 512 KiB blocks so the
+table passes through cache once per fold, not once per summand.  A finished
+int64 table with a negative entry raises ArithmeticError.  N is held to the
+sieve budget, arith.DEFAULT_MAX_LIMIT.  A zero set is where the same
+builder's boolean table (+= is logical or) is False.  Moments of the smooth
+Weyl sum come exactly from Parseval (sum of squared counts) or from grid or
+per-arc quadrature; the mean value of the square and smooth Weyl sums is the
+same Parseval sum over the table of one square plus r smooth powers.
 """
 
 from __future__ import annotations
@@ -32,6 +30,7 @@ from partitio.expsums import exp_sum_arcs, exp_sum_grid, exp_sum_many  # noqa: F
 from partitio.weights import Weight
 
 _INT64_MAX = 2**63 - 1
+_BLOCK_BYTES = 1 << 19  # the output block a fold keeps in L2 while every summand adds into it
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
@@ -101,17 +100,29 @@ def _fold(acc: np.ndarray, values: np.ndarray, N: int) -> np.ndarray:
     """One convolution step: out[m] = sum over v in values, v <= N, of acc[m - v].
 
     With acc >= 0 every out[m], and every partial sum on the way to it, is at
-    most max(acc) times the number of values v <= N.  The fold stays in int64
+    most max(acc) times the number of values v <= N: the fold stays in int64
     while that bound fits in 2**63 - 1 and runs on Python integers (object
-    dtype) otherwise.  A boolean acc stays boolean: its += is logical or.
-    acc may stop short of N + 1 where the rest is zero.
+    dtype) otherwise.  A boolean acc stays boolean (+= is logical or).  acc may
+    stop short of N + 1 where the rest is zero.  Each _BLOCK_BYTES block of the
+    output takes every summand's shifted acc while it sits in cache: per entry
+    the same adds in the same order as a whole-table pass per summand.  A
+    block's walk ends at its first v >= hi, so values must ascend, as
+    _summands returns them.
     """
     values = values[values <= N]
     if acc.dtype != object and int(acc.max()) * len(values) > _INT64_MAX:
         acc = acc.astype(object)
     out = np.zeros(N + 1, dtype=acc.dtype)
-    for v in values.tolist():
-        out[v : v + len(acc)] += acc[: N + 1 - v]
+    L, step, vs = len(acc), _BLOCK_BYTES // out.itemsize, values.tolist()
+    for lo in range(0, N + 1, step):
+        blk, hi = out[lo : lo + step], min(lo + step, N + 1)
+        for v in vs:
+            if v >= hi:
+                break
+            if v >= lo:
+                blk[v - lo : v - lo + L] += acc[: hi - v]
+            elif v + L > lo:  # acc shifted by v started in an earlier block
+                blk[: v + L - lo] += acc[lo - v : hi - v]
     return out
 
 
@@ -175,24 +186,6 @@ def zero_set(k: int, s: int, N: int, **kwargs) -> list[int]:
     ys, xs = _summands(k, s, N, **kwargs)
     reach = _count_table(ys, s, N, xs, dtype=bool).counts
     return (np.flatnonzero(~reach[1:]) + 1).tolist()
-
-
-def nu_convolution(w: Weight, rho: CountTable, n: int) -> Union[int, float]:
-    """The additive convolution sum over m <= n of w(m) * rho(n - m).
-
-    Exact integer arithmetic when the weight takes integer values.
-    """
-    if rho.limit < n:
-        raise ValueError("count table too short for this n")
-    if w.n < n:
-        raise ValueError("weight domain too short for this n")
-    mask = w.support <= n
-    ms = w.support[mask]
-    vals = w.values[mask]
-    rho_vals = rho.counts[n - ms]
-    if np.all(vals == np.rint(vals)):
-        return int(sum(int(round(v)) * int(c) for v, c in zip(vals, rho_vals)))
-    return float(np.dot(vals, rho_vals.astype(float)))
 
 
 def _sum_of_squares(counts: np.ndarray) -> int:

@@ -3,9 +3,10 @@
 A report holds its table as columns, one sequence of values per column, each
 with an optional display convention (digit count plus "ceil"/"floor"
 rounding, mirroring how the reference tables print their last digit).  The
-emitters format each column once and zip the formatted columns into rows.
-Emission is deterministic: fixed row order, '.' decimal separator, no locale,
-stable JSON layout.
+emitters format each column with one formatter, picked from the set of its
+value types, and zip the formatted columns into rows; the JSON tables are
+joined from cells encoded a column at a time.  Emission is deterministic:
+fixed row order, '.' decimal separator, no locale, stable JSON layout.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import repeat
+from json.encoder import encode_basestring_ascii
 from typing import Any, Optional, Sequence
 
 from partitio.constants import round_down_str, round_up_str
@@ -49,61 +51,61 @@ def _display(value: Any, col: Column) -> str:
     return str(value)
 
 
-def _columns(report: Report) -> list[list[str]]:
-    """`_display` of every cell, column by column.  Without digits `_display` is
-    `str` except on bools and on float subclasses (numpy's repr differs)."""
-    columns = []
-    for col, values in zip(report.columns, report.values, strict=True):
-        if col.digits is not None:
-            columns.append([_display(v, col) for v in values])
-        else:
-            columns.append(["true" if v is True else "false" if v is False
-                            else repr(v) if isinstance(v, float) else str(v) for v in values])
-    return columns
+def _columns(report: Report) -> tuple[list[set[type]], list[list[str]]]:
+    """The set of value types of each column, and `_display` of its cells by one
+    formatter picked from that set: `str` on ints and strs (digits round only
+    floats and Fractions), `repr` on floats without digits, and `_display`
+    cell by cell on any other mix (bools, Fractions, float subclasses)."""
+    kinds = [{int} if isinstance(values, range) else set(map(type, values))
+             for values in report.values]
+    return kinds, [list(map(str, values)) if types <= {int, str}
+                   else list(map(repr, values)) if types == {float} and col.digits is None
+                   else [_display(v, col) for v in values]
+                   for col, values, types in zip(report.columns, report.values, kinds, strict=True)]
 
 
 def emit_csv(report: Report) -> str:
     lines = [",".join(c.name for c in report.columns)]
-    lines.extend(map(",".join, zip(*_columns(report))))
+    lines.extend(map(",".join, zip(*_columns(report)[1])))
     return "\n".join(lines) + "\n"
 
 
-def _json_table(rows: list) -> str:
-    """`json.dumps(rows, indent=2)` as laid out one level deep, for non-empty rows
-    of scalars.  The C encoder writes bare newlines between items.  No encoded
-    scalar holds a newline, starts with '[' or ends with ']', so ']\\n[' marks a
-    row boundary and every newline can be indented in place."""
-    if not rows:
-        return "[]"
-    text = json.dumps(rows, separators=("\n", ":")).replace("\n", ",\n      ")
-    return ("[\n    [\n      " + text[2:-2].replace("],\n      [", "\n    ],\n    [\n      ")
-            + "\n    ]\n  ]")
+def _json_cells(values: Sequence[Any], types: set[type]) -> list[str]:
+    """Each cell of a column, Fractions already floats, as `json.dumps(...,
+    indent=2)` writes it in a row.  No scalar's JSON holds a raw newline, so a
+    column of scalars is one C-encoder line split at its separators; a column
+    holding a container is encoded cell by cell."""
+    if not all(issubclass(t, (str, int, float, type(None), Fraction)) for t in types):
+        return [json.dumps(v, indent=2, sort_keys=True).replace("\n", "\n      ") for v in values]
+    return json.dumps(list(values), separators=("\n", ":"))[1:-1].split("\n") if len(values) else []
+
+
+def _json_table(columns: list[list[str]]) -> str:
+    """`json.dumps(rows, indent=2)` one level deep, from each column's encoded cells."""
+    rows = "\n    ],\n    [\n      ".join(map(",\n      ".join, zip(*columns)))
+    return "[\n    [\n      " + rows + "\n    ]\n  ]" if rows else "[]"
 
 
 def emit_json(report: Report) -> str:
-    """Byte for byte `json.dumps(payload, indent=2, sort_keys=True)`, but the
-    tables skip the pure-Python encoder that `indent` selects."""
-    cols = []
-    for c in report.columns:
-        entry: dict[str, Any] = {"name": c.name}
-        if c.digits is not None:
-            entry["digits"] = c.digits
-        if c.convention is not None:
-            entry["convention"] = c.convention
-        cols.append(entry)
-    values = report.values
-    kinds = set(map(type, chain.from_iterable(values)))
-    if any(issubclass(t, Fraction) for t in kinds):
-        values = [[float(v) if isinstance(v, Fraction) else v for v in col] for col in values]
-    payload = {"name": report.name, "ok": report.ok, "columns": cols, "meta": report.meta,
-               "rows": list(zip(*values)), "display": list(zip(*_columns(report)))}
-    scalars = (str, int, float, type(None), Fraction)
-    if not report.columns or not all(issubclass(t, scalars) for t in kinds):
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    parts = [f'  "{key}": ' + (_json_table(value) if key in ("display", "rows") else
-                               json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  "))
-             for key, value in sorted(payload.items())]
-    return "{\n" + ",\n".join(parts) + "\n}\n"
+    """Byte for byte `json.dumps(payload, indent=2, sort_keys=True)`.  The
+    `rows` and `display` tables are joined from encoded cells, one column at a
+    time: an int column's cells are its display strings, a column of other
+    scalars (Fractions as floats) takes one C-encoder call, and display strings
+    take `encode_basestring_ascii`.  Only a column holding a list or another
+    container goes cell by cell through the encoder that `indent` selects."""
+    kinds, display = _columns(report)
+    values = [[float(v) if isinstance(v, Fraction) else v for v in col]
+              if any(issubclass(t, Fraction) for t in types) else col
+              for col, types in zip(report.values, kinds)]
+    columns = [{"name": c.name} | {key: v for key, v in (("digits", c.digits),
+                                                         ("convention", c.convention)) if v is not None}
+               for c in report.columns]
+    head = {"name": report.name, "ok": report.ok, "columns": columns, "meta": report.meta}
+    texts = {key: json.dumps(v, indent=2, sort_keys=True).replace("\n", "\n  ") for key, v in head.items()}
+    texts["rows"] = _json_table([shown if types <= {int} else _json_cells(col, types)
+                                 for col, shown, types in zip(values, display, kinds)])
+    texts["display"] = _json_table([list(map(encode_basestring_ascii, shown)) for shown in display])
+    return "{\n" + ",\n".join(f'  "{key}": {texts[key]}' for key in sorted(texts)) + "\n}\n"
 
 
 def reemit_json(payload_text: str) -> str:
@@ -113,7 +115,7 @@ def reemit_json(payload_text: str) -> str:
 
 def emit_pretty(report: Report) -> str:
     headers = [c.name for c in report.columns]
-    columns = _columns(report)
+    columns = _columns(report)[1]
     widths = [max(len(h), max(map(len, col), default=0)) for h, col in zip(headers, columns)]
     out = [report.name, "=" * len(report.name)]
     out.append("  ".join(h.ljust(w) for h, w in zip(headers, widths)))

@@ -2,6 +2,7 @@ import itertools
 import math
 import tracemalloc
 from collections import Counter, defaultdict
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from partitio.counting import (
     major_arc_moment,
     mean_value_N,
     moment_exact,
-    nu_convolution,
     power_convolution,
     quadrature_moment,
     representation_counts,
@@ -25,6 +25,7 @@ from partitio.counting import (
 )
 from partitio.weights import Weight, make_weight
 
+import fold_oracle
 import sampler_oracle
 from phase_oracle import exact_arcs
 from zero_set_oracle import sieve_zero_set
@@ -115,6 +116,62 @@ def test_fold_guard_is_per_entry_at_int64_max():
     out = _fold(acc, values, 20)
     assert out.dtype == object
     assert out[20] == 2**63 and out[19] == 2**63 - 1
+
+
+@st.composite
+def _fold_cases(draw):
+    """A fold whose N + 1 lies on or next to a multiple of the block length,
+    at the library's block size or a small one: acc of any length up to
+    N + 1 (one entry, as the first fold of a table starts), and ascending
+    summands on and beside the block edges, at random, or the k-th powers of
+    a SmoothSet base."""
+    dtype = draw(st.sampled_from([np.int64, bool, object]))
+    block_bytes = draw(st.sampled_from([counting._BLOCK_BYTES, 64, 200]))
+    cells = block_bytes // np.dtype(dtype).itemsize
+    blocks = draw(st.integers(1, 3 if block_bytes == counting._BLOCK_BYTES else 12))
+    N = blocks * cells + draw(st.integers(-1, 1)) - 1
+    L = draw(st.one_of(st.just(1), st.integers(1, N + 1), st.just(N + 1)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    if dtype is bool:
+        acc = rng.random(L) < draw(st.sampled_from([0.01, 0.5]))
+    else:
+        top = 2**62 if dtype is np.int64 and draw(st.booleans()) else 1000  # 2**62 widens
+        acc = rng.integers(0, top, L, endpoint=True)
+        if dtype is object:
+            acc = acc.astype(object) * 2**70
+    if draw(st.booleans()):
+        P = draw(st.integers(2, 60))
+        k = draw(st.integers(1, 4))
+        values = _summands(k, 1, N, "none", base=smooth_set(P, draw(st.integers(2, P))))[0]
+    else:
+        edges = [j * cells + d for j in range(blocks + 1) for d in range(-2, 3)]
+        picks = draw(st.lists(st.sampled_from(edges) | st.integers(0, N + 2), min_size=1,
+                              max_size=12))
+        values = np.array(sorted({v for v in picks if v >= 0}), dtype=np.int64)
+    return block_bytes, acc, values, N
+
+
+def _full_size_case(dtype, blocks, L):
+    """At the library's block size: N + 1 one past `blocks` blocks, and
+    summands on, before and after every block edge."""
+    cells = counting._BLOCK_BYTES // np.dtype(dtype).itemsize
+    acc = np.random.default_rng(blocks).integers(0, 3, L).astype(dtype)
+    values = np.array([0, 1] + [j * cells + d for j in range(1, blocks + 1) for d in (-1, 0, 1)])
+    return counting._BLOCK_BYTES, acc, values, blocks * cells
+
+
+@given(_fold_cases())
+@example(_full_size_case(np.int64, 2, 2 * 65536 + 1))
+@example(_full_size_case(np.int64, 3, 1))
+@example(_full_size_case(bool, 2, 524288 + 7))
+@example(_full_size_case(object, 1, 65536 + 1))
+def test_blocked_fold_matches_the_per_summand_oracle(case):
+    block_bytes, acc, values, N = case
+    with mock.patch.object(counting, "_BLOCK_BYTES", block_bytes):
+        got = _fold(acc, values, N)
+    want = fold_oracle.fold(acc, values, N)
+    assert got.dtype == want.dtype
+    assert got.tolist() == want.tolist()
 
 
 def test_wide_int64_table_keeps_exact_entries_and_total():
@@ -388,6 +445,23 @@ def test_square_and_fourth_power_ranges_mod16():
 # ---------------------------------------------------------------------------
 # nu_convolution
 # ---------------------------------------------------------------------------
+
+
+def nu_convolution(w: Weight, rho: CountTable, n: int) -> int | float:
+    """The additive convolution sum over m <= n of w(m) * rho(n - m), exact
+    when the weight takes integer values: a check of count tables against
+    weights, with no caller in the library."""
+    if rho.limit < n:
+        raise ValueError("count table too short for this n")
+    if w.n < n:
+        raise ValueError("weight domain too short for this n")
+    mask = w.support <= n
+    ms = w.support[mask]
+    vals = w.values[mask]
+    rho_vals = rho.counts[n - ms]
+    if np.all(vals == np.rint(vals)):
+        return int(sum(int(round(v)) * int(c) for v, c in zip(vals, rho_vals)))
+    return float(np.dot(vals, rho_vals.astype(float)))
 
 
 def test_nu_squares_vs_brute():

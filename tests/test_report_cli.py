@@ -166,10 +166,49 @@ def _reports(draw):
                   ok=draw(st.booleans()))
 
 
+_EDGE_REPORTS = {
+    "int digits": Report("ints", [Column("n", 3, "ceil"), Column("m", 0)],
+                         [[0, -7, 2**70], range(3)]),
+    "float specials": Report("floats", [Column("x")],
+                             [[math.nan, math.inf, -math.inf, -0.0, 0.1]]),
+    "fractions": Report("fractions", [Column("q")], [[Fraction(1, 3), Fraction(-7, 2), Fraction(4)]]),
+    "zero rows": Report("empty", [Column("a"), Column("b", 2, "floor")], [[], range(0)]),
+    "str escapes": Report("strs", [Column("s")], [['"', "\\", "a\nb", "\U0001f600", ""]]),
+}
+
+
 @given(_reports(), st.sampled_from(["csv", "json", "pretty"]))
 @example(Report("no columns", [], []), "json")
+@example(_EDGE_REPORTS["int digits"], "json")
+@example(_EDGE_REPORTS["int digits"], "pretty")
+@example(_EDGE_REPORTS["float specials"], "json")
+@example(_EDGE_REPORTS["float specials"], "csv")
+@example(_EDGE_REPORTS["fractions"], "json")
+@example(_EDGE_REPORTS["fractions"], "pretty")
+@example(_EDGE_REPORTS["zero rows"], "json")
+@example(_EDGE_REPORTS["zero rows"], "pretty")
+@example(_EDGE_REPORTS["str escapes"], "json")
+@example(_EDGE_REPORTS["str escapes"], "csv")
 def test_emit_matches_per_cell_reference(report, fmt):
     assert _outcome(emit, report, fmt) == _outcome(_reference_emit, report, fmt)
+
+
+def test_emit_json_encodes_a_column_of_ints_without_a_call_per_row(monkeypatch):
+    calls = []
+    dumps = json.dumps
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return dumps(*args, **kwargs)
+
+    monkeypatch.setattr(json, "dumps", counted)
+    per_size = {}
+    for rows in (10, 10**4):
+        calls.clear()
+        emit_json(Report("ints", [Column("n"), Column("count")],
+                         [range(rows), list(range(rows, 2 * rows))], meta={"total": rows}))
+        per_size[rows] = len(calls)
+    assert per_size[10] == per_size[10**4]
 
 
 def test_digit_conventions_round_a_fraction_exactly():

@@ -3,7 +3,9 @@ of an int64 candidate list by the x-values, with no table over the x fold."""
 
 import numpy as np
 
-from partitio.counting import _fold, _summands
+from partitio.counting import _summands
+
+from fold_oracle import fold
 
 
 def sieve_zero_set(k: int, s: int, N: int, **kwargs) -> list[int]:
@@ -15,7 +17,7 @@ def sieve_zero_set(k: int, s: int, N: int, **kwargs) -> list[int]:
     reach = np.zeros(N + 1, dtype=bool)
     reach[0] = True
     for _ in range(s):
-        reach = _fold(reach, kernel, N)  # bool += is logical or
+        reach = fold(reach, kernel, N)  # bool += is logical or
     if xv is None:
         return (np.flatnonzero(~reach[1:]) + 1).tolist()
     cand = np.arange(1, N + 1, dtype=np.int64)
