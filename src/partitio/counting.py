@@ -105,15 +105,15 @@ def _fold(acc: np.ndarray, values: np.ndarray, N: int) -> np.ndarray:
     dtype) otherwise.  A boolean acc stays boolean (+= is logical or).  acc may
     stop short of N + 1 where the rest is zero.  Each _BLOCK_BYTES block of the
     output takes every summand's shifted acc while it sits in cache: per entry
-    the same adds in the same order as a whole-table pass per summand.  A
-    block's walk ends at its first v >= hi, so values must ascend, as
-    _summands returns them.
+    the same adds as a whole-table pass per summand.  The summands are walked
+    in ascending order, so a block's walk ends at its first v >= hi; sorting
+    the ascending values _summands returns costs one linear pass.
     """
     values = values[values <= N]
     if acc.dtype != object and int(acc.max()) * len(values) > _INT64_MAX:
         acc = acc.astype(object)
     out = np.zeros(N + 1, dtype=acc.dtype)
-    L, step, vs = len(acc), _BLOCK_BYTES // out.itemsize, values.tolist()
+    L, step, vs = len(acc), _BLOCK_BYTES // out.itemsize, sorted(values.tolist())
     for lo in range(0, N + 1, step):
         blk, hi = out[lo : lo + step], min(lo + step, N + 1)
         for v in vs:
@@ -186,6 +186,24 @@ def zero_set(k: int, s: int, N: int, **kwargs) -> list[int]:
     ys, xs = _summands(k, s, N, **kwargs)
     reach = _count_table(ys, s, N, xs, dtype=bool).counts
     return (np.flatnonzero(~reach[1:]) + 1).tolist()
+
+
+def nu_convolution(w: Weight, rho: CountTable, n: int) -> Union[int, float]:
+    """The additive convolution sum over m <= n of w(m) * rho(n - m).
+
+    Exact integer arithmetic when the weight takes integer values.
+    """
+    if rho.limit < n:
+        raise ValueError("count table too short for this n")
+    if w.n < n:
+        raise ValueError("weight domain too short for this n")
+    mask = w.support <= n
+    ms = w.support[mask]
+    vals = w.values[mask]
+    rho_vals = rho.counts[n - ms]
+    if np.all(vals == np.rint(vals)):
+        return int(sum(int(round(v)) * int(c) for v, c in zip(vals, rho_vals)))
+    return float(np.dot(vals, rho_vals.astype(float)))
 
 
 def _sum_of_squares(counts: np.ndarray) -> int:

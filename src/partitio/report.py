@@ -70,11 +70,14 @@ def emit_csv(report: Report) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _json_cells(values: Sequence[Any], types: set[type]) -> list[str]:
+def _json_cells(values: Sequence[Any], types: set[type], shown: list[str]) -> list[str]:
     """Each cell of a column, Fractions already floats, as `json.dumps(...,
-    indent=2)` writes it in a row.  No scalar's JSON holds a raw newline, so a
-    column of scalars is one C-encoder line split at its separators; a column
-    holding a container is encoded cell by cell."""
+    indent=2)` writes it in a row.  An int column's cells are its display
+    strings (`str` of an int is its JSON).  No scalar's JSON holds a raw
+    newline, so any other column of scalars is one C-encoder line split at
+    its separators; a column holding a container is encoded cell by cell."""
+    if types <= {int}:
+        return shown
     if not all(issubclass(t, (str, int, float, type(None), Fraction)) for t in types):
         return [json.dumps(v, indent=2, sort_keys=True).replace("\n", "\n      ") for v in values]
     return json.dumps(list(values), separators=("\n", ":"))[1:-1].split("\n") if len(values) else []
@@ -102,8 +105,8 @@ def emit_json(report: Report) -> str:
                for c in report.columns]
     head = {"name": report.name, "ok": report.ok, "columns": columns, "meta": report.meta}
     texts = {key: json.dumps(v, indent=2, sort_keys=True).replace("\n", "\n  ") for key, v in head.items()}
-    texts["rows"] = _json_table([shown if types <= {int} else _json_cells(col, types)
-                                 for col, shown, types in zip(values, display, kinds)])
+    texts["rows"] = _json_table([_json_cells(col, types, shown)
+                                 for col, types, shown in zip(values, kinds, display)])
     texts["display"] = _json_table([list(map(encode_basestring_ascii, shown)) for shown in display])
     return "{\n" + ",\n".join(f'  "{key}": {texts[key]}' for key in sorted(texts)) + "\n}\n"
 

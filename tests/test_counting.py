@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from partitio import counting
-from partitio.arith import DEFAULT_MAX_LIMIT, CapacityLimit, iroot, smooth_set
+from partitio.arith import DEFAULT_MAX_LIMIT, CapacityLimit, SmoothSet, iroot, smooth_set
 from partitio.counting import (
     CountTable,
     _count_table,
@@ -18,6 +18,7 @@ from partitio.counting import (
     major_arc_moment,
     mean_value_N,
     moment_exact,
+    nu_convolution,
     power_convolution,
     quadrature_moment,
     representation_counts,
@@ -67,6 +68,14 @@ def test_smooth_base_small():
     t = power_convolution(3, 2, 600, base=sm)
     assert t[2] == 1  # 1 + 1
     assert t[9] == 2  # 1 + 8, 8 + 1
+
+
+def test_hand_built_smooth_base_in_any_order_gives_the_same_table():
+    sm = smooth_set(60, 7)
+    shuffled = SmoothSet(sm.P, sm.R, np.random.default_rng(3).permutation(sm.members))
+    N = 3 * 60**3  # the int64 table spans several fold blocks
+    want = representation_counts(3, 3, N, base=sm).counts
+    assert representation_counts(3, 3, N, base=shuffled).counts.tolist() == want.tolist()
 
 
 def test_convolution_matches_nested_loops():
@@ -122,9 +131,9 @@ def test_fold_guard_is_per_entry_at_int64_max():
 def _fold_cases(draw):
     """A fold whose N + 1 lies on or next to a multiple of the block length,
     at the library's block size or a small one: acc of any length up to
-    N + 1 (one entry, as the first fold of a table starts), and ascending
-    summands on and beside the block edges, at random, or the k-th powers of
-    a SmoothSet base."""
+    N + 1 (one entry, as the first fold of a table starts), and summands on
+    and beside the block edges, at random, or the k-th powers of
+    a SmoothSet base, in ascending or shuffled order."""
     dtype = draw(st.sampled_from([np.int64, bool, object]))
     block_bytes = draw(st.sampled_from([counting._BLOCK_BYTES, 64, 200]))
     cells = block_bytes // np.dtype(dtype).itemsize
@@ -148,6 +157,8 @@ def _fold_cases(draw):
         picks = draw(st.lists(st.sampled_from(edges) | st.integers(0, N + 2), min_size=1,
                               max_size=12))
         values = np.array(sorted({v for v in picks if v >= 0}), dtype=np.int64)
+    if draw(st.booleans()):  # a SmoothSet built by hand need not ascend
+        values = rng.permutation(values)
     return block_bytes, acc, values, N
 
 
@@ -445,23 +456,6 @@ def test_square_and_fourth_power_ranges_mod16():
 # ---------------------------------------------------------------------------
 # nu_convolution
 # ---------------------------------------------------------------------------
-
-
-def nu_convolution(w: Weight, rho: CountTable, n: int) -> int | float:
-    """The additive convolution sum over m <= n of w(m) * rho(n - m), exact
-    when the weight takes integer values: a check of count tables against
-    weights, with no caller in the library."""
-    if rho.limit < n:
-        raise ValueError("count table too short for this n")
-    if w.n < n:
-        raise ValueError("weight domain too short for this n")
-    mask = w.support <= n
-    ms = w.support[mask]
-    vals = w.values[mask]
-    rho_vals = rho.counts[n - ms]
-    if np.all(vals == np.rint(vals)):
-        return int(sum(int(round(v)) * int(c) for v, c in zip(vals, rho_vals)))
-    return float(np.dot(vals, rho_vals.astype(float)))
 
 
 def test_nu_squares_vs_brute():
