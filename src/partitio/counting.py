@@ -105,20 +105,19 @@ def _fold(acc: np.ndarray, values: np.ndarray, N: int) -> np.ndarray:
     dtype) otherwise.  A boolean acc stays boolean (+= is logical or).  acc may
     stop short of N + 1 where the rest is zero.  Each _BLOCK_BYTES block of the
     output takes every summand's shifted acc while it sits in cache: per entry
-    the same adds as a whole-table pass per summand.  The summands are walked
-    in ascending order, so a block's walk ends at its first v >= hi; sorting
-    the ascending values _summands returns costs one linear pass.
+    the same adds as a whole-table pass per summand, in any order of values
+    (a SmoothSet built by hand need not ascend).
     """
     values = values[values <= N]
     if acc.dtype != object and int(acc.max()) * len(values) > _INT64_MAX:
         acc = acc.astype(object)
     out = np.zeros(N + 1, dtype=acc.dtype)
-    L, step, vs = len(acc), _BLOCK_BYTES // out.itemsize, sorted(values.tolist())
+    L, step, vs = len(acc), _BLOCK_BYTES // out.itemsize, values.tolist()
     for lo in range(0, N + 1, step):
         blk, hi = out[lo : lo + step], min(lo + step, N + 1)
         for v in vs:
             if v >= hi:
-                break
+                continue
             if v >= lo:
                 blk[v - lo : v - lo + L] += acc[: hi - v]
             elif v + L > lo:  # acc shifted by v started in an earlier block
