@@ -60,7 +60,7 @@ def _summands(
     k: int, s: int, N: int, x_kind: str = "square", x_nonneg: bool = True,
     y_nonneg: bool = True, h: Optional[int] = None, base: Union[str, SmoothSet] = "all",
 ) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    """The ascending y-values (k-th powers of the base, 0 first when
+    """The y-values (k-th powers of the base, in its order; 0 first when
     y_nonneg) and the ascending x-values (None for x_kind "none"), all at
     most N, under the conventions of representation_counts.  N is held to
     the sieve budget before any array exists."""

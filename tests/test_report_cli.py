@@ -193,7 +193,7 @@ def test_emit_matches_per_cell_reference(report, fmt):
     assert _outcome(emit, report, fmt) == _outcome(_reference_emit, report, fmt)
 
 
-def test_emit_json_encodes_a_column_of_ints_without_a_call_per_row(monkeypatch):
+def test_emit_json_encodes_columns_of_scalars_without_a_call_per_row(monkeypatch):
     calls = []
     dumps = json.dumps
 
@@ -205,8 +205,10 @@ def test_emit_json_encodes_a_column_of_ints_without_a_call_per_row(monkeypatch):
     per_size = {}
     for rows in (10, 10**4):
         calls.clear()
-        emit_json(Report("ints", [Column("n"), Column("count")],
-                         [range(rows), list(range(rows, 2 * rows))], meta={"total": rows}))
+        emit_json(Report("scalars", [Column("n"), Column("count"), Column("x", 3, "floor"),
+                                     Column("q"), Column("s")],
+                         [range(rows), list(range(rows, 2 * rows)), [0.5] * rows,
+                          [Fraction(1, 3)] * rows, ["a"] * rows], meta={"total": rows}))
         per_size[rows] = len(calls)
     assert per_size[10] == per_size[10**4]
 
