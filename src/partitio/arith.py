@@ -10,6 +10,9 @@ import numpy as np
 #: Hard cap on sieve size; anything above this raises CapacityLimit.  It is
 #: below 2**31, so every entry and index of the int32 sieve tables fits.
 DEFAULT_MAX_LIMIT = 50_000_000
+#: The block a sieve fill, an lpf recurrence or a count fold keeps in L2 while
+#: every prime or summand passes over it.
+_BLOCK_BYTES = 1 << 19
 
 
 class CapacityLimit(MemoryError):
@@ -26,11 +29,12 @@ class SieveTables:
     """Least-prime-factor, Moebius and prime tables up to ``limit``.
 
     ``least_prime_factor[m]`` (int32) is the smallest prime dividing m (index
-    0 and 1 are 0), ``mobius[m]`` (int8) is mu(m) with mu[0] = 0, filled from
-    the least prime factors by ``_lpf_recurrence``, and ``primes`` (int64, so
-    squares of primes stay exact) ascends.  All three are built eagerly.
-    Limits above DEFAULT_MAX_LIMIT raise CapacityLimit.  Immutable once built;
-    safe to share.
+    0 and 1 are 0), filled one _BLOCK_BYTES block at a time; ``mobius[m]``
+    (int8) is mu(m) with mu[0] = 0, filled from the least prime factors by
+    ``_lpf_recurrence``, also in blocks; and ``primes`` (int64, so squares of
+    primes stay exact) ascends.  All three are built eagerly.  Limits above
+    DEFAULT_MAX_LIMIT raise CapacityLimit.  Immutable once built; safe to
+    share.
     """
 
     limit: int
@@ -121,38 +125,56 @@ def primes_up_to(N: int) -> np.ndarray:
     return np.concatenate(([2], 2 * np.flatnonzero(odd) + 1)).astype(np.int64)
 
 
-def sieve_tables(N: int) -> SieveTables:
+def _lpf_table(N: int) -> tuple[np.ndarray, np.ndarray]:
+    """(least_prime_factor, primes) of ``sieve_tables(N)``, with no Moebius
+    table, for callers that read only the least prime factors.
+
+    A composite m has lpf(m)**2 <= m, so striding from p*p over the primes up
+    to sqrt(N) in descending order leaves the least prime factor written last.
+    The table is filled one _BLOCK_BYTES block at a time, every prime striding
+    over a block while it sits in cache, not once each over the whole table.
+    """
     if N < 2:
         raise ValueError("N must be at least 2")
     _check_budget(N, "sieve limit {}")
     small_primes = primes_up_to(math.isqrt(N)).tolist()
-
-    # a composite m has lpf(m)**2 <= m, so striding from p*p over the primes
-    # in descending order leaves the least prime factor written last
     lpf = np.zeros(N + 1, dtype=np.int32)
-    for p in reversed(small_primes):
-        lpf[p * p :: p] = p
+    step = _BLOCK_BYTES // lpf.itemsize
+    for lo in range(0, N + 1, step):
+        blk = lpf[lo : lo + step]
+        for p in reversed(small_primes):
+            if p * p < lo + len(blk):  # from p*p, or from p's first multiple in the block
+                blk[max(p * p, -(-lo // p) * p) - lo :: p] = p
     primes = np.flatnonzero(lpf == 0)[2:]  # untouched entries past 0 and 1 are prime
     lpf[primes] = primes
+    return lpf, primes
 
+
+def sieve_tables(N: int) -> SieveTables:
+    lpf, primes = _lpf_table(N)
     # mu(m) = -mu(c) for p = lpf(m) and c = m / p, but 0 where p divides c
     # again, that is where lpf(c) = p (lpf(1) = 0, so mu(p) = -1)
     mobius = np.zeros(N + 1, dtype=np.int8)
     mobius[1] = 1
-    _lpf_recurrence(lpf, mobius, lambda mu_c, p, c: np.where(lpf[c] == p, 0, -mu_c))
-
+    _lpf_recurrence(lpf, mobius, lambda mu_c, p, c: -mu_c * (lpf[c] != p))
     return SieveTables(limit=N, least_prime_factor=lpf, mobius=mobius, primes=primes)
 
 
 def _lpf_recurrence(lpf: np.ndarray, values: np.ndarray, step) -> np.ndarray:
     """Fill values[m] = step(values[c], p, c) for m = 2..len(values)-1, where
-    p = lpf[m] and c = m // p.  On [2**i, 2**(i+1)) every cofactor c lies
-    below 2**i, so each block reads finished entries only."""
-    lo, end = 2, len(values)
+    p = lpf[m] and c = m // p (intp).  A block [lo, hi) ends at 2*lo at the
+    latest, so every cofactor c lies below lo and the block reads finished
+    entries only; it also ends after _BLOCK_BYTES of cofactors, so the
+    temporaries of a step stay in cache and O(_BLOCK_BYTES) in size."""
+    lo, end, most = 2, len(values), _BLOCK_BYTES // np.dtype(np.intp).itemsize
     while lo < end:
-        hi = min(2 * lo, end)
+        hi = min(2 * lo, lo + most, end)
         p = lpf[lo:hi]
-        c = np.arange(lo, hi, dtype=lpf.dtype) // p  # int32 halves the block temporaries
+        # divided in int32, which is faster, then widened once: numpy would
+        # cast an int32 index array again on every gather of the step
+        c = np.arange(lo, hi, dtype=lpf.dtype)
+        c //= p
+        c = c.astype(np.intp)
         values[lo:hi] = step(values[c], p, c)
         lo = hi
     return values
@@ -176,7 +198,7 @@ class SmoothSet:
 def smooth_set(P: int, R: int) -> SmoothSet:
     if not 2 <= R <= P:
         raise ValueError(f"need 2 <= R <= P, got R={R}, P={P}")
-    lpf = sieve_tables(P).least_prime_factor  # checks the budget before keep exists
+    lpf = _lpf_table(P)[0]  # checks the budget before keep exists
     keep = np.zeros(P + 1, dtype=bool)
     keep[1] = True
     # m > 1 is R-smooth iff lpf(m) <= R and m / lpf(m) is

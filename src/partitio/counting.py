@@ -23,14 +23,15 @@ from typing import Optional, Union
 import numpy as np
 
 from partitio.arcs import Dissection
-from partitio.arith import SmoothSet, _check_budget, iroot, primes_up_to, reduced_residues, smooth_set
+from partitio.arith import (
+    _BLOCK_BYTES, SmoothSet, _check_budget, iroot, primes_up_to, reduced_residues, smooth_set,
+)
 # exp_sum_many is not called here; it stays bound in this module because the
 # benchmark's tracer self-test wraps counting.exp_sum_many as an import site
 from partitio.expsums import exp_sum_arcs, exp_sum_grid, exp_sum_many  # noqa: F401
 from partitio.weights import Weight
 
 _INT64_MAX = 2**63 - 1
-_BLOCK_BYTES = 1 << 19  # the output block a fold keeps in L2 while every summand adds into it
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 

@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from partitio.arith import _lpf_recurrence, coprime_mask, sieve_tables
+from partitio.arith import _lpf_recurrence, _lpf_table, coprime_mask
 
 
 def _gauss_sums_all(q: int, k: int) -> np.ndarray:
@@ -90,7 +90,7 @@ class _GaussSumCache:
         """A_m(q) for q = 0..Q (entry 0 is 0), from tables at prime powers only:
         A_m is multiplicative in q, so A_m(q) = A_m(pp(q)) A_m(q / pp(q)),
         where pp(q) is the power of lpf(q) in q."""
-        lpf = sieve_tables(max(Q, 2)).least_prime_factor
+        lpf = _lpf_table(max(Q, 2))[0]
         pp = _lpf_recurrence(lpf, np.ones(Q + 1, dtype=np.int64),
                              lambda pp_c, p, c: np.where(c % p == 0, pp_c * p, p))
         cof = np.arange(Q + 1) // pp

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,7 +11,10 @@ from partitio.arith import (
     DEFAULT_MAX_LIMIT, CapacityLimit, coprime_mask, primes_up_to, reduced_residues, sieve_tables,
     smooth_bound, smooth_set,
 )
+from partitio.singular import _GaussSumCache
 from partitio.weights import make_weight
+
+import sieve_oracle
 
 
 def _trial_factor_smooth(m, R):
@@ -144,6 +148,8 @@ def test_capacity_limit_at_int32_range(monkeypatch):
         smooth_set(DEFAULT_MAX_LIMIT + 1, 2)
     with pytest.raises(CapacityLimit):
         make_weight("mobius", DEFAULT_MAX_LIMIT + 1)
+    with pytest.raises(CapacityLimit):
+        _GaussSumCache(3, 5).series_coeffs(1, DEFAULT_MAX_LIMIT + 1)
 
 
 def test_mobius_at_scale():
@@ -154,7 +160,8 @@ def test_mobius_at_scale():
 
 
 def test_sieve_tables_memory_ceiling():
-    # the fill may hold at most as much again as the tables it returns
+    # the fill and the recurrence work in blocks: beyond the tables they
+    # return they hold at most a quarter as much again
     tracemalloc.start()
     try:
         t = sieve_tables(10**6)
@@ -162,7 +169,62 @@ def test_sieve_tables_memory_ceiling():
     finally:
         tracemalloc.stop()
     tables = t.least_prime_factor.nbytes + t.mobius.nbytes + t.primes.nbytes
-    assert peak <= 2 * tables, (peak, tables)
+    assert peak <= 1.25 * tables, (peak, tables)
+
+
+@st.composite
+def _sieve_cases(draw):
+    """A block of a few cells, for the int32 fill and for the intp cofactors
+    of the recurrence, and N on or beside a multiple of either."""
+    block_bytes = 8 * draw(st.integers(1, 12))
+    cells = block_bytes // draw(st.sampled_from([4, np.dtype(np.intp).itemsize]))
+    N = cells * draw(st.integers(1, 40)) + draw(st.integers(-1, 1))
+    return block_bytes, max(N, 2)
+
+
+def _assert_tables_equal(t, want, N):
+    lpf, mobius, primes = want
+    pairs = [(t.least_prime_factor, lpf[: N + 1]), (t.mobius, mobius[: N + 1]),
+             (t.primes, primes[primes <= N])]
+    for got, exp in pairs:
+        assert got.dtype == exp.dtype and got.tolist() == exp.tolist(), N
+
+
+@given(_sieve_cases(), st.integers(2, 60))
+def test_blocked_sieve_matches_the_unblocked_oracle(case, R):
+    block_bytes, N = case
+    R = min(R, N)
+    with mock.patch.object(arith, "_BLOCK_BYTES", block_bytes):
+        t = sieve_tables(N)
+        members = smooth_set(N, R).members
+    _assert_tables_equal(t, sieve_oracle.sieve_tables(N), N)
+    assert members.dtype == np.int64
+    assert members.tolist() == sieve_oracle.smooth_members(N, R).tolist()
+
+
+def test_sieve_at_the_library_block_edges():
+    # at the library's block size, N on and beside the edges of the fill's
+    # int32 blocks and the recurrence's intp blocks up to about 1e6, and at
+    # 2**i +- 1; tables up to a smaller N are prefixes of the largest ones
+    cells = arith._BLOCK_BYTES // np.dtype(np.intp).itemsize
+    Ns = {k * cells + d for k in (1, 2, 3, 4, 7, 8, 15) for d in (-1, 0, 1)}
+    Ns |= {2**i + d for i in range(1, 21) for d in (-1, 0, 1)} - {1}
+    want = sieve_oracle.sieve_tables(max(Ns))
+    smooth = sieve_oracle.smooth_members(max(Ns), 50)
+    for N in sorted(Ns):
+        _assert_tables_equal(sieve_tables(N), want, N)
+        if N % cells in (1, cells - 1):
+            assert smooth_set(N, 50).members.tolist() == smooth[smooth <= N].tolist(), N
+
+
+def test_lpf_only_callers_build_no_mobius_table(monkeypatch):
+    # smooth sets and the series' coefficients read least prime factors only
+    def refuse(**_):
+        raise AssertionError("built the Moebius table too")
+
+    monkeypatch.setattr(arith, "SieveTables", refuse)
+    assert smooth_set(1000, 7).members.tolist() == sieve_oracle.smooth_members(1000, 7).tolist()
+    _GaussSumCache(3, 5).series_coeffs(1, 100)
 
 
 def test_smooth_examples():

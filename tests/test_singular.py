@@ -1,12 +1,13 @@
 import cmath
 import math
 from math import gcd
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from partitio import singular
+from partitio import arith, singular
 from partitio.singular import (
     _GaussSumCache,
     a_coeff,
@@ -16,6 +17,8 @@ from partitio.singular import (
     singular_series,
     singular_series_blocks,
 )
+
+import sieve_oracle
 
 
 def _gauss_brute(q, a, k):
@@ -170,6 +173,16 @@ def test_series_coeffs_match_direct_tables(k, s, q, m):
     for d in _divisors(q):
         table = direct.table(d)
         assert abs(series[d] - table[m % d]) <= 1e-11 * max(1.0, np.abs(table).max()), d
+
+
+@given(st.integers(1, 12), st.integers(1, 40), st.integers(-1, 1), st.integers(0, 100))
+def test_blocked_series_coeffs_match_the_unblocked_oracle(block_cells, blocks, d, m):
+    # blocks of a few intp cofactors, Q + 1 on or beside a multiple of one
+    Q = max(1, block_cells * blocks + d - 1)
+    cache = _SERIES_CACHES.setdefault((3, 5), _GaussSumCache(3, 5))
+    with mock.patch.object(arith, "_BLOCK_BYTES", block_cells * np.dtype(np.intp).itemsize):
+        got = cache.series_coeffs(m, Q)
+    assert got.tolist() == sieve_oracle.series_coeffs(cache, m, Q).tolist()
 
 
 def _is_prime_power(q):
