@@ -1,15 +1,18 @@
 """Exact representation counts, convolution moments, and arc quadrature.
 
-Counts are additive convolutions of power-value indicators, each fold
-out[m] = sum_v acc[m - v] in int64 or, where an entry could pass 2**63 - 1,
-on Python integers (see _fold), walking the output in 512 KiB blocks so the
-table passes through cache once per fold, not once per summand.  A finished
-int64 table with a negative entry raises ArithmeticError.  N is held to the
-sieve budget, arith.DEFAULT_MAX_LIMIT.  A zero set is where the same
-builder's boolean table (+= is logical or) is False.  Moments of the smooth
-Weyl sum come exactly from Parseval (sum of squared counts) or from grid or
-per-arc quadrature; the mean value of the square and smooth Weyl sums is the
-same Parseval sum over the table of one square plus r smooth powers.
+Counts are additive convolutions of power-value indicators: a table starts
+as one bincount of its longest summand list (a boolean scatter for a zero
+set), and each fold out[m] = sum_v acc[m - v] runs in the narrowest of int8,
+int16, int32, int64 and Python integers that holds its per-entry bound (see
+_fold), walking the output in 512 KiB blocks so the table passes through
+cache once per fold, not once per summand.  A finished table is int64, or
+object past 2**63 - 1, and an int64 table with a negative entry raises
+ArithmeticError.  N is held to the sieve budget, arith.DEFAULT_MAX_LIMIT.  A
+zero set is where the same builder's boolean table (+= is logical or) is
+False.  Moments of the smooth Weyl sum come exactly from Parseval (sum of
+squared counts) or from grid or per-arc quadrature; the mean value of the
+square and smooth Weyl sums is the same Parseval sum over the table of one
+square plus r smooth powers.
 """
 
 from __future__ import annotations
@@ -97,21 +100,31 @@ def _summands(
     return kernel, xv
 
 
+def _on_rung(acc: np.ndarray, count: int) -> np.ndarray:
+    """An integer acc on the first rung of the ladder int8, int16, int32, int64
+    (up to _INT64_MAX), object that holds max(acc) * count; any other as is."""
+    if acc.dtype.kind != "i":
+        return acc
+    bound = int(acc.max()) * count
+    ladder = ((np.int8, 2**7 - 1), (np.int16, 2**15 - 1), (np.int32, 2**31 - 1),
+              (np.int64, _INT64_MAX))
+    return acc.astype(next((t for t, most in ladder if bound <= most), object), copy=False)
+
+
 def _fold(acc: np.ndarray, values: np.ndarray, N: int) -> np.ndarray:
     """One convolution step: out[m] = sum over v in values, v <= N, of acc[m - v].
 
     With acc >= 0 every out[m], and every partial sum on the way to it, is at
-    most max(acc) times the number of values v <= N: the fold stays in int64
-    while that bound fits in 2**63 - 1 and runs on Python integers (object
-    dtype) otherwise.  A boolean acc stays boolean (+= is logical or).  acc may
-    stop short of N + 1 where the rest is zero.  Each _BLOCK_BYTES block of the
-    output takes every summand's shifted acc while it sits in cache: per entry
-    the same adds as a whole-table pass per summand, in any order of values
-    (a SmoothSet built by hand need not ascend).
+    most max(acc) times the number of values v <= N: an integer acc moves to
+    the first rung of the ladder that holds that bound (_on_rung), past int64
+    to Python integers.  A boolean acc stays boolean (+= is logical or).  acc
+    may stop short of N + 1 where the rest is zero.  Each _BLOCK_BYTES block
+    of the output takes every summand's shifted acc while it sits in cache:
+    per entry the same adds as a whole-table pass per summand, in any order of
+    values (a SmoothSet built by hand need not ascend).
     """
     values = values[values <= N]
-    if acc.dtype != object and int(acc.max()) * len(values) > _INT64_MAX:
-        acc = acc.astype(object)
+    acc = _on_rung(acc, len(values))
     out = np.zeros(N + 1, dtype=acc.dtype)
     L, step, vs = len(acc), _BLOCK_BYTES // out.itemsize, values.tolist()
     for lo in range(0, N + 1, step):
@@ -130,15 +143,26 @@ def _count_table(
     ys: np.ndarray, s: int, N: int, xs: Optional[np.ndarray], dtype: type = np.int64,
 ) -> CountTable:
     """Counts of m <= N as s y-values plus one x-value (none when xs is None),
-    or with dtype bool whether m is reachable at all.  The longest summand
-    list folds first, into a one-entry table; the sort is stable, so ties
-    keep ys before xs.  One overflow backstop checks a finished int64 table."""
-    acc, top = np.ones(1, dtype=dtype), 1  # acc[top:] is zero: no fold shifts it
-    for values in sorted([ys] * s + ([] if xs is None else [xs]), key=len, reverse=True):
-        acc = _fold(acc[:top], values, N)
+    or with dtype bool whether m is reachable at all (every value <= N).  The
+    longest list starts the table, one bincount on its rung or one boolean
+    scatter (a stable sort: ties keep ys before xs); each fold's rung copy
+    replaces the table before _fold allocates.  A finished table is int64,
+    checked by one overflow backstop, or object."""
+    first, *rest = sorted([ys] * s + ([] if xs is None else [xs]), key=len, reverse=True)
+    if dtype is bool:
+        acc = np.zeros(N + 1, dtype=bool)
+        acc[first] = True
+    else:
+        acc = _on_rung(np.bincount(first, minlength=N + 1), 1)
+    top = int(first.max()) + 1  # acc[top:] is zero: no fold shifts it
+    for values in rest:
+        acc = _on_rung(acc[:top], len(values))
+        acc = _fold(acc, values, N)
         top += int(values.max())
-    if acc.dtype == np.int64 and np.any(acc < 0):
-        raise ArithmeticError("count overflow slipped past the guard")
+    if acc.dtype.kind == "i":
+        acc = acc.astype(np.int64, copy=False)
+        if np.any(acc < 0):
+            raise ArithmeticError("count overflow slipped past the guard")
     return CountTable(limit=N, counts=acc)
 
 

@@ -104,6 +104,30 @@ def test_overflow_escalates_to_big_integers():
     assert min(int(c) for c in t.counts) >= 0
 
 
+_RUNGS = ["int8", "int16", "int32", "int64", "object"]
+
+
+@pytest.mark.parametrize("s, N, last", [(2, 100, "int8"), (3, 100, "int16"), (6, 40, "int32"),
+                                        (12, 40, "int64"), (40, 40, "object")])
+def test_closed_form_counts_on_every_rung(s, N, last):
+    # s-tuples from {0..N} summing to m number C(m + s - 1, s - 1); the folds
+    # climb the ladder to `last` (s = 40 passes every rung in turn), and the
+    # table comes back as int64 or object, never on a narrower rung
+    rungs = []
+
+    def spy(acc, values, n):
+        out = _fold(acc, values, n)
+        rungs.append(out.dtype.name)
+        return out
+
+    with mock.patch.object(counting, "_fold", spy):
+        t = power_convolution(1, s, N, allow_zero=True)
+    assert rungs == sorted(rungs, key=_RUNGS.index) and rungs[-1] == last
+    assert s < 40 or set(rungs) == set(_RUNGS)
+    assert t.counts.dtype == (object if last == "object" else np.int64)
+    assert t.counts.tolist() == [math.comb(m + s - 1, s - 1) for m in range(N + 1)]
+
+
 def test_fold_guard_is_per_entry_at_int64_max():
     # 2**63 - 1 = 7 * M: seven summands <= N on entries of at most M fill an
     # entry to exactly the int64 maximum; one more unit needs big integers
@@ -119,36 +143,63 @@ def test_fold_guard_is_per_entry_at_int64_max():
     assert out[20] == 2**63 and out[19] == 2**63 - 1
 
 
+@pytest.mark.parametrize("rung, wider", [(np.int8, np.int16), (np.int16, np.int32),
+                                         (np.int32, np.int64)])
+@pytest.mark.parametrize("given", ["rung", "int64"])
+def test_fold_guard_is_per_entry_at_each_rung(rung, wider, given):
+    # one summand on entries at the rung's maximum stays on the rung, whatever
+    # dtype acc comes in; two summands on entries of (max + 1) / 2 fill an
+    # entry to one past it and take the next rung, not a wider one
+    M = int(np.iinfo(rung).max)
+    dtype = rung if given == "rung" else np.int64
+    out = _fold(np.full(21, M, dtype=dtype), np.array([0, 25]), 20)  # 25 > N plays no part
+    assert out.dtype == rung
+    assert out.tolist() == [M] * 21
+    out = _fold(np.full(21, (M + 1) // 2, dtype=dtype), np.array([0, 1, 25]), 20)
+    assert out.dtype == wider
+    assert out.tolist() == [(M + 1) // 2] + [M + 1] * 20
+
+
 @st.composite
 def _fold_cases(draw):
     """A fold whose N + 1 lies on or next to a multiple of the block length,
-    at the library's block size or a small one: acc of any length up to
-    N + 1 (one entry, as the first fold of a table starts), and summands on
-    and beside the block edges, at random, or the k-th powers of
-    a SmoothSet base, in ascending or shuffled order."""
-    dtype = draw(st.sampled_from([np.int64, bool, object]))
+    at the library's block size or a small one: acc of any length from one
+    entry up to N + 1, and summands on and beside the block edges, at random,
+    or the k-th powers of a SmoothSet base, in ascending or shuffled order.
+    An int8, int16 or int32 acc meets one or two summands v <= N (and any
+    past N), its largest entry the rung's maximum or half of one past it, so
+    max(acc) times the summands lands on the maximum or one past it."""
+    dtype = draw(st.sampled_from([np.int8, np.int16, np.int32, np.int64, bool, object]))
     block_bytes = draw(st.sampled_from([counting._BLOCK_BYTES, 64, 200]))
     cells = block_bytes // np.dtype(dtype).itemsize
     blocks = draw(st.integers(1, 3 if block_bytes == counting._BLOCK_BYTES else 12))
     N = blocks * cells + draw(st.integers(-1, 1)) - 1
     L = draw(st.one_of(st.just(1), st.integers(1, N + 1), st.just(N + 1)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32)))
-    if dtype is bool:
-        acc = rng.random(L) < draw(st.sampled_from([0.01, 0.5]))
-    else:
-        top = 2**62 if dtype is np.int64 and draw(st.booleans()) else 1000  # 2**62 widens
-        acc = rng.integers(0, top, L, endpoint=True)
-        if dtype is object:
-            acc = acc.astype(object) * 2**70
+    edges = [j * cells + d for j in range(blocks + 1) for d in range(-2, 3)]
     if draw(st.booleans()):
         P = draw(st.integers(2, 60))
         k = draw(st.integers(1, 4))
         values = _summands(k, 1, N, "none", base=smooth_set(P, draw(st.integers(2, P))))[0]
     else:
-        edges = [j * cells + d for j in range(blocks + 1) for d in range(-2, 3)]
         picks = draw(st.lists(st.sampled_from(edges) | st.integers(0, N + 2), min_size=1,
                               max_size=12))
         values = np.array(sorted({v for v in picks if v >= 0}), dtype=np.int64)
+    if dtype is bool:
+        acc = rng.random(L) < draw(st.sampled_from([0.01, 0.5]))
+    elif dtype in (np.int8, np.int16, np.int32):
+        n = draw(st.sampled_from([1, 2]))
+        inside = st.sampled_from([v for v in edges if 0 <= v <= N]) | st.integers(0, N)
+        picks = draw(st.lists(inside, min_size=n, max_size=n, unique=True))
+        values = np.array(picks + [v for v in values.tolist() if v > N], dtype=np.int64)
+        top = -(-int(np.iinfo(dtype).max) // n)  # the maximum, or half of one past it
+        acc = rng.integers(0, top, L, endpoint=True).astype(dtype)
+        acc[rng.integers(L)] = top
+    else:
+        top = 2**62 if dtype is np.int64 and draw(st.booleans()) else 1000  # 2**62 widens
+        acc = rng.integers(0, top, L, endpoint=True)
+        if dtype is object:
+            acc = acc.astype(object) * 2**70
     if draw(st.booleans()):  # a SmoothSet built by hand need not ascend
         values = rng.permutation(values)
     return block_bytes, acc, values, N
@@ -178,6 +229,7 @@ def _hand_built_base_case():
 @example(_hand_built_base_case())
 @example(_full_size_case(np.int64, 2, 2 * 65536 + 1))
 @example(_full_size_case(np.int64, 3, 1))
+@example(_full_size_case(np.int8, 2, 2 * 524288 + 1))
 @example(_full_size_case(bool, 2, 524288 + 7))
 @example(_full_size_case(object, 1, 65536 + 1))
 def test_blocked_fold_matches_the_per_summand_oracle(case):
@@ -199,9 +251,9 @@ def test_wide_int64_table_keeps_exact_entries_and_total():
 
 
 def test_backstop_covers_the_x_fold(monkeypatch):
-    # with the widening bound lifted, the nine y folds stay in int64 (entries
-    # near 2**61) and the square fold then wraps; the backstop on the
-    # finished table must see it
+    # with the int64 rung's bound lifted, the nine y folds climb the ladder
+    # to int64 (entries near 2**61) and the square fold then wraps; the
+    # backstop on the finished table must see it
     monkeypatch.setattr(counting, "_INT64_MAX", 2**80)
     with pytest.raises(ArithmeticError, match="overflow"):
         representation_counts(1, 9, 700)
@@ -427,6 +479,20 @@ def test_fold_order_changes_no_table(k, s, N, x_kind, x_nonneg, y_nonneg, h, smo
     assert _count_table(ys, s, N, xs, dtype=bool).counts.tolist() == (ref > 0).tolist()
 
 
+@pytest.mark.parametrize("members", [[5, 1, 3, 1, 2, 5, 4], [2] * 130 + [3, 1, 3]])
+@pytest.mark.parametrize("x_kind", ["none", "square"])
+def test_hand_built_base_with_repeats_matches_fixed_order_folds(members, x_kind):
+    # a SmoothSet built by hand is neither sorted nor deduplicated: a repeated
+    # member is one more summand in the first bincount as in a fold (130 twos
+    # start the table past int8), and the boolean scatter takes it once
+    base = SmoothSet(5, 5, np.array(members, dtype=np.int64))
+    for s, N in ((1, 200), (2, 400), (3, 500)):
+        ys, xs = _summands(3, s, N, x_kind, base=base)
+        ref = _folds_in_fixed_order(ys, s, N, xs)
+        assert _count_table(ys, s, N, xs).counts.tolist() == ref.tolist()
+        assert _count_table(ys, s, N, xs, dtype=bool).counts.tolist() == (ref > 0).tolist()
+
+
 def test_wide_table_is_the_same_in_either_fold_order():
     # 20 cubes and a square: entries reach 65 bits, so both orders widen to
     # object dtype, at different folds
@@ -450,6 +516,20 @@ def test_zero_set_holds_no_int64_candidates():
     finally:
         tracemalloc.stop()
     assert peak <= 3 * N, peak / N
+
+
+def test_count_table_memory_ceiling():
+    # each fold's rung copy replaces the table before the fold allocates its
+    # output: beyond the returned int64 table at most one more of its size is
+    # alive (a narrower table kept beside them would read about 2.5x)
+    N = 2 * 10**5
+    tracemalloc.start()
+    try:
+        t = representation_counts(3, 8, N)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.1 * t.counts.nbytes, peak / t.counts.nbytes
 
 
 def test_square_and_fourth_power_ranges_mod16():
