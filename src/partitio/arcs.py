@@ -17,8 +17,31 @@ Classification runs on whole arrays and is exact.  The best approximation
 with denominator at most q_max is the last continued-fraction convergent
 with q <= q_max, so it is fixed by the Euclid walk on alpha taken as an exact
 rational.  A float alpha in [0, 1] is the binary rational num / 2**shift
-with num < 2**53, and ``dirichlet_approx`` runs the walk on int64 arrays for
-every q_max below 2**63:
+with num < 2**53.  ``dirichlet_approx`` answers small heights, q_max <=
+``_FAREY_MAX``, from the Farey sequence F_{q_max}, and runs the walk on int64
+arrays for every larger q_max below 2**63; both give the same bits.
+
+The lookup rests on the neighbour theorem (Hardy & Wright, ch. III and X):
+the last convergent with q <= N is one of alpha's two neighbours in F_N, and
+it minimises |q*alpha - a| over q <= N.  The two neighbours tie only when
+alpha is their mediant, and there the convergent has the smaller q (at N = 1
+and alpha = 1/2 both have q = 1, and the walk's 0/1 has the smaller a):
+
+* F_N is built per call, int64 a and q sorted by the float a/q, and kept
+  nowhere.  The float of a/q is monotone in a/q and correctly rounded, and
+  entries are at least 1/N**2 apart, so one ``searchsorted`` puts each point
+  x at the first entry whose float is >= x, and at most that entry can round
+  to x from the wrong side;
+* the sign of its exact residual r = q*num - a*2**shift then says on which
+  side of alpha it lies, and the neighbour on the other side is the next
+  entry up (r > 0) or down (r < 0).  Of the two the smaller |r| wins, ties by
+  smaller q, then smaller a: no float comparison decides the answer;
+* both neighbours have |q*alpha - a| <= 1, so for shift <= 62 and q < 512
+  every residual fits int64: |r| <= 2**62 and a*2**shift < 2**62 + 2**62;
+* points below 2**-10 are 0/1 with err alpha without a lookup: alpha*(q_max +
+  1) < 1/2 there, since q_max + 1 <= 512, so a_1 > q_max (see below).
+
+The walk, for q_max above ``_FAREY_MAX``:
 
 * it carries the convergents p/q and the residual r = q*num - p*2**shift,
   which obeys the recurrence of p and q, r_next = a_i*r + r_prev.  The |r|
@@ -27,8 +50,9 @@ every q_max below 2**63:
   reaches 1, so the stop rule q_next > q_max is tested as a_i > (q_max -
   q_prev) // q before a_i*q + q_prev is formed; an accepted step has q_next
   <= q_max, and p_next <= q_next because alpha <= 1;
-* err = ldexp(|r|, -shift) equals float(|q*alpha - p|) bit for bit: the one
-  rounding is that of |r| to 53 bits, or of the subnormal result.
+* err = ldexp(|r|, -shift) equals float(|q*alpha - p|) bit for bit, on both
+  paths: the one rounding is that of |r| to 53 bits, or of the subnormal
+  result.
 
 For alpha >= 2**-10 (and alpha = 0) the shift is at most 62, so 2**shift
 and every remainder fit int64.  Below, the first partial quotient a_1 =
@@ -49,6 +73,8 @@ import numpy as np
 from partitio.arith import PrecisionLimit, _check_budget, reduced_residues
 
 Points = Union[float, np.ndarray]  # one point or a 1-D float array of them
+
+_FAREY_MAX = 64  # dirichlet_approx reads F_{q_max} up to this q_max, and walks above it
 
 
 @dataclass(frozen=True)
@@ -74,7 +100,12 @@ def dirichlet_approx(alphas: Points, q_max: int) -> tuple[np.ndarray, np.ndarray
     arrays a and q and float64 err = |q*alpha - a|, one entry per point.
 
     The last convergent with q <= q_max minimises |q*alpha - a| over all q <=
-    q_max, and satisfies |q*alpha - a| <= 1/q_max (see the module docstring).
+    q_max, and satisfies |q*alpha - a| <= 1/q_max.  Up to ``_FAREY_MAX`` it is
+    read off F_{q_max}: of alpha's two neighbours there, the one with the
+    smaller exact residual |q*num - a*2**shift|, ties to the smaller q, then the
+    smaller a; one ``searchsorted`` on the floats of a/q finds both, since at
+    most one entry rounds to alpha.  Above it the int64 Euclid walk runs.  The
+    module docstring gives the proofs that both paths return the same bits.
     """
     if q_max < 1:
         raise ValueError("q_max must be at least 1")
@@ -88,6 +119,8 @@ def dirichlet_approx(alphas: Points, q_max: int) -> tuple[np.ndarray, np.ndarray
     num = (mant * 2.0**53).astype(np.int64)
     shift = 53 - ex.astype(np.int64)  # alpha = num / 2**shift
     wide = shift > 62
+    if q_max <= _FAREY_MAX:
+        return _farey_nearest(x, num, shift, np.flatnonzero(~wide), q_max)
     den = np.left_shift(np.int64(1), np.where(wide, 0, shift))
 
     # lane state: convergents p0/q0 (previous), p1/q1 (current), residuals
@@ -119,6 +152,37 @@ def dirichlet_approx(alphas: Points, q_max: int) -> tuple[np.ndarray, np.ndarray
         p0, p1 = p1, a_i * p1 + p0
         q0, q1 = q1, a_i * q1 + q0
         u, v = v, u - a_i * v
+    return a, q, err
+
+
+def _farey(N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The Farey sequence F_N: int64 a and q of the coprime 0 <= a <= q <= N,
+    and the floats a/q, ascending.  A fraction and its reduced form round to
+    one float, and distinct entries are 1/N**2 apart, so of each run of equal
+    floats over the pairs 0 <= a <= q <= N, listed by q, the first is reduced."""
+    q = np.repeat(np.arange(1, N + 1), np.arange(2, N + 2))
+    a = np.arange(len(q)) - (q * (q + 1) // 2 - 1)
+    value, first = np.unique(a / q, return_index=True)
+    return a[first], q[first], value
+
+
+def _farey_nearest(x, num, shift, live, N):
+    """``dirichlet_approx`` for N <= _FAREY_MAX: the points at ``live`` (shift
+    <= 62) take the nearer of their two neighbours in F_N, the rest 0/1."""
+    fa, fq, value = _farey(N)
+    a, q, err = np.zeros(len(x), np.int64), np.ones(len(x), np.int64), x.copy()
+    num, shift = num[live], shift[live]
+    den = np.left_shift(np.int64(1), shift)
+    at = np.searchsorted(value, x[live])
+    r_at = fq[at] * num - fa[at] * den
+    nb = at + np.sign(r_at)  # the neighbour on alpha's other side (at itself if r = 0)
+    r_nb = np.abs(fq[nb] * num - fa[nb] * den)
+    r_at = np.abs(r_at)
+    rank = fq * (N + 1) + fa  # orders the entries by q, then a
+    take = (r_nb < r_at) | (r_nb == r_at) & (rank[nb] < rank[at])
+    best = np.where(take, nb, at)
+    a[live], q[live] = fa[best], fq[best]
+    err[live] = np.ldexp(np.minimum(r_at, r_nb).astype(float), -shift)
     return a, q, err
 
 

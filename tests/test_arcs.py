@@ -1,3 +1,4 @@
+import functools
 import math
 import tracemalloc
 from fractions import Fraction
@@ -80,6 +81,22 @@ def _near_rational(a_q, step):
     return min(max(math.nextafter(a / q, step), 0.0), 1.0)
 
 
+@functools.lru_cache(maxsize=None)
+def _farey_list(N):
+    # F_N as ascending Fractions
+    return sorted({Fraction(a, q) for q in range(1, N + 1) for a in range(q + 1)})
+
+
+def _farey_point(N_i, kind):
+    # the float of entry i of F_N, a float neighbour of it, or the mediant of
+    # entries i and i + 1, where alpha's two neighbours in F_N tie
+    N, i = N_i
+    lo, hi = _farey_list(N)[i:i + 2]
+    if kind == "mediant":
+        return float(Fraction(lo.numerator + hi.numerator, lo.denominator + hi.denominator))
+    return _near_rational((lo.numerator, lo.denominator), kind)
+
+
 _alphas = st.one_of(
     st.sampled_from([0.0, 1.0, 2.0**-10, math.nextafter(1.0, 0.0), 5e-324]),
     st.floats(min_value=0.0, max_value=2.0**-9),  # binary denominators past int64
@@ -91,13 +108,21 @@ _alphas = st.one_of(
         st.integers(1, 10**7).flatmap(lambda q: st.tuples(st.integers(0, q), st.just(q))),
         st.sampled_from([-math.inf, 0.0, math.inf]),
     ),  # floats of a/q and their neighbours
+    st.builds(
+        _farey_point,
+        st.integers(1, arcs._FAREY_MAX + 1).flatmap(
+            lambda N: st.tuples(st.just(N), st.integers(0, len(_farey_list(N)) - 2))),
+        st.sampled_from([-math.inf, 0.0, math.inf, "mediant"]),
+    ),  # small-q points, their neighbours and the Farey mediants
     st.floats(min_value=0.0, max_value=1e-9).map(lambda e: 1.0 - e),  # near 1
     st.floats(min_value=0.0, max_value=1.0),
 )
 
 _q_maxes = st.one_of(
     st.integers(1, 100), st.integers(1, math.isqrt(4 * 10**12)),
-    st.integers(1, 2**63 - 1), st.sampled_from([1023, 1024, 1025, 2**33, 2**62, 2**63 - 1]),
+    st.integers(1, 2**63 - 1),
+    st.sampled_from([arcs._FAREY_MAX, arcs._FAREY_MAX + 1, 1023, 1024, 1025, 2**33, 2**62,
+                     2**63 - 1]),
 )
 
 
@@ -110,6 +135,10 @@ def _assert_walk_is_oracle(alphas, q_max):
 
 
 @given(st.lists(_alphas, min_size=1, max_size=12), _q_maxes)
+@example([0.5], 1)  # the mediant of 0/1 and 1/1: both q = 1, the smaller a wins
+@example([1 / 8], 7)  # 1/(N + 1) ties 0/1 and 1/N: the smaller q wins
+@example([1 / (arcs._FAREY_MAX + 1)], arcs._FAREY_MAX)
+@example([math.nextafter(2.0**-10, 0.0), 2.0**-10, 5e-324], arcs._FAREY_MAX)
 def test_array_walk_matches_fraction_walk(alphas, q_max):
     _assert_walk_is_oracle(alphas, q_max)
 
@@ -133,8 +162,30 @@ def test_array_walk_matches_fraction_walk_sweep():
     # seeded points at every binary magnitude from 2**-60 to 1
     rng = np.random.default_rng(2)
     alphas = rng.random(1500) * 2.0 ** -rng.integers(0, 61, size=1500)
-    for q_max in (7, 1000, 10**6, math.isqrt(4 * 10**12), 2**62, 2**63 - 1):
+    for q_max in (7, arcs._FAREY_MAX, arcs._FAREY_MAX + 1, 1000, 10**6,
+                  math.isqrt(4 * 10**12), 2**62, 2**63 - 1):
         _assert_walk_is_oracle(alphas, q_max)
+
+
+def test_farey_lookup_matches_the_walk_exhaustively():
+    # up to N = 24: the floats of every fraction with denominator <= 2N + 1
+    # and their float neighbours; at N = 24 and on both sides of _FAREY_MAX:
+    # every F_N entry, its neighbours and each adjacent pair's mediant, where
+    # alpha's two neighbours tie
+    for N in range(1, 25):
+        points = [_near_rational((f.numerator, f.denominator), step)
+                  for f in _farey_list(2 * N + 1) for step in (-math.inf, 0.0, math.inf)]
+        _assert_walk_is_oracle(points, N)
+    for N in (24, arcs._FAREY_MAX, arcs._FAREY_MAX + 1):
+        points = [_farey_point((N, i), kind) for i in range(len(_farey_list(N)) - 1)
+                  for kind in (-math.inf, 0.0, math.inf, "mediant")]
+        _assert_walk_is_oracle(points + [1.0], N)
+
+
+def test_farey_bound_keeps_the_lookup_exact():
+    # below 2**-10 the lookup answers 0/1 unseen, which holds only while
+    # alpha*(q_max + 1) < 1/2; the same bound keeps its residuals in int64
+    assert arcs._FAREY_MAX + 1 <= 512
 
 
 def test_array_walk_exact_inputs_and_errors():
