@@ -137,6 +137,7 @@ def _assert_walk_is_oracle(alphas, q_max):
 @given(st.lists(_alphas, min_size=1, max_size=12), _q_maxes)
 @example([0.5], 1)  # the mediant of 0/1 and 1/1: both q = 1, the smaller a wins
 @example([1 / 8], 7)  # 1/(N + 1) ties 0/1 and 1/N: the smaller q wins
+@example([1 / arcs._FAREY_MAX], arcs._FAREY_MAX - 1)  # the same tie, exact in binary
 @example([1 / (arcs._FAREY_MAX + 1)], arcs._FAREY_MAX)
 @example([math.nextafter(2.0**-10, 0.0), 2.0**-10, 5e-324], arcs._FAREY_MAX)
 def test_array_walk_matches_fraction_walk(alphas, q_max):
