@@ -1,12 +1,17 @@
 """Gauss sums, truncated singular series, the exact singular integral, and
 local solubility of the square-plus-k-th-powers congruences.
 
-One Gauss-sum path: ``_gauss_sums_all`` gives S(q, a) for every a from int64
-counts of x^k mod q, and ``_GaussSumCache`` turns it, by one length-q FFT, into
-a table of A_m(q) for every m mod q; ``gauss_sum`` and ``a_coeff`` are fronts
-of the two.  A_m(q) is multiplicative in q, so the series takes tables at
-prime powers, products elsewhere: every other A_m(q) is the product of two
-earlier ones, found through the least-prime-factor table.
+One Gauss-sum path: ``_GaussSumCache`` keeps a float64 table of A_m(q) for
+every m mod q, and ``a_coeff`` is its front.  At q = p^j with p not dividing k
+the local structure gives the table (Vaughan, *The Hardy-Littlewood Method*,
+2nd ed., ch. 4): for j = 1 and gcd(k, p - 1) = 1, x -> x^k permutes Z/p, so
+S(p, a) = 0 and A_m(p) = 0 (s >= 1); for 2 <= j <= k, S(p^j, a) = p^(j-1) for
+every a coprime to p, so A_m(p^j) = p^((j-1)s) c_{p^j}(m), a Ramanujan sum.
+Every other q takes one length-q FFT of S^s over the reduced residues, with
+S(q, a) for every a from ``_gauss_sums_all``'s int64 counts of x^k mod q.
+A_m(q) is multiplicative in q, so the series takes tables at prime powers,
+products elsewhere: every other A_m(q) is the product of two earlier ones,
+found through the least-prime-factor table.
 """
 
 from __future__ import annotations
@@ -33,17 +38,6 @@ def _gauss_sums_all(q: int, k: int) -> np.ndarray:
     return np.fft.ifft(counts) * q  # entry a equals sum_v counts[v] e(av/q)
 
 
-def gauss_sum(q: int, a: int, k: int) -> complex:
-    """S(q, a) = sum_{x=1..q} e(a x^k / q), with (a, q) = 1."""
-    if q < 1:
-        raise ValueError("q must be at least 1")
-    if k < 1:
-        raise ValueError(f"k must be at least 1, got {k}")
-    if gcd(a, q) != 1:
-        raise ValueError(f"a and q must be coprime, got ({a}, {q})")
-    return complex(_gauss_sums_all(q, k)[a % q])
-
-
 def a_coeff(m: int, q: int, s: int, k: int) -> float:
     """A_m(q) = sum over reduced residues a of S(q,a)^s e(-a m / q)."""
     if q < 1:
@@ -68,22 +62,40 @@ class _GaussSumCache:
     def __init__(self, k: int, s: int):
         if k < 1:
             raise ValueError(f"k must be at least 1, got {k}")
+        if s < 1:
+            raise ValueError(f"s must be at least 1, got {s}")
         self.k = k
         self.s = s
         self._tables: dict[int, np.ndarray] = {}
         self._powers = np.zeros(1)  # float(q**s) for q = 0..len - 1
 
     def table(self, q: int) -> np.ndarray:
-        """A_m(q), m = 0..q-1: the DFT of S(q, a)^s over a coprime to q.  It is
-        real by the pairing a <-> q - a; the imaginary residue is checked
-        against a q**s-scaled tolerance before being dropped."""
+        """A_m(q), m = 0..q-1.  At a prime power q = p^j, p not dividing k, it is
+        0 for j = 1 with gcd(k, p - 1) = 1, and p^((j-1)s) c_{p^j}(m) for
+        2 <= j <= k (Vaughan, ch. 4).  Any other q takes the DFT of S(q, a)^s
+        over a coprime to q, real by the pairing a <-> q - a; its imaginary
+        residue is checked against a q**s-scaled tolerance before being dropped."""
         if q not in self._tables:
-            S = _gauss_sums_all(q, self.k)
-            A = np.fft.fft(np.where(coprime_mask(q)[:q], S**self.s, 0))
-            worst = np.abs(A.imag).max()
-            if worst > 1e-9 * max(1.0, float(q) ** self.s):
-                raise ArithmeticError(f"A_m({q}) imaginary part {worst} too large")
-            self._tables[q] = A.real.copy()  # a view would keep all 16 B per entry alive
+            p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
+            j, rest = 0, q
+            while rest > 1 and rest % p == 0:
+                j, rest = j + 1, rest // p
+            local = rest == 1 and self.k % p != 0  # q = p^j, p not dividing k
+            if local and j == 1 and gcd(self.k, p - 1) == 1:
+                self._tables[q] = np.zeros(q)
+            elif local and 2 <= j <= self.k:
+                # c_{p^j}(m) is phi(p^j) at p^j | m, -p^(j-1) at p^(j-1) || m, else 0
+                scale, A = p ** ((j - 1) * self.s), np.zeros(q)
+                A[:: q // p] = -float(scale * (q // p))
+                A[0] = float(scale * (q - q // p))
+                self._tables[q] = A
+            else:
+                S = _gauss_sums_all(q, self.k)
+                A = np.fft.fft(np.where(coprime_mask(q)[:q], S**self.s, 0))
+                worst = np.abs(A.imag).max()
+                if worst > 1e-9 * max(1.0, float(q) ** self.s):
+                    raise ArithmeticError(f"A_m({q}) imaginary part {worst} too large")
+                self._tables[q] = A.real.copy()  # a view would keep all 16 B per entry alive
         return self._tables[q]
 
     def series_coeffs(self, m: int, Q: int) -> np.ndarray:

@@ -456,6 +456,19 @@ def test_singular_cli(capsys):
     assert "series_partial" in out and "local_witness" in out
 
 
+@pytest.mark.parametrize("q_cut", ["7", "8", "10"])
+def test_singular_cli_last_block_of_vanishing_terms_is_zero(q_cut, capsys):
+    # every A_5(q) with Q_cut/2 < q <= Q_cut is 0 at k = 5: 2, 3 and 7 are
+    # vanishing primes, c_4(5) = c_8(5) = c_9(5) = 0 are Ramanujan sums, and
+    # x^5 = x mod 5 makes the FFT table at q = 5 exactly 0
+    code, out, _ = run_cli(capsys, "singular", "--k", "5", "--s", "9", "--m", "5",
+                           "--q-cut", q_cut, "--format", "csv")
+    assert code == 0
+    assert out == ("quantity,value,detail\n"
+                   f"series_partial,1.0,m=5 Q_cut={q_cut}\n"
+                   "series_last_block,0.0,\n")
+
+
 def test_moments_cli_quadrature_agreement(capsys):
     code, out, _ = run_cli(
         capsys, "moments", "--k", "3", "--r", "1", "--limit", "10", "--t", "2",

@@ -5,19 +5,19 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from partitio import arith, singular
 from partitio.singular import (
     _GaussSumCache,
     a_coeff,
-    gauss_sum,
     local_solubility,
     singular_integral,
     singular_series,
     singular_series_blocks,
 )
 
+import gauss_oracle
 import sieve_oracle
 
 
@@ -46,14 +46,18 @@ def _a_brute(m, q, s, k):
 # ---------------------------------------------------------------------------
 
 
+def _gauss_sum(q, a, k):
+    return singular._gauss_sums_all(q, k)[a % q]
+
+
 def test_gauss_trivial_modulus():
     for k in (2, 3, 4, 7):
-        assert gauss_sum(1, 1, k) == pytest.approx(1.0)
+        assert _gauss_sum(1, 1, k) == pytest.approx(1.0)
 
 
 def test_gauss_two_and_nine():
-    assert gauss_sum(2, 1, 3) == pytest.approx(0.0, abs=1e-12)
-    assert gauss_sum(9, 1, 3) == pytest.approx(3 * (1 + 2 * math.cos(2 * math.pi / 9)), abs=1e-9)
+    assert _gauss_sum(2, 1, 3) == pytest.approx(0.0, abs=1e-12)
+    assert _gauss_sum(9, 1, 3) == pytest.approx(3 * (1 + 2 * math.cos(2 * math.pi / 9)), abs=1e-9)
 
 
 def test_gauss_matches_brute():
@@ -63,7 +67,7 @@ def test_gauss_matches_brute():
         above_half = next((a for a in range(q // 2 + 1, q) if gcd(a, q) == 1), 1)
         for k in range(1, 8):
             for a in {1, q - 1, above_half}:
-                assert gauss_sum(q, a, k) == pytest.approx(_gauss_brute(q, a, k), abs=1e-9 * q)
+                assert _gauss_sum(q, a, k) == pytest.approx(_gauss_brute(q, a, k), abs=1e-9 * q)
 
 
 def test_gauss_bound_and_conjugate(rng):
@@ -73,15 +77,15 @@ def test_gauss_bound_and_conjugate(rng):
         a = int(rng.integers(1, q))
         if gcd(a, q) != 1:
             continue
-        s1 = gauss_sum(q, a, k)
+        s1 = _gauss_sum(q, a, k)
         assert abs(s1) <= q + 1e-9
-        s2 = gauss_sum(q, q - a, k)
+        s2 = _gauss_sum(q, q - a, k)
         assert s2 == pytest.approx(np.conj(s1), abs=1e-9 * q)
 
 
 def test_gauss_rejects_common_factor():
     with pytest.raises(ValueError):
-        gauss_sum(6, 2, 3)
+        gauss_oracle.gauss_sum(6, 2, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +113,8 @@ def test_a_coeff_matches_brute(rng):
 
 
 def test_a_coeff_imaginary_guard(monkeypatch):
-    # S e(0.05) breaks the conjugate pairing, so the table is far from real
+    # S e(0.05) breaks the conjugate pairing, so the table is far from real.
+    # q = 7 at k = 3 takes the FFT: 7 = 1 mod 3, so 7 is no vanishing prime
     gauss = singular._gauss_sums_all
     monkeypatch.setattr(singular, "_gauss_sums_all",
                         lambda q, k: gauss(q, k) * cmath.exp(0.1j * math.pi))
@@ -126,6 +131,49 @@ def test_gauss_table_matches_brute():
             for m in range(q):
                 ref, mass = _a_brute(m, q, s, k)
                 assert table[m] == pytest.approx(ref.real, abs=1e-12 * mass + 1e-12)
+
+
+def _as_prime_power(q):
+    """(p, j) with q = p^j, j >= 1; None for q = 1 and q with two prime factors."""
+    if q < 2:
+        return None
+    p = next(d for d in range(2, q + 1) if q % d == 0)
+    j = 0
+    while q % p == 0:
+        q, j = q // p, j + 1
+    return (p, j) if q == 1 else None
+
+
+_PRIME_POWERS = [q for q in range(2, 2001) if _as_prime_power(q)]
+
+
+@given(k=st.integers(1, 8), s=st.integers(4, 13),
+       q=st.one_of(st.sampled_from(_PRIME_POWERS), st.integers(1, 2000)))
+@example(k=3, s=5, q=2)        # vanishing prime
+@example(k=5, s=9, q=11)       # p = 1 mod k: the FFT
+@example(k=5, s=9, q=5)        # p | k: the FFT
+@example(k=4, s=7, q=9)        # Ramanujan prime power
+@example(k=3, s=13, q=1331)    # Ramanujan values past 2**53
+@example(k=3, s=5, q=16)       # j > k: the FFT
+@example(k=1, s=4, q=1999)     # k = 1: every prime vanishes
+@example(k=3, s=5, q=1)
+@example(k=3, s=5, q=1980)     # composite
+def test_structured_tables_match_the_fft_oracle(k, s, q):
+    table = _GaussSumCache(k, s).table(q)
+    oracle = gauss_oracle.fft_table(q, k, s)
+    assert table.dtype == np.float64 and table.shape == (q,)
+    tol = 1e-12 * max(1.0, float(q) ** s)
+    p, j = _as_prime_power(q) or (q, 0)
+    if j == 1 and k % p and gcd(k, p - 1) == 1:
+        assert table.tobytes() == np.zeros(q).tobytes()
+        assert np.abs(oracle).max() <= tol
+    elif 2 <= j <= k and k % p:
+        c = [q - q // p if m == 0 else -(q // p) if m % (q // p) == 0 else 0 for m in range(q)]
+        exact = [p ** ((j - 1) * s) * c_m for c_m in c]
+        assert np.abs(table - oracle).max() <= tol
+        assert all(table[m] == v for m, v in enumerate(exact) if abs(v) < 2**53)
+    else:
+        assert table.tobytes() == oracle.tobytes()
 
 
 def test_a_coeff_multiplicative_crt(rng):
@@ -361,13 +409,16 @@ def test_integral_guard():
 @pytest.mark.parametrize(
     "call",
     [
-        lambda: gauss_sum(5, 1, 0),
+        lambda: gauss_oracle.gauss_sum(5, 1, 0),
         lambda: a_coeff(1, 5, 5, 0),
+        lambda: a_coeff(1, 5, 0, 3),
+        lambda: a_coeff(1, 5, -1, 3),
         lambda: singular_series(5, 5, -2, 10),
         lambda: local_solubility(0, 5, 37),
         lambda: local_solubility(4, 0, 37),
     ],
-    ids=["gauss_sum", "a_coeff", "singular_series", "local_k", "local_s"],
+    ids=["gauss_sum", "a_coeff", "a_coeff_s0", "a_coeff_s-1", "singular_series", "local_k",
+         "local_s"],
 )
 def test_k_and_s_below_one_are_refused(call):
     with pytest.raises(ValueError, match="at least 1|>= 1"):
