@@ -456,7 +456,7 @@ def test_singular_cli(capsys):
     assert "series_partial" in out and "local_witness" in out
 
 
-@pytest.mark.parametrize("q_cut", ["7", "8", "10"])
+@pytest.mark.parametrize("q_cut", ["7", "8", "9", "10"])
 def test_singular_cli_last_block_of_vanishing_terms_is_zero(q_cut, capsys):
     # every A_5(q) with Q_cut/2 < q <= Q_cut is 0 at k = 5: 2, 3 and 7 are
     # vanishing primes, c_4(5) = c_8(5) = c_9(5) = 0 are Ramanujan sums, and

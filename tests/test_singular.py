@@ -233,17 +233,10 @@ def test_blocked_series_coeffs_match_the_unblocked_oracle(block_cells, blocks, d
     assert got.tolist() == sieve_oracle.series_coeffs(cache, m, Q).tolist()
 
 
-def _is_prime_power(q):
-    p = next(d for d in range(2, q + 1) if q % d == 0)
-    while q % p == 0:
-        q //= p
-    return q == 1
-
-
 def test_series_coeffs_only_build_prime_power_tables():
     cache = _GaussSumCache(3, 5)
     cache.series_coeffs(5, 200)
-    assert sorted(cache._tables) == [1] + [q for q in range(2, 201) if _is_prime_power(q)]
+    assert sorted(cache._tables) == [1] + [q for q in _PRIME_POWERS if q <= 200]
 
 
 def test_series_rejects_cache_for_other_k_s():
