@@ -187,19 +187,12 @@ def _farey_nearest(x, num, shift, live, N):
 
 
 @dataclass(frozen=True)
-class ArcLabel:
-    in_major: np.ndarray  # bool per point: in M(Q)
-    slice_q: np.ndarray   # smallest level Q/4**j still containing the point, nan outside M(Q)
-    core: np.ndarray      # bool per point: in the core arc
-
-
-@dataclass(frozen=True)
 class Dissection:
     """Arc families of the order-2*sqrt(n) dissection for one fixed n, on 1-D
-    float point arrays; a classifier call reads every level off the walks of
-    one ``_cells`` call.  ``assign`` and ``in_major`` are one-element wrappers
-    kept for the benchmark: its tracer self-test wraps both, its oracle calls
-    ``assign``."""
+    float point arrays; a classifier call reads both ends of a slice off the
+    walks of one ``_cells`` call.  ``assign`` and ``in_major`` are one-element
+    wrappers kept for the benchmark: its tracer self-test wraps both, its
+    oracle calls ``assign``."""
 
     n: int
 
@@ -265,35 +258,6 @@ class Dissection:
         cells = self._cells(alphas, Q)
         inside = self._inside(cells, Q)
         return inside & ~self._inside(cells, Q / 4) if Q / 4 >= 1 else inside
-
-
-def upsilon(alphas: Points, n: int) -> np.ndarray:
-    """(q + n|q*alpha - a|)**-1 over the Farey cells of the points; each lies in (0, 1]."""
-    if n < 2:
-        raise ValueError("n must be at least 2")
-    _, q, err = Dissection(n).assign_many(alphas)
-    return 1.0 / (q + n * err)
-
-
-def arc_classify(alphas: Points, n: int, Q: float) -> ArcLabel:
-    """Locate the points relative to M(Q), its dyadic levels and the core.
-
-    Every level Q/4**j >= 1 is a comparison on the cells that decide M(Q).
-    The core is |alpha - a/q| <= B/n over q <= B = (log n)**(1/15); every n
-    the dissection accepts has a float sqrt(n), so log n < 710, B < 1.55 and
-    only the q = 1 arc occurs (none at n = 2).
-    """
-    d, x = Dissection(n), _points(alphas)
-    cells = d._cells(x, Q)
-    in_major = d._inside(cells, Q)
-    slice_q, inside, level = np.where(in_major, Q, np.nan), in_major, Q
-    while level / 4 >= 1:
-        level /= 4
-        inside = inside & d._inside(cells, level)
-        slice_q[inside] = level
-    B = math.log(n) ** (1.0 / 15.0)
-    core = (B >= 1) & (np.minimum(x, 1 - x) <= B / n)
-    return ArcLabel(in_major=in_major, slice_q=slice_q, core=core)
 
 
 def _top_denominator(n: int, Q: float) -> int:

@@ -35,10 +35,6 @@ class NoConvergence(RuntimeError):
     """Root finder exhausted ROOT_MAX_ITERATIONS without meeting ROOT_TOLERANCE."""
 
 
-class MissingTableEntry(KeyError):
-    """No stored admissible exponent for the requested (k, t)."""
-
-
 class UnresolvableDelta(ValueError):
     """None of the requested conditions could resolve an admissible exponent."""
 
@@ -128,15 +124,8 @@ def eta(t: float) -> float:
     return y
 
 
-def eta_inverse(y: float) -> float:
-    """Closed-form inverse of :func:`eta`: the t with eta(t) = y."""
-    if not 0.0 < y < 1.0:
-        raise ValueError(f"y must lie in (0, 1), got {y}")
-    return 1.0 - y - math.log(y)
-
-
 def c1(phi: float) -> float:
-    """1 + log 2 - phi/2 - log phi; equals eta_inverse(phi/2) on (0, 2)."""
+    """1 + log 2 - phi/2 - log phi, the t with eta(t) = phi/2 for phi in (0, 2)."""
     if not phi > 0:
         raise ValueError(f"phi must be positive, got {phi}")
     return 1.0 + LOG2 - 0.5 * phi - math.log(phi)
@@ -283,53 +272,25 @@ DELTA_TABLE: dict[int, dict[int, Fraction]] = {
 }
 
 
-#: The ways an admissible exponent can be resolved; see admissible_exponent.
+#: The ways an admissible exponent can be resolved; see _try_delta.
 DELTA_SOURCES = ("table", "large-k")
 
 
-def _check_source(source: str) -> None:
+def _try_delta(k: int, t: Number, source: str) -> Optional[Number]:
+    """Delta_t for exponent k, or None where the source cannot resolve it.
+
+    Source "table" returns the stored exact Fraction (t an integer with a
+    stored value), so downstream comparisons can stay in rational arithmetic;
+    "large-k" evaluates k * eta(t/k) (t an even natural number).  An unknown
+    source is a ValueError.
+    """
     if source not in DELTA_SOURCES:
         raise ValueError(f"unknown delta source {source!r} (one of {', '.join(DELTA_SOURCES)})")
-
-
-def _lookup(k: int, t: Number, source: str) -> Number:
-    """Delta_t for exponent k: the stored exact Fraction for source "table",
-    k * eta(t/k) for "large-k" (t an even natural number)."""
-    _check_source(source)
-    if source == "large-k":
-        if t != int(t) or int(t) < 2 or int(t) % 2:
-            raise ValueError(f"large-k source needs an even natural t, got {t}")
-        return k * eta(float(t) / k)
     if t != int(t):
-        raise ValueError(f"table source needs an integer t, got {t}")
-    try:
-        return DELTA_TABLE[k][int(t)]
-    except KeyError as exc:
-        raise MissingTableEntry(f"no stored Delta_{t} for k={k}") from exc
-
-
-def admissible_exponent(k: int, t: Number, source: str = "table") -> float:
-    """Resolve an admissible exponent Delta_t for exponent k.
-
-    source "table" looks up a stored value (MissingTableEntry where none is
-    stored); "large-k" evaluates k * eta(t/k) (t must be an even natural
-    number).
-    """
-    return float(_lookup(k, t, source))
-
-
-def _try_delta(k: int, t: Number, source: str) -> Optional[Number]:
-    """Like admissible_exponent but None where a known source cannot resolve;
-    an unknown source is a ValueError.
-
-    Table lookups return the stored exact Fraction so downstream comparisons
-    can stay in rational arithmetic.
-    """
-    _check_source(source)
-    try:
-        return _lookup(k, t, source)
-    except (MissingTableEntry, ValueError):
         return None
+    if source == "large-k":
+        return k * eta(float(t) / k) if int(t) >= 2 and int(t) % 2 == 0 else None
+    return DELTA_TABLE.get(k, {}).get(int(t))
 
 
 @dataclass(frozen=True)
@@ -370,6 +331,8 @@ def condition_check(
     from delta_source are reported as None; if no requested condition can be
     resolved at all, :class:`UnresolvableDelta` is raised.
     """
+    if k < 3:
+        raise ValueError("k must be at least 3")
     cond_a = 2 * s >= 3 * k
     cond_size = s > (1 - phi) * (2 * (k // 2) + 4) + 2 * phi
 

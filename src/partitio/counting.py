@@ -212,24 +212,6 @@ def zero_set(k: int, s: int, N: int, **kwargs) -> list[int]:
     return (np.flatnonzero(~reach[1:]) + 1).tolist()
 
 
-def nu_convolution(w: Weight, rho: CountTable, n: int) -> Union[int, float]:
-    """The additive convolution sum over m <= n of w(m) * rho(n - m).
-
-    Exact integer arithmetic when the weight takes integer values.
-    """
-    if rho.limit < n:
-        raise ValueError("count table too short for this n")
-    if w.n < n:
-        raise ValueError("weight domain too short for this n")
-    mask = w.support <= n
-    ms = w.support[mask]
-    vals = w.values[mask]
-    rho_vals = rho.counts[n - ms]
-    if np.all(vals == np.rint(vals)):
-        return int(sum(int(round(v)) * int(c) for v, c in zip(vals, rho_vals)))
-    return float(np.dot(vals, rho_vals.astype(float)))
-
-
 def _sum_of_squares(counts: np.ndarray) -> int:
     """Exact sum of counts[m]**2, also past 2**63 and on object dtype, over
     Python integers made from one fixed chunk of the table at a time."""

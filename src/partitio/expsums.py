@@ -4,11 +4,10 @@ W(alpha) = sum over the weight support of w(m) e(t m), with e(z) =
 exp(2 pi i z) and t = phase * alpha.  On the uniform grid alpha = j/G,
 ``exp_sum_grid`` bins the weight by the integer residue m * phase mod G and
 takes one length-G DFT, so its phases are exact; ``exp_sum_rational`` reads
-one entry of it.  ``exp_sum_many`` is the one off-grid evaluator and
-``exp_sum`` its one-point wrapper; ``exp_sum_arcs`` evaluates the points
-a/q + beta of whole arcs (below).  ``exp_sum_many`` reduces t mod 1
-(t - floor(t), exact) and runs whichever of two kernels its operation count
-says is cheaper:
+one entry of it.  ``exp_sum_many`` is the one off-grid evaluator;
+``exp_sum_arcs`` evaluates the points a/q + beta of whole arcs (below).
+``exp_sum_many`` reduces t mod 1 (t - floor(t), exact) and runs whichever of
+two kernels its operation count says is cheaper:
 
 * Dense: the |points| x |support| phase matrix x = t m, reduced by
   x - rint(x), then cos(2 pi x) @ w + i sin(2 pi x) @ w, in row blocks of at
@@ -91,11 +90,6 @@ _DENSE_NS = 8.0               # cost-model constants, nanoseconds (module docstr
 _FFT_NS = 1.5
 _SPREAD_NS = 20.0
 _GATHER_NS = 40.0
-
-
-def exp_sum(w: Weight, alpha: float) -> complex:
-    """sum_m w(m) e(phase * alpha * m), with the weight's own phase."""
-    return complex(exp_sum_many(w, np.array([alpha], dtype=float))[0])
 
 
 def exp_sum_many(w: Weight, alphas: np.ndarray) -> np.ndarray:

@@ -2,11 +2,12 @@
 local solubility of the square-plus-k-th-powers congruences.
 
 One Gauss-sum path: ``_GaussSumCache`` keeps a float64 table of A_m(q) for
-every m mod q, and ``a_coeff`` is its front.  At q = p^j with p not dividing k
-the local structure gives the table (Vaughan, *The Hardy-Littlewood Method*,
-2nd ed., ch. 4): for j = 1 and gcd(k, p - 1) = 1, x -> x^k permutes Z/p, so
-S(p, a) = 0 and A_m(p) = 0 (s >= 1); for 2 <= j <= k, S(p^j, a) = p^(j-1) for
-every a coprime to p, so A_m(p^j) = p^((j-1)s) c_{p^j}(m), a Ramanujan sum.
+every m mod q, and ``a_coeff`` is its front.  At q = p^j the local structure
+gives the table (Vaughan, *The Hardy-Littlewood Method*, 2nd ed., ch. 4): for
+j = 1 and gcd(k, p - 1) = 1, x -> x^k permutes Z/p (p | k included), so
+S(p, a) = 0 and A_m(p) = 0 (s >= 1); for p not dividing k and 2 <= j <= k,
+S(p^j, a) = p^(j-1) for every a coprime to p, so A_m(p^j) = p^((j-1)s)
+c_{p^j}(m), a Ramanujan sum.
 Every other q takes one length-q FFT of S^s over the reduced residues, with
 S(q, a) for every a from ``_gauss_sums_all``'s int64 counts of x^k mod q.
 A_m(q) is multiplicative in q, so the series takes tables at prime powers,
@@ -70,8 +71,8 @@ class _GaussSumCache:
         self._powers = np.zeros(1)  # float(q**s) for q = 0..len - 1
 
     def table(self, q: int) -> np.ndarray:
-        """A_m(q), m = 0..q-1.  At a prime power q = p^j, p not dividing k, it is
-        0 for j = 1 with gcd(k, p - 1) = 1, and p^((j-1)s) c_{p^j}(m) for
+        """A_m(q), m = 0..q-1.  At a prime power q = p^j it is 0 for j = 1 with
+        gcd(k, p - 1) = 1, and p^((j-1)s) c_{p^j}(m) for p not dividing k and
         2 <= j <= k (Vaughan, ch. 4).  Any other q takes the DFT of S(q, a)^s
         over a coprime to q, real by the pairing a <-> q - a; its imaginary
         residue is checked against a q**s-scaled tolerance before being dropped."""
@@ -80,10 +81,9 @@ class _GaussSumCache:
             j, rest = 0, q
             while rest > 1 and rest % p == 0:
                 j, rest = j + 1, rest // p
-            local = rest == 1 and self.k % p != 0  # q = p^j, p not dividing k
-            if local and j == 1 and gcd(self.k, p - 1) == 1:
+            if rest == 1 and j == 1 and gcd(self.k, p - 1) == 1:  # q = p
                 self._tables[q] = np.zeros(q)
-            elif local and 2 <= j <= self.k:
+            elif rest == 1 and self.k % p != 0 and 2 <= j <= self.k:  # q = p^j
                 # c_{p^j}(m) is phi(p^j) at p^j | m, -p^(j-1) at p^(j-1) || m, else 0
                 scale, A = p ** ((j - 1) * self.s), np.zeros(q)
                 A[:: q // p] = -float(scale * (q // p))

@@ -57,12 +57,6 @@ class Weight:
             raise ValueError("weight values must be real")
         object.__setattr__(self, "norm", float(np.abs(self.values).sum()))
 
-    def value(self, m: int) -> float:
-        i = int(np.searchsorted(self.support, m))
-        if i < len(self.support) and int(self.support[i]) == m:
-            return float(self.values[i])
-        return 0.0
-
     @property
     def is_nonnegative(self) -> bool:
         return bool(np.all(self.values >= 0))
@@ -158,28 +152,3 @@ def weight_stats(w: Weight) -> WeightStats:
     ratio = float(w.values[w.support <= w.n // 2].sum()) / w.norm
     return WeightStats(half_mass_ratio=ratio, is_regular=ratio >= 0.25)
 
-
-def phi_exponent(kind: str, h: Optional[int] = None) -> float:
-    """Decay exponent quoted for a built-in weight: the sup of |W| over the
-    height-Q slice scales like norm * Q**(-phi).
-
-    h-th powers follow 2**(2-h)/h for h <= 5, 1/72 at h = 6 and
-    2/(h^2 (h-1)) beyond; log-weighted primes and the Moebius function are
-    2/5-weights; prime squares 1/8; the staggered prime-square products
-    behave like a 1/6-weight.
-    """
-    if kind in ("squares", "hth_powers"):
-        hh = 2 if kind == "squares" else h
-        if hh is None or hh < 2:
-            raise ValueError("need h >= 2")
-        if hh <= 5:
-            return 2.0 ** (2 - hh) / hh
-        if hh == 6:
-            return 1.0 / 72.0
-        return 2.0 / (hh * hh * (hh - 1))
-    return {
-        "prime_squares": 1.0 / 8.0,
-        "primes_log": 2.0 / 5.0,
-        "mobius": 2.0 / 5.0,
-        "e2": 1.0 / 6.0,
-    }[kind]

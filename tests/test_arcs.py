@@ -14,11 +14,9 @@ from partitio import arcs
 from partitio.arcs import (
     Dissection,
     RationalApprox,
-    arc_classify,
     dirichlet_approx,
     sample_slice_alphas,
     size_slices,
-    upsilon,
 )
 from partitio.arith import DEFAULT_MAX_LIMIT, CapacityLimit, PrecisionLimit
 from partitio.weights import make_weight
@@ -196,8 +194,8 @@ def test_array_walk_exact_inputs_and_errors():
     # the array classifiers take floats only, as a list, an object array or one point
     exact = [Fraction(1, 3), Fraction(2, 7) + Fraction(1, 10**9), 0.25]
     d = Dissection(10**4)
-    classifiers = (lambda x: dirichlet_approx(x, 10), lambda x: upsilon(x, 10**4),
-                   lambda x: arc_classify(x, 10**4, 4.0), lambda x: d.in_major_many(x, 4.0))
+    classifiers = (lambda x: dirichlet_approx(x, 10), d.assign_many,
+                   lambda x: d.in_major_many(x, 4.0), lambda x: d.in_slice_many(x, 4.0))
     for classify in classifiers:
         for points in (exact, np.array(exact, dtype=object), exact[1]):
             with pytest.raises(ValueError, match="floats"):
@@ -263,29 +261,6 @@ def test_array_classifiers_match_scalar(n):
         assert got == d.assign(float(x)) == _assign_oracle(d, float(x))
 
 
-def _upsilon_oracle(d, alpha):
-    b = _assign_oracle(d, alpha)
-    return 1.0 / (b.q + d.n * b.err)
-
-
-def _slice_q_oracle(d, alpha, Q):
-    if not _in_major_oracle(d, alpha, Q):
-        return math.nan
-    while Q / 4 >= 1 and _in_major_oracle(d, alpha, Q / 4):
-        Q /= 4
-    return Q
-
-
-def _core_oracle(n, alpha):
-    # the arcs |alpha - a/q| <= B/n over every q <= B = (log n)**(1/15)
-    B = math.log(n) ** (1.0 / 15.0)
-    for q in range(1, int(math.floor(B)) + 1):
-        a = round(q * alpha)
-        if 0 <= a <= q and abs(alpha - a / q) <= B / n:
-            return True
-    return False
-
-
 _n_and_Q = st.one_of(
     st.integers(2, 9),
     st.sampled_from([10, 17, 100, 10**4, 10**6 + 7, 10**9, 10**12]),
@@ -304,16 +279,11 @@ _n_and_Q = st.one_of(
 # alpha = L/n at L = Q/4 = sqrt(n)/2: on the rim of the q = 1 arc, whose
 # Farey cell it keeps
 @example((5, 2 * math.sqrt(5)), [2 * math.sqrt(5) / 4 / 5])
-def test_upsilon_and_arc_classify_match_scalar_oracles(n_Q, alphas):
+def test_classifiers_match_scalar_oracles(n_Q, alphas):
     n, Q = n_Q
     d = Dissection(n)
-    lab = arc_classify(np.array(alphas), n, Q)
-    assert lab.in_major.dtype == lab.core.dtype == bool
-    assert upsilon(alphas, n).tolist() == [_upsilon_oracle(d, x) for x in alphas]
-    assert lab.in_major.tolist() == [_in_major_oracle(d, x, Q) for x in alphas]
-    want = [_slice_q_oracle(d, x, Q) for x in alphas]
-    assert np.array_equal(lab.slice_q, want, equal_nan=True)
-    assert lab.core.tolist() == [_core_oracle(n, x) for x in alphas]
+    assert d.in_major_many(np.array(alphas), Q).tolist() == [
+        _in_major_oracle(d, x, Q) for x in alphas]
     assert d.in_slice_many(alphas, Q).tolist() == [
         _in_major_oracle(d, x, Q) and not (Q / 4 >= 1 and _in_major_oracle(d, x, Q / 4))
         for x in alphas
@@ -330,9 +300,8 @@ def test_one_walk_per_classifier_call(monkeypatch):
 
     monkeypatch.setattr(arcs, "dirichlet_approx", counted)
     x = np.random.default_rng(1).random(300)
-    lab = arc_classify(x, 10**9, 1000.0)  # levels 1000, 250, 62.5, 15.625, 3.90625
+    Dissection(10**9).in_slice_many(x, 1000.0)  # 1000 <= sqrt(n)/2: one walk, both levels
     assert q_maxes == [1000]
-    assert np.isin(lab.slice_q[lab.in_major], [1000.0, 250.0, 62.5, 15.625, 3.90625]).all()
     d = Dissection(10**4)
     for Q, walks in ((50.0, [50]), (200.0, [d.half_height, d.full_height])):
         q_maxes.clear()
@@ -340,28 +309,27 @@ def test_one_walk_per_classifier_call(monkeypatch):
         assert q_maxes == walks
 
 
-def test_upsilon_values():
-    assert upsilon([0.0, 0.5], 100).tolist() == [1.0, 0.5]
-    assert upsilon(0.0, 10**4).tolist() == [1.0]
-    with pytest.raises(ValueError):
-        upsilon(0.5, 1)
-
-
 def test_upsilon_on_extreme_minor_arcs(rng):
-    # frozen from a sampling experiment: Upsilon * sqrt(n) stays order one
+    # frozen from a sampling experiment: Upsilon = 1/(q + n*err) over the
+    # Farey cells, times sqrt(n), stays order one
     n = 10**4
+    d = Dissection(n)
     alphas = rng.random(4000)
-    minor = alphas[~Dissection(n).in_major_many(alphas, 0.5 * math.sqrt(n))]
-    ratios = upsilon(minor, n) * math.sqrt(n)
+    _, q, err = d.assign_many(alphas[~d.in_major_many(alphas, 0.5 * math.sqrt(n))])
+    ratios = math.sqrt(n) / (q + n * err)
     assert len(ratios) > 100
     assert 0.3 <= ratios.min() and ratios.max() <= 2.1
 
 
 def test_arc_classify_centers_and_edges():
     n = 10**4
-    assert arc_classify(1 / 3, n, 10.0).in_major.tolist() == [True]
-    lab = arc_classify([0.0 + 1.2 * 1.0 / n, 0.0 + 0.8 * 1.0 / n], n, 1.0)
-    assert lab.in_major.tolist() == [False, True]
+    d = Dissection(n)
+    assert d.in_major_many(1 / 3, 10.0).tolist() == [True]
+    edges = [0.0 + 1.2 * 1.0 / n, 0.0 + 0.8 * 1.0 / n]
+    assert d.in_major_many(edges, 1.0).tolist() == [False, True]
+    # the q = 2 arc lies in M(2), hence below every slice N(8), N(32)
+    assert d.in_major_many([0.5, 1 / 7 + 2.5 / n], 32.0).tolist() == [True, True]
+    assert [bool(d.in_slice_many(0.5, Q)[0]) for Q in (2.0, 8.0, 32.0)] == [True, False, False]
 
 
 def test_arc_nesting_across_half_height():
@@ -409,8 +377,7 @@ def test_arc_nesting_and_slices():
 
 
 def test_slice_partition_exhaustive():
-    # every point of M(Q) lands in exactly one N(Q/4^j) or the lowest level,
-    # and arc_classify names that level
+    # every point of M(Q) lands in exactly one N(Q/4^j) or the lowest level
     n = 10**4
     d = Dissection(n)
     rng = np.random.default_rng(11)
@@ -423,9 +390,6 @@ def test_slice_partition_exhaustive():
         levels.append(levels[-1] / 4)
     hits.append(d.in_major_many(alphas, levels[-1]))
     assert (np.sum(hits, axis=0) == 1).all()
-    assert arc_classify(alphas, n, Q).slice_q.tolist() == [
-        levels[j] for j in np.argmax(hits, axis=0)
-    ]
 
 
 def test_major_measure_against_formula(rng):
@@ -449,7 +413,8 @@ def test_upsilon_bounded_on_slices():
     for Q in (16.0, 64.0, 150.0):
         alphas = sample_slice_alphas(n, Q, 150, rng)
         assert len(alphas) > 0
-        assert (upsilon(alphas, n) <= 4.0 / Q).all()
+        _, q, err = Dissection(n).assign_many(alphas)
+        assert (1.0 / (q + n * err) <= 4.0 / Q).all()
 
 
 _sampler_n_and_Q = st.one_of(
@@ -579,19 +544,6 @@ def test_assignment_invariants(rng):
         assert 1 <= b.q <= d.full_height
         assert gcd(b.a, b.q) == 1
         assert b.err <= 0.5 / math.sqrt(n) + 1e-15
-
-
-def test_slice_q_label():
-    n = 10**4
-    lab = arc_classify([0.5, 1 / 7 + 2.5 / n], n, 32.0)
-    assert lab.in_major.tolist() == [True, True]
-    assert lab.slice_q[0] == 2.0  # q=2 arc: in M(2), hence below every slice
-
-
-def test_core_flag():
-    n = 10**6
-    assert arc_classify([0.0, 0.37], n, 4.0).core.tolist() == [True, False]
-    assert not arc_classify(0.0, 2, 1.0).core[0]  # B = (log 2)**(1/15) < 1
 
 
 def test_size_slices_squares():

@@ -118,17 +118,9 @@ def test_eta_derivative_relation():
         assert abs(num + y / (1 + y)) < 1e-6
 
 
-def test_eta_inverse_closed_form():
-    assert C.eta_inverse(0.5) == pytest.approx(0.5 + LOG2, abs=1e-14)
-    assert C.eta_inverse(0.2) == pytest.approx(0.8 + math.log(5), abs=1e-14)
-    assert C.eta(C.eta_inverse(0.37)) == pytest.approx(0.37, abs=1e-10)
-    with pytest.raises(ValueError):
-        C.eta_inverse(1.5)
-
-
 @given(st.floats(min_value=1e-3, max_value=2 - 1e-3))
 def test_c1_is_eta_inverse_of_half(phi):
-    assert C.c1(phi) == pytest.approx(C.eta_inverse(phi / 2), abs=1e-12)
+    assert C.eta(C.c1(phi)) == pytest.approx(phi / 2, abs=1e-12)
 
 
 def test_c1_values():
@@ -335,37 +327,37 @@ def test_c2_is_the_exact_threshold():
 
 
 def test_admissible_table_values():
-    assert C.admissible_exponent(3, 5) == pytest.approx(10 / 17)
-    assert C.admissible_exponent(4, 7) == pytest.approx(0.849408)
-    assert C.admissible_exponent(5, 9) == pytest.approx(1.181868)
-    with pytest.raises(C.MissingTableEntry):
-        C.admissible_exponent(5, 11)
+    assert C._try_delta(3, 5, "table") == Fraction(10, 17)
+    assert C._try_delta(4, 7, "table") == Fraction("0.849408")
+    assert C._try_delta(5, 9, "table") == Fraction("1.181868")
+    assert C._try_delta(5, 11, "table") is None
+    assert C.condition_check(3, 5, Fraction(1, 2)).delta_s == Fraction(10, 17)
 
 
 def test_admissible_large_k():
-    assert C.admissible_exponent(10, 20, "large-k") == pytest.approx(10 * C.eta(2.0), abs=1e-12)
-    assert C.admissible_exponent(10, 20, "large-k") == pytest.approx(2.7846, abs=1e-4)
-    with pytest.raises(ValueError):
-        C.admissible_exponent(10, 3, "large-k")
+    assert C._try_delta(10, 20, "large-k") == pytest.approx(10 * C.eta(2.0), abs=1e-12)
+    rep = C.condition_check(10, 20, 0.5, delta_source="large-k")
+    assert rep.delta_s == pytest.approx(2.7846, abs=1e-4)
+    assert C._try_delta(10, 3, "large-k") is None  # odd t
 
 
 def test_admissible_interpolate():
     # "interpolate" is no source: no k stores Delta at both t - 1 and t + 1
     assert C.DELTA_SOURCES == ("table", "large-k")
-    for call in (lambda: C.admissible_exponent(5, 8, "interpolate"),
+    for call in (lambda: C.condition_check(5, 8, 0.5, delta_source="interpolate"),
                  lambda: C._try_delta(5, 8, "interpolate")):
         with pytest.raises(ValueError, match="unknown delta source 'interpolate'") as exc:
             call()
-        assert not isinstance(exc.value, C.MissingTableEntry)
+        assert not isinstance(exc.value, C.UnresolvableDelta)
 
 
 @pytest.mark.parametrize("source", C.DELTA_SOURCES)
 @pytest.mark.parametrize("t", [5.5, 5.9, 6.5])
 def test_admissible_rejects_non_integer_t(source, t):
     # truncating t = 5.5 or 5.9 would return the stored Delta_5
-    with pytest.raises(ValueError):
-        C.admissible_exponent(3, t, source)
     assert C._try_delta(3, t, source) is None
+    with pytest.raises(C.UnresolvableDelta):
+        C.condition_check(3, t, 0.5, delta_source=source)
 
 
 def test_condition_check_prime_square_rows():
@@ -394,7 +386,7 @@ def test_unknown_delta_source_is_rejected_up_front():
     # a misspelt source is a ValueError naming it, not an unresolvable Delta
     for call in (lambda: C.condition_check(7, 20, Fraction(1, 8), delta_source="tabel"),
                  lambda: C.condition_check(7, 20, Fraction(1, 8), r=4, t=6, delta_source="tabel"),
-                 lambda: C.admissible_exponent(7, 26, "tabel")):
+                 lambda: C._try_delta(7, 26, "tabel")):
         with pytest.raises(ValueError, match="tabel") as exc:
             call()
         assert not isinstance(exc.value, C.UnresolvableDelta)

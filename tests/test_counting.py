@@ -18,13 +18,12 @@ from partitio.counting import (
     major_arc_moment,
     mean_value_N,
     moment_exact,
-    nu_convolution,
     power_convolution,
     quadrature_moment,
     representation_counts,
     zero_set,
 )
-from partitio.weights import Weight, make_weight
+from partitio.weights import make_weight
 
 import fold_oracle
 import sampler_oracle
@@ -535,60 +534,6 @@ def test_count_table_memory_ceiling():
 def test_square_and_fourth_power_ranges_mod16():
     assert {(x * x) % 16 for x in range(1, 101)} == {0, 1, 4, 9}
     assert {(y**4) % 16 for y in range(1, 101)} == {0, 1}
-
-
-# ---------------------------------------------------------------------------
-# nu_convolution
-# ---------------------------------------------------------------------------
-
-
-def test_nu_squares_vs_brute():
-    n = 500
-    P = iroot(n, 3)
-    sm = smooth_set(P, P)
-    rho = power_convolution(3, 2, n, base=sm)
-    w = make_weight("squares", n)
-    members = [int(m) for m in sm.members]
-    for nv in range(2, 501, 61):
-        brute = 0
-        for x in range(1, math.isqrt(nv) + 1):
-            for y1 in members:
-                for y2 in members:
-                    if x * x + y1**3 + y2**3 == nv:
-                        brute += 1
-        assert nu_convolution(w, rho, nv) == brute
-
-
-def test_nu_zero_weight():
-    w = make_weight("e2", 100)
-    rho = power_convolution(3, 2, 100)
-    assert nu_convolution(w, rho, 100) == 0
-
-
-def test_nu_keeps_a_non_integer_weight_unrounded():
-    # within allclose's rtol of an integer, but not an integer
-    w = Weight(n=10, support=np.array([1, 2]), values=np.array([100000.5, 3.0]))
-    rho = power_convolution(1, 1, 10)  # one way to write each m >= 1
-    assert nu_convolution(w, rho, 10) == 100003.5
-
-
-def test_nu_mobius_cancellation():
-    # cancellation diagnostic, frozen as a regression bound
-    n = 10**4
-    P = iroot(n, 3)
-    rho = power_convolution(3, 8, n, base=smooth_set(P, P))
-    w = make_weight("mobius", n)
-    val = nu_convolution(w, rho, n)
-    assert abs(val) <= 0.05 * rho.total()
-
-
-def test_nu_bounded_by_full_count():
-    n = 400
-    rho = power_convolution(3, 3, n)
-    w = make_weight("squares", n)
-    full = representation_counts(3, 3, n, x_nonneg=False, y_nonneg=False)
-    for nv in (50, 200, 399):
-        assert nu_convolution(w, rho, nv) <= full[nv] + 0  # x >= 1, y >= 1 subsets
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ from partitio import cli, expsums
 from partitio.arith import DEFAULT_MAX_LIMIT, CapacityLimit, PrecisionLimit, smooth_set
 from partitio.expsums import (
     DecayFit,
-    exp_sum,
     exp_sum_grid,
     exp_sum_many,
     exp_sum_rational,
@@ -25,20 +24,20 @@ from phase_oracle import dense_cos_sin, exact_arcs
 def test_exp_sum_at_zero_counts_support():
     sm = smooth_set(50, 7)
     w = make_weight("smooth_kth_powers", 50**3, k=3, P=50, R=7)
-    assert exp_sum(w, 0.0) == pytest.approx(len(sm), rel=1e-12)
+    assert exp_sum_many(w, np.array([0.0]))[0] == pytest.approx(len(sm), rel=1e-12)
 
 
 def test_exp_sum_half_squares():
     # four-term evaluation: e(1/2) + e(2) + e(9/2) + e(8) = -1 + 1 - 1 + 1
     w = make_weight("squares", 16)
-    assert exp_sum(w, 0.5) == pytest.approx(0.0, abs=1e-12)
+    assert exp_sum_many(w, np.array([0.5]))[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_exp_sum_equals_definition(rng):
     w = make_weight("squares", 10**4)
     for alpha in rng.random(100):
         direct = sum(np.exp(2j * np.pi * alpha * m) for m in w.support)
-        assert exp_sum(w, float(alpha)) == pytest.approx(direct, rel=1e-9)
+        assert exp_sum_many(w, np.array([float(alpha)]))[0] == pytest.approx(direct, rel=1e-9)
 
 
 def test_exp_sum_many_matches_scalar(rng):
@@ -46,7 +45,7 @@ def test_exp_sum_many_matches_scalar(rng):
     alphas = rng.random(40)
     batch = exp_sum_many(w, alphas)
     for a, b in zip(alphas, batch):
-        assert exp_sum(w, float(a)) == pytest.approx(b, abs=1e-9 * w.norm)
+        assert exp_sum_many(w, np.array([float(a)]))[0] == pytest.approx(b, abs=1e-9 * w.norm)
 
 
 def _reduced(w, alphas):
@@ -283,13 +282,14 @@ def test_precision_limit_boundary():
                       phase=phase)
 
     # 2**53 - 1 is odd, so W(1/2) = e((2**53 - 1) / 2) = -1 exactly
-    assert exp_sum(single(2**53 - 1), 0.5) == pytest.approx(-1.0, abs=1e-15)
-    assert exp_sum(single(2**53), 0.5) == pytest.approx(1.0, abs=1e-15)
+    assert exp_sum_many(single(2**53 - 1), np.array([0.5]))[0] == pytest.approx(-1.0, abs=1e-15)
+    assert exp_sum_many(single(2**53), np.array([0.5]))[0] == pytest.approx(1.0, abs=1e-15)
     with pytest.raises(PrecisionLimit):
-        exp_sum(single(2**53 + 2), 0.5)
-    assert exp_sum(single(2**52, phase=2), 0.25) == pytest.approx(1.0, abs=1e-15)
+        exp_sum_many(single(2**53 + 2), np.array([0.5]))
+    assert exp_sum_many(single(2**52, phase=2), np.array([0.25]))[0] == pytest.approx(
+        1.0, abs=1e-15)
     with pytest.raises(PrecisionLimit):
-        exp_sum(single(2**52 + 1, phase=2), 0.25)
+        exp_sum_many(single(2**52 + 1, phase=2), np.array([0.25]))
     with pytest.raises(PrecisionLimit):
         exp_sum_many(single(2**52 + 1, phase=2), np.array([0.1, 0.2]))
     # fifth powers up to 1e17: float phases would be silently wrong
@@ -301,10 +301,11 @@ def test_exp_sum_phase_multiplier():
     w = make_weight("squares", 400)
     alpha = 0.1375
     doubled = dataclasses.replace(w, phase=2)
-    assert exp_sum(doubled, alpha) == pytest.approx(exp_sum(w, 2 * alpha), rel=1e-10)
+    assert exp_sum_many(doubled, np.array([alpha]))[0] == pytest.approx(
+        exp_sum_many(w, np.array([2 * alpha]))[0], rel=1e-10)
     w2 = make_weight("e2", 7**6, j=2)
     direct = sum(v * np.exp(2j * np.pi * 2 * alpha * m) for m, v in zip(w2.support, w2.values))
-    assert exp_sum(w2, alpha) == pytest.approx(direct, rel=1e-9)
+    assert exp_sum_many(w2, np.array([alpha]))[0] == pytest.approx(direct, rel=1e-9)
 
 
 def test_exp_sum_rational_q1():
@@ -328,7 +329,7 @@ def test_exp_sum_rational_matches_exp_sum(rng):
             continue
         count += 1
         assert exp_sum_rational(w, a, q) == pytest.approx(
-            exp_sum(w, a / q), abs=1e-9 * max(1.0, w.norm)
+            exp_sum_many(w, np.array([a / q]))[0], abs=1e-9 * max(1.0, w.norm)
         )
 
 
@@ -451,7 +452,7 @@ def test_exp_sum_arcs_precision_limit():
 def test_norm_bound_sampled(rng):
     w = make_weight("primes_log", 2000)
     for alpha in rng.random(30):
-        assert abs(exp_sum(w, float(alpha))) <= w.norm * (1 + 1e-6)
+        assert abs(exp_sum_many(w, np.array([float(alpha)]))[0]) <= w.norm * (1 + 1e-6)
 
 
 def test_mobius_small_q_cancellation():

@@ -1,5 +1,6 @@
 """The import layout: each name has one import path, the module that defines
-it, and the pure-Python modules load without numpy."""
+it, every public definition has a reader, and the pure-Python modules load
+without numpy."""
 
 import ast
 import json
@@ -14,7 +15,12 @@ import pytest
 import partitio
 
 PACKAGE = Path(partitio.__file__).resolve().parent
-SOURCES = sorted(PACKAGE.glob("*.py")) + sorted((PACKAGE.parent.parent / "tests").glob("*.py"))
+ROOT = PACKAGE.parent.parent
+SOURCES = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+#: The code whose reads keep a library name alive: the library itself, the
+#: benchmark and the acceptance criteria, not a module's own tests.
+READERS = (sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+           + [ROOT / "tests" / "test_acceptance.py"])
 MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
 
 
@@ -53,6 +59,32 @@ def test_names_are_imported_from_their_home_module(path):
             wrong += [f"{node.module}.{a.name}" for a in node.names
                       if a.name not in defined[home]]
     assert wrong == []
+
+
+def _reads(node: ast.AST) -> set[str]:
+    """The names a statement reads: Name ids, attribute names, import aliases."""
+    names = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            names.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            names.add(n.attr)
+        elif isinstance(n, ast.alias):
+            names.add(n.name)
+    return names
+
+
+def test_every_public_definition_has_a_reader():
+    # a top-level def or class that no other statement of the library, the
+    # benchmark or the acceptance criteria reads is code that no output needs
+    bodies = {path: ast.parse(path.read_text()).body for path in READERS}
+    reads = [(node, _reads(node)) for body in bodies.values() for node in body]
+    unread = [f"{path.stem}.{node.name}" for path in sorted(PACKAGE.glob("*.py"))
+              for node in bodies[path]
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_")
+              and not any(node.name in names for other, names in reads if other is not node)]
+    assert unread == []
 
 
 def _fresh_python(code: str) -> str:

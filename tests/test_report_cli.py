@@ -300,6 +300,7 @@ def test_slice_height_below_one_is_refused_at_any_sample_count(capsys):
         ("weights", "--kind", "hth_powers", "--h", "3", "--limit", str(10**400)),  # past floats
         ("weights", "--kind", "hth_powers", "--h", "3", "--limit", str(10**20)),  # past int64
         ("weights", "--kind", "e2", "--limit", str(10**20)),
+        ("check", "--k", "0", "--s", "6", "--phi", "1/8", "--delta-source", "large-k"),  # k < 3
     ],
 )
 def test_refused_inputs_are_usage_errors(capsys, monkeypatch, argv):
@@ -466,6 +467,17 @@ def test_singular_cli_last_block_of_vanishing_terms_is_zero(q_cut, capsys):
     assert code == 0
     assert out == ("quantity,value,detail\n"
                    f"series_partial,1.0,m=5 Q_cut={q_cut}\n"
+                   "series_last_block,0.0,\n")
+
+
+def test_singular_cli_vanishing_prime_dividing_k(capsys):
+    # gcd(7, 6) = 1, so x^7 permutes Z/7 and A_1(7) = 0 although 7 | k; the
+    # other q in (5.5, 11] vanish too (2, 11; c_8(1) = c_9(1) = 0)
+    code, out, _ = run_cli(capsys, "singular", "--k", "7", "--s", "13", "--m", "1",
+                           "--q-cut", "11", "--format", "csv")
+    assert code == 0
+    assert out == ("quantity,value,detail\n"
+                   "series_partial,1.0,m=1 Q_cut=11\n"
                    "series_last_block,0.0,\n")
 
 

@@ -151,7 +151,9 @@ _PRIME_POWERS = [q for q in range(2, 2001) if _as_prime_power(q)]
        q=st.one_of(st.sampled_from(_PRIME_POWERS), st.integers(1, 2000)))
 @example(k=3, s=5, q=2)        # vanishing prime
 @example(k=5, s=9, q=11)       # p = 1 mod k: the FFT
-@example(k=5, s=9, q=5)        # p | k: the FFT
+@example(k=5, s=9, q=5)        # p = k, vanishing: x^5 = x mod 5
+@example(k=7, s=13, q=7)       # p = k, vanishing: the FFT leaves noise there
+@example(k=6, s=5, q=3)        # p | k, gcd(k, p - 1) = 2: the FFT
 @example(k=4, s=7, q=9)        # Ramanujan prime power
 @example(k=3, s=13, q=1331)    # Ramanujan values past 2**53
 @example(k=3, s=5, q=16)       # j > k: the FFT
@@ -164,7 +166,7 @@ def test_structured_tables_match_the_fft_oracle(k, s, q):
     assert table.dtype == np.float64 and table.shape == (q,)
     tol = 1e-12 * max(1.0, float(q) ** s)
     p, j = _as_prime_power(q) or (q, 0)
-    if j == 1 and k % p and gcd(k, p - 1) == 1:
+    if j == 1 and gcd(k, p - 1) == 1:
         assert table.tobytes() == np.zeros(q).tobytes()
         assert np.abs(oracle).max() <= tol
     elif 2 <= j <= k and k % p:

@@ -8,15 +8,15 @@ from partitio import arith, weights
 from partitio.arith import (
     DEFAULT_MAX_LIMIT, CapacityLimit, PrecisionLimit, iroot, sieve_tables, smooth_set,
 )
-from partitio.expsums import exp_sum
-from partitio.weights import KINDS, Weight, make_weight, phi_exponent, weight_stats
+from partitio.expsums import exp_sum_many
+from partitio.weights import KINDS, Weight, make_weight, weight_stats
 
 
 def test_squares_weight():
     w = make_weight("squares", 100)
     assert list(w.support) == [x * x for x in range(1, 11)]
     assert w.norm == 10
-    assert w.value(49) == 1.0 and w.value(50) == 0.0
+    assert w.values.tolist() == [1.0] * 10  # w(50) = 0 off the support
 
 
 def test_primes_log_norm():
@@ -32,8 +32,9 @@ def test_prime_squares():
 
 def test_mobius_weight():
     w = make_weight("mobius", 30)
-    assert w.value(1) == 1 and w.value(4) == 0.0 and w.value(6) == 1 and w.value(30) == -1
-    assert w.norm == sum(1 for m in range(1, 31) if w.value(m) != 0)
+    mu = dict(zip(w.support.tolist(), w.values.tolist()))
+    assert mu[1] == 1 and 4 not in mu and mu[6] == 1 and mu[30] == -1
+    assert 0.0 not in mu.values() and w.norm == len(mu)
 
 
 def test_hth_powers():
@@ -47,7 +48,7 @@ def test_smooth_kth_powers_matches_weyl_sum():
     assert w.norm == len(sm)
     for alpha in (0.0, 0.1234, 0.875, 1 / 3):
         direct = sum(np.exp(2j * np.pi * alpha * int(x) ** 3) for x in sm.members)
-        assert exp_sum(w, alpha) == pytest.approx(direct, rel=1e-9)
+        assert exp_sum_many(w, np.array([alpha]))[0] == pytest.approx(direct, rel=1e-9)
 
 
 def test_e2_empty_below_seven_sixth():
@@ -184,32 +185,22 @@ def test_weight_stats_empty_and_negative():
 def test_norm_is_w_at_zero_for_nonnegative():
     for kind in ("squares", "prime_squares", "primes_log"):
         w = make_weight(kind, 500)
-        assert exp_sum(w, 0.0) == pytest.approx(w.norm, rel=1e-12)
+        assert exp_sum_many(w, np.array([0.0]))[0] == pytest.approx(w.norm, rel=1e-12)
 
 
 def test_sup_bounded_by_norm(rng):
     w = make_weight("squares", 2000)
     for alpha in rng.random(25):
-        assert abs(exp_sum(w, float(alpha))) <= w.norm * (1 + 1e-9)
+        assert abs(exp_sum_many(w, np.array([float(alpha)]))[0]) <= w.norm * (1 + 1e-9)
 
 
 def test_conjugate_symmetry(rng):
     for kind in ("squares", "mobius"):
         w = make_weight(kind, 700)
         for alpha in rng.random(10):
-            a = exp_sum(w, float(alpha))
-            b = exp_sum(w, 1.0 - float(alpha))
+            a = exp_sum_many(w, np.array([float(alpha)]))[0]
+            b = exp_sum_many(w, np.array([1.0 - float(alpha)]))[0]
             assert b == pytest.approx(np.conj(a), abs=1e-9 * max(1.0, w.norm))
-
-
-def test_phi_exponent_data():
-    assert phi_exponent("squares") == 0.5
-    assert phi_exponent("hth_powers", 5) == pytest.approx(2.0**-3 / 5)
-    assert phi_exponent("hth_powers", 6) == pytest.approx(1 / 72)
-    assert phi_exponent("hth_powers", 8) == pytest.approx(2 / (64 * 7))
-    assert phi_exponent("prime_squares") == 0.125
-    assert phi_exponent("mobius") == 0.4
-    assert phi_exponent("e2") == pytest.approx(1 / 6)
 
 
 def test_bad_kind_and_params():
