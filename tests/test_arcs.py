@@ -327,8 +327,13 @@ def test_arc_classify_centers_and_edges():
     assert d.in_major_many(1 / 3, 10.0).tolist() == [True]
     edges = [0.0 + 1.2 * 1.0 / n, 0.0 + 0.8 * 1.0 / n]
     assert d.in_major_many(edges, 1.0).tolist() == [False, True]
-    # the q = 2 arc lies in M(2), hence below every slice N(8), N(32)
+
+
+def test_slice_q_label():
+    n = 10**4
+    d = Dissection(n)
     assert d.in_major_many([0.5, 1 / 7 + 2.5 / n], 32.0).tolist() == [True, True]
+    # the q = 2 arc lies in M(2), hence below every slice N(8), N(32)
     assert [bool(d.in_slice_many(0.5, Q)[0]) for Q in (2.0, 8.0, 32.0)] == [True, False, False]
 
 
