@@ -20,8 +20,8 @@ class CapacityLimit(MemoryError):
 
 
 class PrecisionLimit(ArithmeticError):
-    """A weight domain n past the int64 range, or a float phase |m * phase|
-    (near a/q, |beta * m * phase|) past 2**53."""
+    """A weight domain n past the int64 range, or a float phase past 2**53:
+    |m| off the grid, |beta * m| near a/q."""
 
 
 @dataclass(frozen=True)

@@ -85,7 +85,8 @@ _OPTIONS: dict[str, tuple[Any, Any, Optional[tuple], Optional[str]]] = {
     "mean-value": (bool, False, None,
                    "also count the square-difference mean value at n = limit**k"),
     "tolerance": (float, 1e-3, None, "allowed relative gap, quadrature against exact moment"),
-    "kind": (str, None, weights.KINDS, None),
+    # smooth_kth_powers needs k, P and R, which weights does not take
+    "kind": (str, None, tuple(k for k in weights.KINDS if k != "smooth_kth_powers"), None),
     "h": (int, None, None, None),
     "slices": (int, 7, None, None),
     "samples": (int, 250, None, None),

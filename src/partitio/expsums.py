@@ -1,13 +1,15 @@
 """Exponential-sum evaluation and empirical decay-exponent fitting.
 
-W(alpha) = sum over the weight support of w(m) e(t m), with e(z) =
-exp(2 pi i z) and t = phase * alpha.  On the uniform grid alpha = j/G,
-``exp_sum_grid`` bins the weight by the integer residue m * phase mod G and
-takes one length-G DFT, so its phases are exact; ``exp_sum_rational`` reads
-one entry of it.  ``exp_sum_many`` is the one off-grid evaluator;
-``exp_sum_arcs`` evaluates the points a/q + beta of whole arcs (below).
-``exp_sum_many`` reduces t mod 1 (t - floor(t), exact) and runs whichever of
-two kernels its operation count says is cheaper:
+W(alpha) = sum over the weight support of w(m) e(alpha m), with e(z) =
+exp(2 pi i z).  Every evaluator takes its phases from its points alone: a
+sum with a multiplier j, sum w(m) e(j alpha m), is W at the point j alpha.
+On the uniform grid alpha = l/G, ``exp_sum_grid`` bins the weight by the
+integer residue m mod G and takes one length-G DFT, so its phases are
+exact; ``exp_sum_rational`` reads one entry of it.  ``exp_sum_many`` is the
+one off-grid evaluator; ``exp_sum_arcs`` evaluates the points a/q + beta of
+whole arcs (below).  ``exp_sum_many`` reduces each point mod 1
+(t = alpha - floor(alpha), exact) and runs whichever of two kernels its
+operation count says is cheaper:
 
 * Dense: the |points| x |support| phase matrix x = t m, reduced by
   x - rint(x), then cos(2 pi x) @ w + i sin(2 pi x) @ w, in row blocks of at
@@ -51,19 +53,19 @@ of at most 2w terms.  The choice depends only on |support|, the support's
 span and the number of points, not on a plan, so equal calls give equal bits.
 
 Precision limit: off the grid, t m is an exact float product only while
-|m * phase| <= 2**53; past that ``float(m)`` is no longer m, and
-``exp_sum_many`` raises ``PrecisionLimit`` instead of returning a wrong sum.
+|m| <= 2**53; past that ``float(m)`` is no longer m, and ``exp_sum_many``
+raises ``PrecisionLimit`` instead of returning a wrong sum.
 
 Arcs: near a/q the phase splits, e(m (a/q + beta)) = e(a m / q) e(beta m)
 (Vaughan, *The Hardy-Littlewood Method*, 2nd ed., ch. 2 and 4).
 ``exp_sum_arcs`` forms W = (E w) @ F^T over blocks of the support, with
-E[a, m] = e((a r mod q) / q) from the exact int64 residue r = m phase mod q
-and F[beta, m] = e(beta phase m) from one float product reduced by
-x - rint(x), both by ``_cos_sin``; tan is odd bit for bit, so a -beta column
-takes the conjugate of the +beta row.  Each phase is off by at most
-2**-53 |beta phase m| (within 3e-14 of the norm in the tests, where float
-points a/q + beta are off by up to 2e-9 at n = 1.25e8).  So m past 2**53 is no limit; |beta m phase| past 2**53 raises
-``PrecisionLimit``.
+E[a, m] = e((a r mod q) / q) from the exact int64 residue r = m mod q and
+F[beta, m] = e(beta m) from one float product reduced by x - rint(x), both
+by ``_cos_sin``; tan is odd bit for bit, so a -beta column takes the
+conjugate of the +beta row.  Each phase is off by at most 2**-53 |beta m|
+(within 3e-14 of the norm in the tests, where float points a/q + beta are
+off by up to 2e-9 at n = 1.25e8).  So m past 2**53 is no limit; |beta m|
+past 2**53 raises ``PrecisionLimit``.
 """
 
 from __future__ import annotations
@@ -76,13 +78,13 @@ from typing import Sequence
 import numpy as np
 
 from partitio.arcs import _top_denominator, sample_slice_alphas
-from partitio.arith import PrecisionLimit, _check_budget
+from partitio.arith import _BLOCK_BYTES, PrecisionLimit, _check_budget
 from partitio.weights import Weight
 
 TWO_PI = 2.0 * math.pi
 
 _PHASE_LIMIT = 2**53
-_DENSE_BLOCK = 1 << 16        # phase-matrix elements per block (512 KiB)
+_DENSE_BLOCK = _BLOCK_BYTES // 8  # float64 phase-matrix elements per block
 _NUFFT_MAX_GRID = 1 << 22     # largest oversampled grid R
 _HALF_WIDTH = 14              # stencil half-width w, in grid cells
 _GAUSS_VAR = 2 * _HALF_WIDTH / (3 * math.pi)
@@ -98,12 +100,9 @@ def exp_sum_many(w: Weight, alphas: np.ndarray) -> np.ndarray:
     if len(w.support) == 0:
         return np.zeros(len(alphas), dtype=complex)
     lo, hi = int(w.support.min()), int(w.support.max())
-    if max(-lo, hi) * abs(w.phase) > _PHASE_LIMIT:
-        raise PrecisionLimit(
-            f"|m * phase| up to {max(-lo, hi) * abs(w.phase)} exceeds 2**53"
-        )
-    t = alphas * float(w.phase)
-    t -= np.floor(t)
+    if max(-lo, hi) > _PHASE_LIMIT:
+        raise PrecisionLimit(f"|m| up to {max(-lo, hi)} exceeds 2**53")
+    t = alphas - np.floor(alphas)
     grid = _nufft_grid(len(w.support), hi - lo, len(t))
     if grid:
         return _nufft(w, t, grid)
@@ -214,14 +213,13 @@ def _nufft(w: Weight, t: np.ndarray, R: int) -> np.ndarray:
 
 
 def exp_sum_grid(w: Weight, G: int) -> np.ndarray:
-    """W(j/G) for j = 0..G-1: the length-G DFT of the weight binned by its
-    exact phase residue m * phase mod G, so no phase is rounded.  G is held
-    to the sieve budget before any array exists."""
+    """W(l/G) for l = 0..G-1: the length-G DFT of the weight binned by its
+    exact residue m mod G, so no phase is rounded.  G is held to the sieve
+    budget before any array exists."""
     _check_budget(G, "grid of {} points")
     if G < 1:
         raise ValueError(f"G must be at least 1, got {G}")
-    r = (w.support % G) * (w.phase % G) % G
-    return G * np.fft.ifft(np.bincount(r, w.values, G))
+    return G * np.fft.ifft(np.bincount(w.support % G, w.values, G))
 
 
 def exp_sum_rational(w: Weight, a: int, q: int) -> complex:
@@ -232,8 +230,8 @@ def exp_sum_rational(w: Weight, a: int, q: int) -> complex:
 
 
 def exp_sum_arcs(w: Weight, q: int, a_values: Sequence[int], betas: np.ndarray) -> np.ndarray:
-    """W(a/q + beta), one row per a and one column per beta, with the
-    weight's own phase folded in, by the separable kernel (module docstring)."""
+    """W(a/q + beta), one row per a and one column per beta, by the
+    separable kernel (module docstring)."""
     if not 1 <= q <= 2**31:
         raise ValueError(f"q must be in 1..2**31, got {q}")
     a = np.asarray(a_values, dtype=np.int64) % q
@@ -241,14 +239,14 @@ def exp_sum_arcs(w: Weight, q: int, a_values: Sequence[int], betas: np.ndarray) 
     terms = len(w.support)
     if terms == 0 or a.size == 0 or betas.size == 0:
         return np.zeros((a.size, betas.size), dtype=complex)
-    top = max(-int(w.support.min()), int(w.support.max())) * abs(w.phase)
+    top = max(-int(w.support.min()), int(w.support.max()))
     reach = top * float(np.abs(betas).max())
     if reach > _PHASE_LIMIT:
-        raise PrecisionLimit(f"|beta * m * phase| up to {reach:.3g} exceeds 2**53")
-    r = (w.support % q) * (w.phase % q) % q
-    m, bp = w.support.astype(float), betas * float(w.phase)
+        raise PrecisionLimit(f"|beta * m| up to {reach:.3g} exceeds 2**53")
+    r = w.support % q
+    m = w.support.astype(float)
     # e(-x) is conj(e(x)) bit for bit, so +beta and -beta share one trig row
-    mags, inverse = np.unique(np.abs(bp), return_inverse=True)
+    mags, inverse = np.unique(np.abs(betas), return_inverse=True)
     plus = np.zeros((a.size, mags.size), dtype=complex)
     minus = np.zeros_like(plus)
     cols = max(1, _DENSE_BLOCK // max(a.size, mags.size))
@@ -258,7 +256,7 @@ def exp_sum_arcs(w: Weight, q: int, a_values: Sequence[int], betas: np.ndarray) 
         f = _unit(np.multiply.outer(mags, m[block])).T
         plus += rows @ f
         minus += rows @ f.conj()
-    return np.where(bp < 0, minus[:, inverse], plus[:, inverse])
+    return np.where(betas < 0, minus[:, inverse], plus[:, inverse])
 
 
 def _unit(x: np.ndarray) -> np.ndarray:

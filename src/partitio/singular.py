@@ -188,30 +188,23 @@ def singular_integral(m: int, s: int, k: int) -> tuple[float, float]:
 @dataclass(frozen=True)
 class LocalSolubility:
     modulus: int                       # 4k
-    R_set: frozenset[int]              # residues j mod 4k with 1 <= j <= s
-    n_minus_square_hits_R: bool
+    n_minus_square_hits_R: bool        # R: the classes j mod 4k, 1 <= j <= s
     witness: Optional[tuple[int, int]]  # (x0, j) with n - x0^2 = j mod 4k
 
 
 def local_solubility(k: int, s: int, n: int) -> LocalSolubility:
     """Search for x0 with n - x0^2 in a residue class j mod 4k, 1 <= j <= s.
 
-    For k a power of two the class set is the genuine obstruction; otherwise
-    every class is admissible and the set is all of Z/4k.  Odd x0 are
-    preferred (they realise the squares-of-odd-numbers classes 1 + 8l), with
-    even x0 as a fallback.
+    Odd x0 are preferred (they realise the squares-of-odd-numbers classes
+    1 + 8l), with even x0 as a fallback.
     """
     if k < 1 or s < 1:
         raise ValueError(f"need k >= 1 and s >= 1, got k={k}, s={s}")
     mod = 4 * k
-    if k & (k - 1) == 0:
-        R = frozenset(j % mod for j in range(1, min(s, mod) + 1))
-    else:
-        R = frozenset(range(mod))
     witness = None
     for x0 in [*range(1, mod + 1, 2), *range(2, mod + 1, 2)]:
         j = (n - x0 * x0 - 1) % mod + 1  # the residue of n - x0^2, taken in 1..mod
         if j <= s:
             witness = (x0, j)
             break
-    return LocalSolubility(mod, R, n_minus_square_hits_R=witness is not None, witness=witness)
+    return LocalSolubility(mod, n_minus_square_hits_R=witness is not None, witness=witness)

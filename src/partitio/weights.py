@@ -29,10 +29,9 @@ KINDS = (
     "e2",
 )
 
-#: The kind that reads each parameter beyond n; None leaves one unset, and
-#: so does the default phase multiplier j = 1.
+#: The kind that reads each parameter beyond n; None leaves one unset.
 _READER = {"h": "hth_powers", "k": "smooth_kth_powers", "P": "smooth_kth_powers",
-           "R": "smooth_kth_powers", "j": "e2"}
+           "R": "smooth_kth_powers"}
 
 
 @dataclass(frozen=True)
@@ -40,16 +39,13 @@ class Weight:
     """Finitely supported arithmetic function on [1, n].
 
     ``support`` holds the m with w(m) != 0 in ascending order, ``values`` the
-    matching real w(m); complex values are refused.  ``phase`` scales alpha
-    at evaluation time (used by the staggered prime-square kind, whose
-    definition carries a fixed multiplier j).  ``norm``, the sum of |w(m)|,
-    is derived from ``values`` when the weight is made.
+    matching real w(m); complex values are refused.  ``norm``, the sum of
+    |w(m)|, is derived from ``values`` when the weight is made.
     """
 
     n: int
     support: np.ndarray
     values: np.ndarray
-    phase: int = 1
     norm: float = field(init=False)
 
     def __post_init__(self) -> None:
@@ -70,25 +66,22 @@ def make_weight(
     k: Optional[int] = None,
     P: Optional[int] = None,
     R: Optional[int] = None,
-    j: int = 1,
 ) -> Weight:
     """The built-in weight of this kind on [1, n].  A parameter set for a
-    kind that does not read it is refused (``_READER``); e2 takes the phase
-    multiplier j (1 or 2).  Supports are int64, so n past that range is
-    refused first; the squares and h-th powers hold their support length to
-    the sieve budget before they allocate it, as the sieves do."""
+    kind that does not read it is refused (``_READER``).  Supports are
+    int64, so n past that range is refused first; the squares and h-th
+    powers hold their support length to the sieve budget before they
+    allocate it, as the sieves do."""
     if n < 1:
         raise ValueError("n must be at least 1")
     if n >= 2**63:
         raise PrecisionLimit(f"n = {n} is past the int64 range of a support")
     if kind not in KINDS:
         raise ValueError(f"unknown weight kind {kind!r}")
-    given = {"h": h, "k": k, "P": P, "R": R, "j": None if j == 1 else j}
+    given = {"h": h, "k": k, "P": P, "R": R}
     for name, value in given.items():
         if value is not None and _READER[name] != kind:
             raise ValueError(f"parameter {name} is read only by {_READER[name]}, not {kind!r}")
-    if kind == "e2" and j not in (1, 2):
-        raise ValueError("phase multiplier j must be 1 or 2")
 
     if kind == "squares":
         X = math.isqrt(n)
@@ -130,7 +123,7 @@ def make_weight(
         support, counts = np.unique(prods, return_counts=True)
         values = counts.astype(float)
 
-    return Weight(n=n, support=support, values=values, phase=j)
+    return Weight(n=n, support=support, values=values)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,6 @@ from hypothesis import example, given, settings, strategies as st
 from partitio import counting
 from partitio.arith import DEFAULT_MAX_LIMIT, CapacityLimit, SmoothSet, iroot, smooth_set
 from partitio.counting import (
-    CountTable,
     _count_table,
     _fold,
     _summands,

@@ -9,7 +9,6 @@ from hypothesis import example, given, settings, strategies as st
 from partitio import cli, expsums
 from partitio.arith import DEFAULT_MAX_LIMIT, CapacityLimit, PrecisionLimit, smooth_set
 from partitio.expsums import (
-    DecayFit,
     exp_sum_grid,
     exp_sum_many,
     exp_sum_rational,
@@ -48,62 +47,62 @@ def test_exp_sum_many_matches_scalar(rng):
         assert exp_sum_many(w, np.array([float(a)]))[0] == pytest.approx(b, abs=1e-9 * w.norm)
 
 
-def _reduced(w, alphas):
-    t = np.asarray(alphas, dtype=float) * float(w.phase)
+def _reduced(alphas):
+    t = np.asarray(alphas, dtype=float)
     return t - np.floor(t)
 
 
 def _dense_oracle(w, alphas):
-    return dense_cos_sin(w.support.astype(float), w.values, _reduced(w, alphas))
+    return dense_cos_sin(w.support.astype(float), w.values, _reduced(alphas))
 
 
 def _grid_length(w):
     return expsums._smooth_length(2 * (int(w.support.max() - w.support.min()) + 1))
 
 
-def _test_weight(kind, n, j):
+def _test_weight(kind, n, h=3):
     if kind == "signed":  # signed real values on a scattered random support
         rng = np.random.default_rng(n)
         support = np.unique(rng.integers(1, n + 1, size=max(2, n // 5)))
         return Weight(n=n, support=support, values=rng.normal(size=len(support)))
     if kind == "hth_powers":
-        return make_weight(kind, n, h=2 + j)
+        return make_weight(kind, n, h=h)
     if kind == "smooth_kth_powers":
         P = max(2, round(n ** (1 / 3)))
         return make_weight(kind, n, k=3, P=P, R=max(2, P // 7))
-    return make_weight(kind, n, j=j) if kind == "e2" else make_weight(kind, n)
+    return make_weight(kind, n)
 
 
 @given(
     kind=st.sampled_from(("mobius", "primes_log", "squares", "e2", "signed")),
     log_n=st.floats(min_value=1.7, max_value=5.3),
-    j=st.sampled_from((1, 2)),
+    j=st.sampled_from((1, 2, 4)),
     q=st.integers(min_value=1, max_value=97),
     a=st.integers(min_value=0, max_value=97),
     nodes=st.lists(st.integers(min_value=0, max_value=2**22), min_size=1, max_size=3),
     others=st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=4),
 )
-@example(kind="e2", log_n=5.3, j=2, q=7, a=3, nodes=[0, 12345], others=[0.3])
+@example(kind="e2", log_n=5.3, j=4, q=7, a=3, nodes=[0, 12345], others=[0.3])
 @example(kind="e2", log_n=5.0, j=1, q=97, a=41, nodes=[2**22], others=[])
 @example(kind="mobius", log_n=5.3, j=1, q=3, a=1, nodes=[1, 99999], others=[0.5])
 @example(kind="primes_log", log_n=5.3, j=2, q=31, a=7, nodes=[7], others=[1e-9])
 @example(kind="squares", log_n=5.3, j=1, q=2, a=1, nodes=[3], others=[0.999])
 @example(kind="signed", log_n=5.3, j=2, q=1, a=0, nodes=[5], others=[0.25])
 def test_exp_sum_many_and_nufft_match_dense_oracle(kind, log_n, j, q, a, nodes, others):
+    # the sum with multiplier j, sum w(m) e(j alpha m), is W at j alpha
     n = int(10**log_n)
     if kind == "e2":
         n = max(n, 7**6)  # the first n with a nonempty e2 support
-    w = _test_weight(kind, n, j)
-    w = dataclasses.replace(w, phase=j * w.phase)
+    w = _test_weight(kind, n)
     R = _grid_length(w)
-    alphas = np.array(
+    alphas = j * np.array(
         [0.0, 1.0, np.nextafter(1.0, 0.0), (a % (q + 1)) / q]
         + [(node % R) / R for node in nodes] + others
     )
     oracle = _dense_oracle(w, alphas)
     tol = 1e-10 * w.norm
     assert np.abs(exp_sum_many(w, alphas) - oracle).max() <= tol
-    forced = expsums._nufft(w, _reduced(w, alphas), R)
+    forced = expsums._nufft(w, _reduced(alphas), R)
     assert np.abs(forced - oracle).max() <= tol
 
 
@@ -120,12 +119,14 @@ def test_exp_sum_many_and_nufft_match_dense_oracle(kind, log_n, j, q, a, nodes, 
 def test_dense_matches_cos_sin_oracle(kind, log_n, j, alphas):
     # the same reduced phases through the tangent kernel and through libm cos
     # and sin: only the turn of a phase into e(x) differs.  Thin kinds go up
-    # to n = 1e9, dense ones to 1e6.
+    # to n = 1e9, dense ones to 1e6; the points are j alpha, and the h-th
+    # powers take h = 2 + j.
     n = int(10**log_n)
-    w = _test_weight(kind, min(n, 10**6) if kind in ("primes_log", "mobius", "signed") else n, j)
+    n = min(n, 10**6) if kind in ("primes_log", "mobius", "signed") else n
+    w = _test_weight(kind, n, h=2 + j)
     if len(w.support) == 0:
         return
-    m, t = w.support.astype(float), _reduced(w, alphas)
+    m, t = w.support.astype(float), _reduced(j * np.array(alphas))
     got = expsums._dense(m, w.values, t)
     assert np.abs(got - dense_cos_sin(m, w.values, t)).max() <= 1e-13 * w.norm
 
@@ -163,7 +164,7 @@ def test_nufft_exact_phases_at_large_span(rng):
         num, den = float(alpha).as_integer_ratio()
         phases = np.array([(int(m) * num % den) / den for m in support])
         exact.append(np.sum(values * np.exp(2j * np.pi * phases)))
-    got = expsums._nufft(w, _reduced(w, alphas), _grid_length(w))
+    got = expsums._nufft(w, _reduced(alphas), _grid_length(w))
     assert np.abs(got - np.array(exact)).max() <= 1e-13 * w.norm
 
 
@@ -177,18 +178,16 @@ def test_nufft_exact_phases_at_large_span(rng):
     order=st.randoms(use_true_random=False),
 )
 def test_planned_weight_matches_fresh_weight_bitwise(kind, calls, order):
-    # one weight per phase serves every call from its plan, in shuffled order
-    # and each call twice; a replace() copy starts without a plan and
-    # transforms anew
-    w = _test_weight(kind, 30000, 1)
-    phased = {j: dataclasses.replace(w, phase=j) for j in (1, 2)}
-    points = [np.random.default_rng(seed).random(count) for count, _, seed in calls]
-    fresh = [exp_sum_many(dataclasses.replace(phased[j]), x)
-             for x, (_, j, _) in zip(points, calls)]
+    # one weight serves every call from its plan, at points j alpha, in
+    # shuffled order and each call twice; a replace() copy starts without a
+    # plan and transforms anew
+    w = _test_weight(kind, 30000)
+    points = [j * np.random.default_rng(seed).random(count) for count, j, seed in calls]
+    fresh = [exp_sum_many(dataclasses.replace(w), x) for x in points]
     schedule = list(range(len(calls))) * 2
     order.shuffle(schedule)
     for i in schedule:
-        assert exp_sum_many(phased[calls[i][1]], points[i]).tobytes() == fresh[i].tobytes()
+        assert exp_sum_many(w, points[i]).tobytes() == fresh[i].tobytes()
 
 
 def _count_rfft(monkeypatch):
@@ -277,35 +276,20 @@ def test_smooth_length_is_least_5_smooth():
 
 
 def test_precision_limit_boundary():
-    def single(m, phase=1):
-        return Weight(n=m, support=np.array([m], dtype=np.int64), values=np.ones(1),
-                      phase=phase)
+    def single(m):
+        return Weight(n=m, support=np.array([m], dtype=np.int64), values=np.ones(1))
 
     # 2**53 - 1 is odd, so W(1/2) = e((2**53 - 1) / 2) = -1 exactly
     assert exp_sum_many(single(2**53 - 1), np.array([0.5]))[0] == pytest.approx(-1.0, abs=1e-15)
     assert exp_sum_many(single(2**53), np.array([0.5]))[0] == pytest.approx(1.0, abs=1e-15)
-    with pytest.raises(PrecisionLimit):
-        exp_sum_many(single(2**53 + 2), np.array([0.5]))
-    assert exp_sum_many(single(2**52, phase=2), np.array([0.25]))[0] == pytest.approx(
-        1.0, abs=1e-15)
-    with pytest.raises(PrecisionLimit):
-        exp_sum_many(single(2**52 + 1, phase=2), np.array([0.25]))
-    with pytest.raises(PrecisionLimit):
-        exp_sum_many(single(2**52 + 1, phase=2), np.array([0.1, 0.2]))
+    for m in (2**53 + 1, 2**53 + 2):
+        with pytest.raises(PrecisionLimit):
+            exp_sum_many(single(m), np.array([0.5]))
+        with pytest.raises(PrecisionLimit):
+            exp_sum_many(single(m), np.array([0.1, 0.2]))
     # fifth powers up to 1e17: float phases would be silently wrong
     with pytest.raises(ArithmeticError):
         exp_sum_many(make_weight("hth_powers", 10**17, h=5), np.array([3 / 7]))
-
-
-def test_exp_sum_phase_multiplier():
-    w = make_weight("squares", 400)
-    alpha = 0.1375
-    doubled = dataclasses.replace(w, phase=2)
-    assert exp_sum_many(doubled, np.array([alpha]))[0] == pytest.approx(
-        exp_sum_many(w, np.array([2 * alpha]))[0], rel=1e-10)
-    w2 = make_weight("e2", 7**6, j=2)
-    direct = sum(v * np.exp(2j * np.pi * 2 * alpha * m) for m, v in zip(w2.support, w2.values))
-    assert exp_sum_many(w2, np.array([alpha]))[0] == pytest.approx(direct, rel=1e-9)
 
 
 def test_exp_sum_rational_q1():
@@ -339,12 +323,12 @@ def test_exp_sum_rational_rejects_large_q():
         exp_sum_rational(w, 1, 101)
 
 
-def _grid_oracle(w, G):
-    """W(j/G) from phases reduced mod G in Python integers."""
-    js = np.arange(G)
+def _grid_oracle(w, G, j):
+    """W(j l/G) for l = 0..G-1 from phases reduced mod G in Python integers."""
+    ls = np.arange(G)
     out = np.zeros(G, dtype=complex)
     for m, v in zip(w.support.tolist(), w.values.tolist()):
-        out += v * np.exp(2j * np.pi * (m * w.phase % G * js % G) / G)
+        out += v * np.exp(2j * np.pi * (m * j % G * ls % G) / G)
     return out
 
 
@@ -360,20 +344,22 @@ def _grid_oracle(w, G):
 @example(kind="signed", n=300, G=299, a=1000)
 @example(kind="huge", n=2**62, G=360, a=361)
 def test_exp_sum_grid_matches_integer_oracle(kind, n, G, a):
+    # a multiplier j reads the grid at (j l) mod G
+    j = 1
     if kind == "e2":
-        w = make_weight("e2", max(n, 7**6), j=2)  # phase 2
+        w, j = make_weight("e2", max(n, 7**6)), 2
     elif kind == "huge":
         rng = np.random.default_rng(n)
         support = np.unique(rng.integers(2**53, 2**62, size=40, endpoint=True))
         values = rng.normal(size=len(support))
-        w = Weight(n=2**62, support=support, values=values, phase=3)
+        w, j = Weight(n=2**62, support=support, values=values), 3
     else:
-        w = _test_weight(kind, n, 1)
-    oracle = _grid_oracle(w, G)
+        w = _test_weight(kind, n)
+    oracle = _grid_oracle(w, G, j)
     tol = 1e-12 * max(1.0, w.norm)
-    assert np.abs(exp_sum_grid(w, G) - oracle).max() <= tol
+    assert np.abs(exp_sum_grid(w, G)[j * np.arange(G) % G] - oracle).max() <= tol
     if G <= w.n:
-        assert abs(exp_sum_rational(w, a, G) - oracle[a % G]) <= tol
+        assert abs(exp_sum_rational(w, j * a, G) - oracle[a % G]) <= tol
 
 
 def test_exp_sum_grid_empty_support():
@@ -392,15 +378,16 @@ def test_exp_sum_grid_under_the_sieve_budget(monkeypatch):
 
 
 def _arc_weight(kind, size):
+    """A weight and the multiplier j its arcs are taken at."""
     if kind == "cubes":  # smooth cubes: sparse, wide span
-        return make_weight("smooth_kth_powers", size**3, k=3, P=size, R=max(2, size // 7))
-    if kind == "e2":  # phase 2
-        return make_weight("e2", max(size**3, 7**6), j=2)
-    if kind == "prime_squares":  # given phase 2
-        return dataclasses.replace(make_weight("prime_squares", size**2), phase=2)
+        return make_weight("smooth_kth_powers", size**3, k=3, P=size, R=max(2, size // 7)), 1
+    if kind == "e2":
+        return make_weight("e2", max(size**3, 7**6)), 2
+    if kind == "prime_squares":
+        return make_weight("prime_squares", size**2), 2
     if kind == "primes_log":  # dense with a small span
-        return make_weight("primes_log", 10 * size)
-    return _test_weight("signed", 5 * size, 1)
+        return make_weight("primes_log", 10 * size), 1
+    return _test_weight("signed", 5 * size), 1
 
 
 @given(
@@ -419,17 +406,18 @@ def _arc_weight(kind, size):
 @example(kind="signed", size=400, q=5, picks=[1, 2, 3, 4, 5],
          us=[-1.0, -0.5, 0.0, 0.5, 1.0, 0.7], U=9.0)
 def test_exp_sum_arcs_matches_exact_phases(kind, size, q, picks, us, U):
-    # a/q + beta for a in 0..q (both ends included) and |beta| <= U/n
-    w = _arc_weight(kind, size)
+    # j (a/q + beta) for a in 0..q (both ends included) and |beta| <= U/n:
+    # the arcs at j a and j beta
+    w, j = _arc_weight(kind, size)
     a_values = [0, q] + [p % (q + 1) for p in picks]
     betas = np.array(us) * U / w.n
-    got = expsums.exp_sum_arcs(w, q, a_values, betas)
+    got = expsums.exp_sum_arcs(w, q, [j * a for a in a_values], j * betas)
     assert got.shape == (len(a_values), len(betas))
-    alphas = np.add.outer(np.array(a_values) / q, betas).ravel()
+    alphas = j * np.add.outer(np.array(a_values) / q, betas).ravel()
     flat = exp_sum_many(w, alphas).reshape(got.shape)
-    exact = exact_arcs(w, q, a_values, betas)
+    exact = exact_arcs(w, q, [j * a for a in a_values], j * betas)
     # the flat kernels' own bound: each float phase t m is off by 2**-53 |t m|
-    flat_bound = 2 * np.pi * 2.0**-53 * np.abs(alphas * w.phase).max() * w.support.max() * w.norm
+    flat_bound = 2 * np.pi * 2.0**-53 * np.abs(alphas).max() * w.support.max() * w.norm
     sep_bound = 1e-13 * w.norm
     assert np.abs(got - flat).max() <= flat_bound + sep_bound
     assert np.abs(got - exact).max() <= sep_bound

@@ -1,6 +1,6 @@
 """The import layout: each name has one import path, the module that defines
-it, every public definition has a reader, and the pure-Python modules load
-without numpy."""
+it, every imported name and every public definition has a reader, and the
+pure-Python modules load without numpy."""
 
 import ast
 import json
@@ -59,6 +59,24 @@ def test_names_are_imported_from_their_home_module(path):
             wrong += [f"{node.module}.{a.name}" for a in node.names
                       if a.name not in defined[home]]
     assert wrong == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_every_imported_name_is_read(path):
+    # an import kept on purpose, e.g. as a site the benchmark wraps, says so
+    # with `# noqa: F401` on one of its lines
+    text = path.read_text()
+    lines, tree = text.splitlines(), ast.parse(text)
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    unread = []
+    for node in ast.walk(tree):
+        if (not isinstance(node, (ast.Import, ast.ImportFrom))
+                or isinstance(node, ast.ImportFrom) and node.module == "__future__"
+                or any("# noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno])):
+            continue
+        unread += [f"line {node.lineno}: {bound}" for alias in node.names
+                   if (bound := alias.asname or alias.name.split(".")[0]) not in read]
+    assert unread == []
 
 
 def _reads(node: ast.AST) -> set[str]:

@@ -881,6 +881,23 @@ def test_counts_rejects_the_hth_power_x_kind(capsys):
     assert "invalid choice: 'hth_power'" in capsys.readouterr().err
 
 
+def test_weights_rejects_the_smooth_kth_powers_kind(tmp_path, monkeypatch, capsys):
+    # weights takes no k, P or R, so smooth k-th powers could never be built
+    _clear_partitio_env(monkeypatch)
+    argv = ["weights", "--limit", "1000"]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--kind", "smooth_kth_powers"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'smooth_kth_powers'" in capsys.readouterr().err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("kind = smooth_kth_powers\n")
+    code, out, err = run_cli(capsys, *argv, "--config", str(cfg))
+    assert (code, out) == (2, "") and "--kind" in err and "smooth_kth_powers" in err
+    monkeypatch.setenv("PARTITIO_KIND", "smooth_kth_powers")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "") and "--kind" in err and "smooth_kth_powers" in err
+
+
 @pytest.mark.parametrize("command", list(cli._COMMANDS))
 def test_help_lists_only_the_commands_own_options(command, capsys):
     with pytest.raises(SystemExit) as exc:

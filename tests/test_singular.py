@@ -428,7 +428,6 @@ def test_k_and_s_below_one_are_refused(call):
 def test_local_solubility_biquadrates():
     loc = local_solubility(4, 7, 3)
     assert loc.modulus == 16
-    assert loc.R_set == frozenset(range(1, 8))
     for n in range(16):
         res = local_solubility(4, 7, n)
         assert res.witness is not None
@@ -450,6 +449,8 @@ def test_local_solubility_k8():
 
 
 def test_local_solubility_non_power_of_two():
+    # the witness search takes only the classes 1 <= j <= s, whatever k is
     res = local_solubility(3, 5, 7)
-    assert res.R_set == frozenset(range(12))
-    assert res.n_minus_square_hits_R
+    assert res.n_minus_square_hits_R and res.witness == (2, 3)
+    res = local_solubility(3, 4, 9)
+    assert not res.n_minus_square_hits_R and res.witness is None

@@ -63,9 +63,6 @@ def test_e2_small_nonempty():
     p2s = [7, 13, 19, 31, 37, 43]
     assert w.norm == len(p2s)
     assert set(int(m) for m in w.support) == {(7 * p) ** 2 for p in p2s}
-    assert w.phase == 1
-    w2 = make_weight("e2", n, j=2)
-    assert w2.phase == 2
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 8, 9, 10, 7**6, 10**6 + 3])
@@ -127,36 +124,24 @@ def test_weight_values_are_real():
         Weight(n=10, support=np.array([1, 4]), values=np.array([1.0, 1j]))
 
 
-def test_phase_multiplier_is_read_only_by_e2():
-    for kind in KINDS:
-        if kind != "e2":
-            assert make_weight(kind, 1000, j=1, **_KIND_ARGS.get(kind, {})).phase == 1
-            with pytest.raises(ValueError, match="read only by e2"):
-                make_weight(kind, 1000, j=5, **_KIND_ARGS.get(kind, {}))
-    for j in (0, 3):
-        with pytest.raises(ValueError, match="1 or 2"):
-            make_weight("e2", 7**6, j=j)
-
-
-_FOREIGN = [(kind, name) for kind in KINDS for name in ("h", "k", "P", "R", "j")
-            if name not in _KIND_ARGS.get(kind, {}) and (kind, name) != ("e2", "j")]
+_FOREIGN = [(kind, name) for kind in KINDS for name in ("h", "k", "P", "R")
+            if name not in _KIND_ARGS.get(kind, {})]
 
 
 @pytest.mark.parametrize("kind, name", _FOREIGN)
 def test_parameters_the_kind_does_not_read_are_refused(kind, name):
-    # None is unset for every parameter, and so is j = 1
+    # None is unset for every parameter
     args = _KIND_ARGS.get(kind, {})
-    assert make_weight(kind, 1000, **{name: None if name != "j" else 1}, **args).n == 1000
+    assert make_weight(kind, 1000, **{name: None}, **args).n == 1000
     with pytest.raises(ValueError, match=f"parameter {name} is read only by"):
         make_weight(kind, 1000, **{name: 2}, **args)
 
 
 def test_weight_norm_is_derived_from_its_values():
     values = np.array([2.0, -3.5, 0.25])
-    w = Weight(n=10, support=np.array([1, 4, 9]), values=values, phase=2)
+    w = Weight(n=10, support=np.array([1, 4, 9]), values=values)
     assert w.norm == float(np.abs(values).sum()) == 5.75
-    assert [f.name for f in dataclasses.fields(Weight) if f.init] == [
-        "n", "support", "values", "phase"]
+    assert [f.name for f in dataclasses.fields(Weight) if f.init] == ["n", "support", "values"]
     with pytest.raises(TypeError):
         Weight(n=10, support=np.array([1]), values=np.ones(1), norm=1.0)
 
