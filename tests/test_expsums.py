@@ -101,7 +101,9 @@ def test_exp_sum_many_and_nufft_match_dense_oracle(kind, log_n, j, q, a, nodes, 
     )
     oracle = _dense_oracle(w, alphas)
     tol = 1e-10 * w.norm
+    given = alphas.copy()
     assert np.abs(exp_sum_many(w, alphas) - oracle).max() <= tol
+    assert alphas.tobytes() == given.tobytes()  # reduced into a new array
     forced = expsums._nufft(w, _reduced(alphas), R)
     assert np.abs(forced - oracle).max() <= tol
 
