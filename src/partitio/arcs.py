@@ -23,21 +23,25 @@ arrays for every larger q_max below 2**63; both give the same bits.
 
 The lookup rests on the neighbour theorem (Hardy & Wright, ch. III and X):
 the last convergent with q <= N is one of alpha's two neighbours in F_N, and
-it minimises |q*alpha - a| over q <= N.  The two neighbours tie only when
-alpha is their mediant, and there the convergent has the smaller q (at N = 1
-and alpha = 1/2 both have q = 1, and the walk's 0/1 has the smaller a):
+it minimises |q*alpha - a| over q <= N.  Of neighbours a/q < a'/q', the
+first is nearer, q*alpha - a < a' - q'*alpha, exactly when alpha lies below
+their mediant m = (a + a')/(q + q').  They tie only at m, where the
+convergent has the smaller q (at N = 1 and alpha = 1/2 both have q = 1, and
+the walk's 0/1 has the smaller a).  So entry k of F_N is the answer strictly
+between the mediants m_{k-1} and m_k:
 
-* F_N is built per call, int64 a and q sorted by the float a/q, and kept
-  nowhere.  The float of a/q is monotone in a/q and correctly rounded, and
-  entries are at least 1/N**2 apart, so one ``searchsorted`` puts each point
-  x at the first entry whose float is >= x, and at most that entry can round
-  to x from the wrong side;
-* the sign of its exact residual r = q*num - a*2**shift then says on which
-  side of alpha it lies, and the neighbour on the other side is the next
-  entry up (r > 0) or down (r < 0).  Of the two the smaller |r| wins, ties by
-  smaller q, then smaller a: no float comparison decides the answer;
-* both neighbours have |q*alpha - a| <= 1, so for shift <= 62 and q < 512
-  every residual fits int64: |r| <= 2**62 and a*2**shift < 2**62 + 2**62;
+* F_N is built once per N: read-only int64 a and q, ascending, and the
+  floats of the mediants m_k of neighbouring entries.  The float of a
+  rational is correctly rounded, so x < fl(m) implies x < m and x > fl(m)
+  implies x > m.  One ``searchsorted`` gives each point x the entry k with
+  fl(m_{k-1}) < x <= fl(m_k), and k is the answer unless x = fl(m_k);
+* only there is the side taken exactly, from the sign of num*(q_k + q_{k+1})
+  - (a_k + a_{k+1})*2**shift: above m_k entry k + 1 wins, below it entry k,
+  and at m_k the smaller q, then the smaller a;
+* err is the winner's one exact residual r = q*num - a*2**shift.  For shift
+  <= 62 and q <= N <= 64 both fit int64: q*num < 2**59, and |r| <= 2**shift
+  since |q*alpha - a| <= 1.  At a mediant float, (a + a')*2**shift is
+  (q + q')*num <= 2**60 up to a factor 1 + 2**-53;
 * points below 2**-10 are 0/1 with err alpha without a lookup: alpha*(q_max +
   1) < 1/2 there, since q_max + 1 <= 512, so a_1 > q_max (see below).
 
@@ -64,7 +68,9 @@ remainder, after which every value is below 2**53.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Union
 
@@ -100,13 +106,13 @@ def dirichlet_approx(alphas: Points, q_max: int) -> tuple[np.ndarray, np.ndarray
     arrays a and q and float64 err = |q*alpha - a|, one entry per point.
 
     The last convergent with q <= q_max minimises |q*alpha - a| over all q <=
-    q_max, and satisfies |q*alpha - a| <= 1/q_max.  Up to ``_FAREY_MAX`` it is
-    read off F_{q_max}: of alpha's two neighbours there, the one with the
-    smaller exact residual |q*num - a*2**shift|, ties to the smaller q, then the
-    smaller a; one ``searchsorted`` on the floats of a/q finds both, since at
-    most one entry rounds to alpha.  Above it the int64 Euclid walk runs.  The
-    module docstring gives the proofs that both paths return the same bits.
+    q_max, and satisfies |q*alpha - a| <= 1/q_max.  q_max is an integer (a
+    float is refused).  Up to ``_FAREY_MAX`` it is read off F_{q_max}: the
+    entry between the mediants around alpha, by one ``searchsorted`` on their
+    floats and an exact test only where alpha equals one.  Above it the int64
+    Euclid walk runs.  The module docstring proves both give the same bits.
     """
+    q_max = operator.index(q_max)
     if q_max < 1:
         raise ValueError("q_max must be at least 1")
     if q_max >= 2**63:
@@ -155,34 +161,38 @@ def dirichlet_approx(alphas: Points, q_max: int) -> tuple[np.ndarray, np.ndarray
     return a, q, err
 
 
+@functools.lru_cache(maxsize=None)
 def _farey(N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The Farey sequence F_N: int64 a and q of the coprime 0 <= a <= q <= N,
-    and the floats a/q, ascending.  A fraction and its reduced form round to
-    one float, and distinct entries are 1/N**2 apart, so of each run of equal
-    floats over the pairs 0 <= a <= q <= N, listed by q, the first is reduced."""
+    """F_N, read-only: int64 a and q of the coprime 0 <= a <= q <= N,
+    ascending, and the floats of the mediants of neighbouring entries, then
+    inf.  A fraction and its reduced form round to one float, and distinct
+    entries are 1/N**2 apart, so of each run of equal floats over the pairs
+    0 <= a <= q <= N, listed by q, the first is reduced."""
     q = np.repeat(np.arange(1, N + 1), np.arange(2, N + 2))
     a = np.arange(len(q)) - (q * (q + 1) // 2 - 1)
-    value, first = np.unique(a / q, return_index=True)
-    return a[first], q[first], value
+    first = np.unique(a / q, return_index=True)[1]
+    a, q = a[first], q[first]
+    mid = np.append((a[:-1] + a[1:]) / (q[:-1] + q[1:]), np.inf)
+    for arr in (a, q, mid):
+        arr.flags.writeable = False
+    return a, q, mid
 
 
 def _farey_nearest(x, num, shift, live, N):
     """``dirichlet_approx`` for N <= _FAREY_MAX: the points at ``live`` (shift
-    <= 62) take the nearer of their two neighbours in F_N, the rest 0/1."""
-    fa, fq, value = _farey(N)
+    <= 62) take the entry of F_N between their mediants, the rest 0/1."""
+    fa, fq, mid = _farey(N)
     a, q, err = np.zeros(len(x), np.int64), np.ones(len(x), np.int64), x.copy()
     num, shift = num[live], shift[live]
     den = np.left_shift(np.int64(1), shift)
-    at = np.searchsorted(value, x[live])
-    r_at = fq[at] * num - fa[at] * den
-    nb = at + np.sign(r_at)  # the neighbour on alpha's other side (at itself if r = 0)
-    r_nb = np.abs(fq[nb] * num - fa[nb] * den)
-    r_at = np.abs(r_at)
-    rank = fq * (N + 1) + fa  # orders the entries by q, then a
-    take = (r_nb < r_at) | (r_nb == r_at) & (rank[nb] < rank[at])
-    best = np.where(take, nb, at)
+    best = np.searchsorted(mid, x[live])
+    on = np.flatnonzero(mid[best] == x[live])
+    if on.size:  # x is a mediant's float: decide its side exactly
+        k = best[on]
+        side = num[on] * (fq[k] + fq[k + 1]) - (fa[k] + fa[k + 1]) * den[on]
+        best[on] += (side > 0) | (side == 0) & (fq[k + 1] < fq[k])
     a[live], q[live] = fa[best], fq[best]
-    err[live] = np.ldexp(np.minimum(r_at, r_nb).astype(float), -shift)
+    err[live] = np.ldexp(np.abs(fq[best] * num - fa[best] * den).astype(float), -shift)
     return a, q, err
 
 

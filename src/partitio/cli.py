@@ -256,7 +256,7 @@ def _cmd_singular(o: argparse.Namespace) -> Report:
         loc = singular.local_solubility(k, s, o.n)
         rows.append(["local_witness", 1.0 if loc.witness else 0.0,
                      f"witness={loc.witness} mod={loc.modulus}"])
-        ok &= loc.n_minus_square_hits_R
+        ok &= loc.witness is not None
     if not rows:
         raise ConfigError("singular needs --m and/or --n")
     return Report(

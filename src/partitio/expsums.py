@@ -51,6 +51,8 @@ NUFFT runs only when its estimate is the lower one and R <= ``_NUFFT_MAX_GRID``
 (its buffers then stay near 100 MB), never for a single point or a support
 of at most 2w terms.  The choice depends only on |support|, the support's
 span and the number of points, not on a plan, so equal calls give equal bits.
+A point's bits can still depend on its batch: the dense kernel's BLAS row sums
+add a row differently with the number of rows in its block (last bits only).
 
 Precision limit: off the grid, t m is an exact float product only while
 |m| <= 2**53; past that ``float(m)`` is no longer m, and ``exp_sum_many``

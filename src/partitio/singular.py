@@ -188,7 +188,6 @@ def singular_integral(m: int, s: int, k: int) -> tuple[float, float]:
 @dataclass(frozen=True)
 class LocalSolubility:
     modulus: int                       # 4k
-    n_minus_square_hits_R: bool        # R: the classes j mod 4k, 1 <= j <= s
     witness: Optional[tuple[int, int]]  # (x0, j) with n - x0^2 = j mod 4k
 
 
@@ -207,4 +206,4 @@ def local_solubility(k: int, s: int, n: int) -> LocalSolubility:
         if j <= s:
             witness = (x0, j)
             break
-    return LocalSolubility(mod, n_minus_square_hits_R=witness is not None, witness=witness)
+    return LocalSolubility(mod, witness=witness)

@@ -187,6 +187,46 @@ def test_farey_bound_keeps_the_lookup_exact():
     assert arcs._FAREY_MAX + 1 <= 512
 
 
+def test_every_mediant_float_takes_the_walks_answer():
+    # the lookup decides exactly only where a point equals a mediant's float:
+    # every mediant of F_N up to _FAREY_MAX, and at a few N both float
+    # neighbours of each, against the Fraction walk
+    for N in range(1, arcs._FAREY_MAX + 1):
+        farey = _farey_list(N)
+        mediants = [float(Fraction(lo.numerator + hi.numerator, lo.denominator + hi.denominator))
+                    for lo, hi in zip(farey, farey[1:])]
+        if N in (1, 2, 24, arcs._FAREY_MAX - 1, arcs._FAREY_MAX):
+            mediants += [math.nextafter(m, step) for m in mediants for step in (0.0, 1.0)]
+        _assert_walk_is_oracle(mediants, N)
+
+
+def test_farey_tables_are_built_once_and_read_only():
+    tables = [arcs._farey(N) for N in range(1, arcs._FAREY_MAX + 1)]
+    for N, table in enumerate(tables, start=1):
+        assert all(x is y for x, y in zip(arcs._farey(N), table))
+        for arr in table:
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = arr[0]
+    assert sum(arr.nbytes for table in tables for arr in table) < 2**20
+    # a caller owns what it gets back: writing into it changes no later answer
+    alphas = np.array([0.3, 0.5, 2.0**-12])
+    a, q, err = first = dirichlet_approx(alphas, 12)
+    expected = [arr.copy() for arr in first]
+    a[:], q[:], err[:] = 7, 7, 7.0
+    for got, want in zip(dirichlet_approx(alphas, 12), expected):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_q_max_must_be_an_integer():
+    # a float q_max is refused on both paths; a numpy integer is an integer
+    for q_max in (12.0, 12.5, 100.0, 100.5):
+        with pytest.raises(TypeError):
+            dirichlet_approx([0.3], q_max)
+    alphas = np.random.default_rng(3).random(200)
+    for got, want in zip(dirichlet_approx(alphas, np.int64(12)), dirichlet_approx(alphas, 12)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 def test_array_walk_exact_inputs_and_errors():
     # exact points take the Fraction oracle: err of 2/7 + 1e-9 is 7e-9 exactly
     b = fraction_approx(Fraction(2, 7) + Fraction(1, 10**9), 10)
