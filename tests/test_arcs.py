@@ -192,9 +192,7 @@ def test_every_mediant_float_takes_the_walks_answer():
     # every mediant of F_N up to _FAREY_MAX, and at a few N both float
     # neighbours of each, against the Fraction walk
     for N in range(1, arcs._FAREY_MAX + 1):
-        farey = _farey_list(N)
-        mediants = [float(Fraction(lo.numerator + hi.numerator, lo.denominator + hi.denominator))
-                    for lo, hi in zip(farey, farey[1:])]
+        mediants = [_farey_point((N, i), "mediant") for i in range(len(_farey_list(N)) - 1)]
         if N in (1, 2, 24, arcs._FAREY_MAX - 1, arcs._FAREY_MAX):
             mediants += [math.nextafter(m, step) for m in mediants for step in (0.0, 1.0)]
         _assert_walk_is_oracle(mediants, N)
